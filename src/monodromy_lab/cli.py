@@ -29,25 +29,15 @@ import numpy as np
 from . import geodesic as geo
 from . import serialize
 from .escape import verify_positivity
-from .monodromy import (
-    ModelParams,
-    build_elliptic_monodromy,
-    contraction_sweep,
-    elliptic_propagator,
-)
-from .quasimode import (
-    exact_model_ladder,
-    hermite_mode,
-    perturbed_ladder,
-    residual_certify,
-)
+from .monodromy import contraction_sweep
+from .quasimode import exact_model_ladder, perturbed_ladder, residual_certify
 from .symplectic import (
     ClassificationAmbiguousError,
     SymplecticError,
     build_quadratic_hamiltonian,
     classify_spectrum,
 )
-from .weyl import PhaseGrid
+from .weyl import GridError, PhaseGrid
 
 EXIT_PASS = 0
 EXIT_NUMERIC = 1
@@ -65,7 +55,8 @@ class NumericFailure(RuntimeError):
 
 def _load_config(path, allowed: dict, required=()):
     """Read a JSON config, rejecting unknown keys and checking the type of
-    every provided field.  `allowed` maps key -> type tuple."""
+    every field; numbers, also inside lists, must be finite and not bool.
+    `allowed` maps key -> type tuple."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -87,7 +78,16 @@ def _load_config(path, allowed: dict, required=()):
                 f"config key {key!r} has type {type(val).__name__}, "
                 f"expected {'/'.join(t.__name__ for t in types)}"
             )
+        scalar = bool not in types and isinstance(val, (int, float))
+        numbers = val if isinstance(val, list) else [val] if scalar else []
+        if not all(map(_is_number, numbers)):
+            raise ConfigError(f"config key {key!r} must hold finite numbers")
     return doc
+
+
+def _is_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
 
 
 def _grid_from(doc, default_l, default_n, hbar) -> PhaseGrid:
@@ -95,8 +95,13 @@ def _grid_from(doc, default_l, default_n, hbar) -> PhaseGrid:
     unknown = set(doc) - {"L", "N"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    return PhaseGrid(L=float(doc.get("L", default_l)),
-                     N=int(doc.get("N", default_n)), hbar=hbar)
+    length, n = doc.get("L", default_l), doc.get("N", default_n)
+    if not (_is_number(length) and type(n) is int):
+        raise ConfigError(f"grid needs a number L and an integer N, got {doc}")
+    try:
+        return PhaseGrid(L=float(length), N=n, hbar=hbar)
+    except GridError as exc:
+        raise ConfigError(f"grid: {exc}")
 
 
 def _positive(doc, key):
@@ -411,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, config=True):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=None, help="RNG seed")
         p.add_argument("--jobs", type=int, default=1, help="worker threads")
         if config:

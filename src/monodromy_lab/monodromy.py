@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .escape import EscapeFunction
 from .weyl import (
     PhaseGrid,
     cutoff_range,
@@ -141,19 +140,21 @@ def build_hyperbolic_monodromy(p: ModelParams) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    n = m.shape[0]
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(n), 2))
+    """||M^H M - I||_2, read off the spectrum of the Hermitian defect."""
+    herm = m.conj().T @ m - np.eye(m.shape[0])
+    return float(np.abs(np.linalg.eigvalsh(herm)).max())
 
 
 def escape_weight(p: ModelParams) -> np.ndarray:
     """Quantization of the hyperbolic escape weight
-    (1/2) log((1 + X^2)/(1 + Xi^2)) on the rescaled grid."""
+    (1/2) log((1 + X^2)/(1 + Xi^2)) on the rescaled grid.  The symbol is
+    real and even in Xi, so its Weyl kernel is real symmetric."""
 
     def symbol(x, xi):
         return 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2))
 
-    op = quantize(symbol, p.grid, symbol_tag="escape weight")
-    return 0.5 * (op.matrix + op.matrix.conj().T)
+    op = quantize(symbol, p.grid, symbol_tag="escape weight").matrix.real
+    return 0.5 * (op + op.T)
 
 
 def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
@@ -198,7 +199,7 @@ def conjugated_contraction(p: ModelParams, gap_data: bool = True) -> MonodromyRe
     gap_val = 0.0
     rank = basis.shape[1]
     if gap_data:
-        gap_val, rank = unconjugated_gap(p)
+        gap_val, rank = unconjugated_gap(p, m=m)
     return MonodromyResult(
         h=p.h, hbar_tilde=p.hbar_tilde, s=p.s,
         norm_conjugated=r, gap_constant=0.0, gap_exponent=0.0,

@@ -244,7 +244,6 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
                 continue
             stages = [z0]
             z = z0
-            diverged = False
             for j in range(1, order + 1):
                 z_next = 0.5 * (zeta(z, beta) + 2.0 * math.pi * k * h)
                 dz = z_next - z
@@ -257,8 +256,6 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
                     )
                 stages.append(dz)
                 z = z_next
-                if diverged:
-                    break
             if abs(z) <= zmax:
                 residual = abs(2.0 * z - zeta(z, beta) - 2.0 * math.pi * k * h)
                 entries.append(LadderEntry(k=k, beta=tuple(beta), z=z,

@@ -94,9 +94,11 @@ def write_manifest(outdir, command: str, config: dict, outputs,
 
 
 def _package_version() -> str:
-    try:
-        from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         return version("monodromy-lab")
-    except Exception:
-        return "unknown"
+    except PackageNotFoundError:  # running from a source tree
+        from . import __version__
+
+        return __version__

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, expm
+from scipy.linalg import circulant, eigvalsh
 
 _EXP_OVERFLOW = 600.0
 
@@ -86,11 +86,15 @@ class WeylOperator:
 
     @property
     def is_hermitian(self) -> bool:
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= 1e-10 * scale)
+        return _is_hermitian(self.matrix)
 
     def hermitian_defect(self) -> float:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    scale = max(1.0, float(np.abs(mat).max()))
+    return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * scale)
 
 
 def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
@@ -142,40 +146,26 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
     return WeylOperator(grid=grid, matrix=mat, symbol_tag=symbol_tag)
 
 
-def fourier_multiplier(func, grid: PhaseGrid) -> np.ndarray:
-    """Direct construction F^-1 diag(func(xi)) F; reference for symbols
-    independent of x."""
-    n = grid.N
-    f = np.fft.fft(np.eye(n), axis=0)
-    finv = np.fft.ifft(np.eye(n), axis=0)
-    diag = func(np.fft.ifftshift(grid.xi))
-    return finv @ (diag[:, None] * f)
-
-
-def position_multiplier(func, grid: PhaseGrid) -> np.ndarray:
-    return np.diag(np.asarray(func(grid.x), dtype=complex))
-
-
 def op_exponential(a, t: complex, check: bool = False) -> np.ndarray:
-    """Scaling-and-squaring exponential exp(t A) of a quantized operator.
+    """exp(t A) = V diag(e^(t lam)) V^H of a Hermitian operator from one eigh.
 
-    Overflow is refused upfront from the norm estimate.  With check=True
-    the inverse is computed as well and the roundtrip defect
-    ||exp(tA) exp(-tA) - I|| must stay below 1e-9.
+    The growth factor is exactly exp(max |Re(t) lam|), refused beyond e^600;
+    imaginary t stays unitary however large.  With check=True the roundtrip
+    defect ||exp(tA) exp(-tA) - I|| must stay below 1e-9.
     """
     mat = a.matrix if isinstance(a, WeylOperator) else np.asarray(a)
-    # growth is governed by the Hermitian part of t A; a skew-Hermitian
-    # exponent stays unitary no matter how large t gets
-    herm = 0.5 * (t * mat + np.conj(t) * mat.conj().T)
-    scale = np.linalg.norm(herm, ord=1)
-    if scale > _EXP_OVERFLOW:
+    if not _is_hermitian(mat):
+        raise ValueError("op_exponential requires a Hermitian generator")
+    lam, vec = np.linalg.eigh(mat)
+    growth = abs(np.real(t)) * float(np.abs(lam).max())
+    if growth > _EXP_OVERFLOW:
         raise OverflowError(
-            f"operator exponential refused: ||Herm(t A)||_1 = {scale:.3e} "
+            f"operator exponential refused: max |Re(t) lam| = {growth:.3e} "
             f"exceeds {_EXP_OVERFLOW:.0f}"
         )
-    out = expm(t * mat)
+    out = (vec * np.exp(t * lam)) @ vec.conj().T
     if check:
-        back = expm(-t * mat)
+        back = (vec * np.exp(-t * lam)) @ vec.conj().T
         defect = np.linalg.norm(out @ back - np.eye(mat.shape[0]))
         if defect > 1e-9:
             raise ArithmeticError(f"exponential roundtrip defect {defect:.3e} > 1e-9")
@@ -202,9 +192,9 @@ def microlocal_cutoff(grid: PhaseGrid, width_x: float = 1.0,
         width_xi = width_x
     gx = np.exp(-grid.x ** 2 / (2.0 * width_x ** 2))
     gxi = np.exp(-np.fft.ifftshift(grid.xi) ** 2 / (2.0 * width_xi ** 2))
-    pos = gx[:, None] * np.eye(grid.N)
-    mom = np.fft.ifft(gxi[:, None] * np.fft.fft(np.eye(grid.N), axis=0), axis=0)
-    return pos @ mom
+    # F^-1 diag(gxi) F is the circulant with kernel ifft(gxi)[(i - j) mod N];
+    # gxi is even in xi, so the kernel is real
+    return gx[:, None] * circulant(np.fft.ifft(gxi).real)
 
 
 def cutoff_range(cutoff: np.ndarray, sv_tol: float = 1e-6,

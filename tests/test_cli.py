@@ -129,6 +129,31 @@ def test_contract_reproducible_output(tmp_path):
     assert (out1 / "contraction.csv").read_bytes() == (out2 / "contraction.csv").read_bytes()
 
 
+def test_contract_version_in_manifest(tmp_path):
+    import monodromy_lab
+
+    cfg = write_config(tmp_path / "c.json", {
+        "s": 0.0, "h_values": [0.01],
+        "grid": {"L": 16.0, "N": 64}, "gap_grid": {"L": 24.0, "N": 64},
+    })
+    out = tmp_path / "out"
+    assert run(["contract", "--config", cfg, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["monodromy_lab"] == monodromy_lab.__version__
+
+
+@pytest.mark.parametrize("doc", [
+    {"h_values": [0.01], "grid": {"N": 63}},
+    {"h_values": ["x"]},
+    {"h_values": [0.01], "grid": {"N": 64.9}},
+    {"h_values": [math.nan]},
+    {"h_values": [0.01], "lam": True},
+], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam"])
+def test_contract_bad_config_exits_config(tmp_path, doc):
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert run(["contract", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # ladder
 # ---------------------------------------------------------------------------

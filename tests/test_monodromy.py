@@ -17,10 +17,11 @@ from monodromy_lab.monodromy import (
     rescale_state,
     restricted_norm,
     rotation_generator,
+    unconjugated_gap,
     unitarity_defect,
 )
 from monodromy_lab.quasimode import hermite_mode
-from monodromy_lab.weyl import PhaseGrid, op_exponential
+from monodromy_lab.weyl import PhaseGrid, op_exponential, quantize
 
 HT = 0.2
 GRID = PhaseGrid(L=16.0, N=512, hbar=HT)
@@ -109,6 +110,24 @@ def test_hyperbolic_monodromy_unitary():
     assert unitarity_defect(m) <= 1e-9
 
 
+def test_unitarity_defect_is_spectral_norm():
+    rng = np.random.default_rng(3)
+    m = np.eye(40) + 0.1 * (rng.standard_normal((40, 40))
+                            + 1j * rng.standard_normal((40, 40)))
+    oracle = np.linalg.norm(m.conj().T @ m - np.eye(40), 2)
+    assert unitarity_defect(m) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_escape_weight_is_real_symmetric_quantization():
+    p = model()
+    gw = escape_weight(p)
+    assert gw.dtype == np.float64
+    assert np.array_equal(gw, gw.T)
+    full = quantize(lambda x, xi: 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2)),
+                    GRID).matrix
+    assert np.abs(gw - full).max() <= 1e-14
+
+
 def test_hyperbolic_monodromy_zero_rate_is_identity():
     m = build_hyperbolic_monodromy(model(lam=0.0, h=0.1))
     assert np.abs(m - np.eye(GRID.N)).max() <= 1e-12
@@ -152,6 +171,14 @@ def test_contraction_strict_for_positive_weight():
     res = conjugated_contraction(model(s=0.3), gap_data=False)
     assert res.norm_conjugated < 1.0
     assert res.unitarity_defect <= 1e-9
+
+
+def test_contraction_gap_matches_unconjugated_gap():
+    p = model(s=0.3)
+    res = conjugated_contraction(p, gap_data=True)
+    gap, rank = unconjugated_gap(p)
+    assert res.gap_value == pytest.approx(gap, abs=1e-13)
+    assert res.subspace_rank == rank
 
 
 def test_contraction_monotone_in_weight():

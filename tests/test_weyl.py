@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from monodromy_lab.weyl import (
     GridError,
     PhaseGrid,
     cutoff_range,
-    fourier_multiplier,
     microlocal_cutoff,
     min_eigenvalue,
     op_exponential,
@@ -14,6 +14,16 @@ from monodromy_lab.weyl import (
 
 
 GRID = PhaseGrid(L=10.0, N=256, hbar=0.1)
+
+
+def fourier_multiplier(func, grid: PhaseGrid) -> np.ndarray:
+    """Direct construction F^-1 diag(func(xi)) F; reference for symbols
+    independent of x."""
+    n = grid.N
+    f = np.fft.fft(np.eye(n), axis=0)
+    finv = np.fft.ifft(np.eye(n), axis=0)
+    diag = func(np.fft.ifftshift(grid.xi))
+    return finv @ (diag[:, None] * f)
 
 
 def test_grid_geometry():
@@ -181,3 +191,42 @@ def test_microlocal_cutoff_contracts():
     u = np.exp(-grid.x ** 2 / (2.0 * grid.hbar)).astype(complex)
     u /= grid.norm(u)
     assert grid.norm(pi_c @ u - u) <= 0.2
+
+
+SMALL = PhaseGrid(L=6.0, N=64, hbar=0.2)
+
+
+def close_to(a, b, tol=1e-12):
+    """Entrywise agreement relative to the scale of b (at least 1)."""
+    return np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+def test_op_exponential_matches_scaling_and_squaring():
+    gen = quantize(lambda x, xi: x * xi + 0.1 * x ** 2, SMALL).matrix
+    for t in (-1.0j / SMALL.hbar, 0.3, -0.7 + 0.5j):
+        assert close_to(op_exponential(gen, t), expm(t * gen))
+
+
+def test_op_exponential_group_law():
+    gen = quantize(lambda x, xi: 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2)),
+                   SMALL).matrix
+    for s, t in ((0.3, -0.3), (0.2, 0.45), (-2.0j, 0.7j)):
+        lhs = op_exponential(gen, s) @ op_exponential(gen, t)
+        assert close_to(lhs, op_exponential(gen, s + t))
+
+
+def test_op_exponential_rejects_nonhermitian():
+    gen = quantize(lambda x, xi: x * xi, SMALL).matrix.copy()
+    gen[0, 1] += 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        op_exponential(gen, 0.1)
+
+
+def test_microlocal_cutoff_matches_dense_fourier_construction():
+    for wx, wxi in ((1.0, None), (2.5, 0.4)):
+        pi_c = microlocal_cutoff(SMALL, wx, wxi)
+        assert pi_c.dtype == np.float64
+        gx = np.exp(-SMALL.x ** 2 / (2.0 * wx ** 2))
+        mom = fourier_multiplier(lambda xi: np.exp(-xi ** 2 / (2.0 * (wxi or wx) ** 2)),
+                                 SMALL)
+        assert np.abs(pi_c - np.diag(gx) @ mom).max() <= 1e-14

@@ -30,7 +30,12 @@ from . import geodesic as geo
 from . import serialize
 from .escape import verify_positivity
 from .monodromy import contraction_sweep
-from .quasimode import exact_model_ladder, perturbed_ladder, residual_certify
+from .quasimode import (
+    LadderSizeError,
+    exact_model_ladder,
+    perturbed_ladder,
+    residual_certify,
+)
 from .symplectic import (
     ClassificationAmbiguousError,
     SymplecticError,
@@ -305,8 +310,8 @@ GEODESIC_KEYS = {
 def cmd_geodesic(args) -> int:
     started = time.time()
     doc = _load_config(args.config, GEODESIC_KEYS)
-    _positive(doc, "t_final")
-    _positive(doc, "step")
+    for key in ("t_final", "step", "stride"):
+        _positive(doc, key)
     step = float(doc.get("step", 1e-4))
     stride = int(doc.get("stride", 100))
     outdir = Path(args.out)
@@ -441,10 +446,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, geo.StepLimitError,
+            LadderSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ClassificationAmbiguousError as exc:

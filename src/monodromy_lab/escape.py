@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import KIND_ELLIPTIC, QuadraticHamiltonian, SymplecticMatrix
+from .symplectic import QuadraticHamiltonian, SymplecticMatrix
 
 
 class EscapeDimensionError(ValueError):

@@ -20,11 +20,18 @@ import numpy as np
 from .symplectic import standard_form
 
 DOMAIN_BOUND = 10.0
+# work and storage one integrate call may take; larger runs are refused
+MAX_STEPS = 10 ** 7
+MAX_ROWS = 10 ** 6
 BASE_Z = (0.0, 0.5, -0.5)
 
 VERDICT_SEMI_HYPERBOLIC = "semi-hyperbolic"
 VERDICT_HYPERBOLIC = "hyperbolic"
 VERDICT_ELLIPTIC = "elliptic"
+
+
+class StepLimitError(ValueError):
+    """An integration would exceed MAX_STEPS steps or MAX_ROWS stored rows."""
 
 
 def _u(z):
@@ -83,27 +90,21 @@ def christoffel(y: float, z: float) -> dict:
     }
 
 
+def _accel(y, z, vx, vy, vz):
+    """Accelerations (vx', vy', vz') of the geodesic system."""
+    uz = _u(z)
+    up = _u_prime(z)
+    ch = math.cosh(y)
+    vx2 = vx ** 2
+    return (-2.0 * math.tanh(y) * vy * vx - 2.0 * (up / uz) * vz * vx,
+            math.sinh(y) * ch * uz ** 2 * vx2,
+            up * uz * ch ** 2 * vx2)
+
+
 def geodesic_rhs(state):
     """First-order geodesic system for state (x, y, z, vx, vy, vz)."""
     x, y, z, vx, vy, vz = state
-    uz = _u(z)
-    ratio = _u_prime(z) / uz
-    return np.array([
-        vx,
-        vy,
-        vz,
-        -2.0 * math.tanh(y) * vy * vx - 2.0 * ratio * vz * vx,
-        math.sinh(y) * math.cosh(y) * uz ** 2 * vx ** 2,
-        _u_prime(z) * uz * math.cosh(y) ** 2 * vx ** 2,
-    ])
-
-
-def _rhs_with_tangent(state, tangent):
-    """Geodesic right-hand side together with the linearized flow acting
-    on a 6 x k tangent block."""
-    base = geodesic_rhs(state)
-    jac = geodesic_jacobian(state)
-    return base, jac @ tangent
+    return np.array([vx, vy, vz, *_accel(y, z, vx, vy, vz)])
 
 
 def geodesic_jacobian(state):
@@ -113,30 +114,27 @@ def geodesic_jacobian(state):
     up = _u_prime(z)
     upp = _u_second(z)
     ty = math.tanh(y)
-    sech2 = 1.0 / math.cosh(y) ** 2
-    shch = math.sinh(y) * math.cosh(y)
-    ch2 = math.cosh(y) ** 2
+    ch = math.cosh(y)
+    sech2 = 1.0 / ch ** 2
+    shch = math.sinh(y) * ch
+    ch2 = ch ** 2
     ratio = up / uz
     dratio_dz = (upp * uz - up * up) / uz ** 2
-    jac = np.zeros((6, 6))
-    jac[0, 3] = 1.0
-    jac[1, 4] = 1.0
-    jac[2, 5] = 1.0
-    # d(vx')/d(...)
-    jac[3, 1] = -2.0 * sech2 * vy * vx
-    jac[3, 2] = -2.0 * dratio_dz * vz * vx
-    jac[3, 3] = -2.0 * ty * vy - 2.0 * ratio * vz
-    jac[3, 4] = -2.0 * ty * vx
-    jac[3, 5] = -2.0 * ratio * vx
-    # d(vy')/d(...)
-    jac[4, 1] = math.cosh(2.0 * y) * uz ** 2 * vx ** 2
-    jac[4, 2] = 2.0 * shch * uz * up * vx ** 2
-    jac[4, 3] = 2.0 * shch * uz ** 2 * vx
-    # d(vz')/d(...)
-    jac[5, 1] = 2.0 * up * uz * shch * vx ** 2
-    jac[5, 2] = (upp * uz + up * up) * ch2 * vx ** 2
-    jac[5, 3] = 2.0 * up * uz * ch2 * vx
-    return jac
+    vx2 = vx ** 2
+    return np.fromiter((
+        0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        # d(vx')/d(...)
+        0.0, -2.0 * sech2 * vy * vx, -2.0 * dratio_dz * vz * vx,
+        -2.0 * ty * vy - 2.0 * ratio * vz, -2.0 * ty * vx, -2.0 * ratio * vx,
+        # d(vy')/d(...)
+        0.0, math.cosh(2.0 * y) * uz ** 2 * vx2, 2.0 * shch * uz * up * vx2,
+        2.0 * shch * uz ** 2 * vx, 0.0, 0.0,
+        # d(vz')/d(...)
+        0.0, 2.0 * up * uz * shch * vx2, (upp * uz + up * up) * ch2 * vx2,
+        2.0 * up * uz * ch2 * vx, 0.0, 0.0,
+    ), float, 36).reshape(6, 6)
 
 
 @dataclass
@@ -155,41 +153,53 @@ def integrate(state0, t_final: float, step: float = 1e-4,
               stride: int = 1, tangent0=None):
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
     flow, optionally carrying a tangent block for the variational
-    equations.  Blows past |y| or |z| > 10 truncate the trajectory with a
-    flag.  Returns (Trajectory, tangent_final)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    state = np.asarray(state0, dtype=float).copy()
-    tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
+    equations; the state and the RK4 stages are Python floats, the tangent
+    block is numpy.  Blows past |y| or |z| > 10 truncate the trajectory
+    with a flag.  Runs past MAX_STEPS steps or MAX_ROWS stored rows are
+    refused with StepLimitError.  Returns (Trajectory, tangent_final)."""
+    if step <= 0 or stride < 1:
+        raise ValueError("step and stride must be positive")
     n_steps = int(round(t_final / step))
-    ts, rows = [0.0], [state.copy()]
+    if n_steps > MAX_STEPS or n_steps // stride > MAX_ROWS:
+        raise StepLimitError(f"{n_steps} RK4 steps at stride {stride} exceed "
+                             f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
+    x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
+    tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
+    half, sixth = 0.5 * step, step / 6.0
+    states = np.empty((n_steps // stride + 2, 6))
+    states[0] = x, y, z, vx, vy, vz
+    ts = [0.0]
     truncated = False
-
-    def deriv(s, tg):
-        if tg is None:
-            return geodesic_rhs(s), None
-        return _rhs_with_tangent(s, tg)
-
     for i in range(n_steps):
-        k1, m1 = deriv(state, tangent)
-        k2, m2 = deriv(state + 0.5 * step * k1,
-                       None if tangent is None else tangent + 0.5 * step * m1)
-        k3, m3 = deriv(state + 0.5 * step * k2,
-                       None if tangent is None else tangent + 0.5 * step * m2)
-        k4, m4 = deriv(state + step * k3,
-                       None if tangent is None else tangent + step * m3)
-        state = state + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ax1, ay1, az1 = _accel(y, z, vx, vy, vz)
+        s2 = (x + half * vx, y + half * vy, z + half * vz,
+              vx + half * ax1, vy + half * ay1, vz + half * az1)
+        ax2, ay2, az2 = _accel(*s2[1:])
+        s3 = (x + half * s2[3], y + half * s2[4], z + half * s2[5],
+              vx + half * ax2, vy + half * ay2, vz + half * az2)
+        ax3, ay3, az3 = _accel(*s3[1:])
+        s4 = (x + step * s3[3], y + step * s3[4], z + step * s3[5],
+              vx + step * ax3, vy + step * ay3, vz + step * az3)
+        ax4, ay4, az4 = _accel(*s4[1:])
         if tangent is not None:
-            tangent = tangent + step / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
-        if abs(state[1]) > DOMAIN_BOUND or abs(state[2]) > DOMAIN_BOUND:
-            truncated = True
+            m1 = geodesic_jacobian((x, y, z, vx, vy, vz)).dot(tangent)
+            m2 = geodesic_jacobian(s2).dot(tangent + half * m1)
+            m3 = geodesic_jacobian(s3).dot(tangent + half * m2)
+            m4 = geodesic_jacobian(s4).dot(tangent + step * m3)
+            tangent = tangent + sixth * (m1 + 2 * m2 + 2 * m3 + m4)
+        x += sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
+        y += sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])
+        z += sixth * (vz + 2 * s2[5] + 2 * s3[5] + s4[5])
+        vx += sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
+        vy += sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
+        vz += sixth * (az1 + 2 * az2 + 2 * az3 + az4)
+        truncated = abs(y) > DOMAIN_BOUND or abs(z) > DOMAIN_BOUND
+        if truncated or (i + 1) % stride == 0 or i == n_steps - 1:
+            states[len(ts)] = x, y, z, vx, vy, vz
             ts.append((i + 1) * step)
-            rows.append(state.copy())
+        if truncated:
             break
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            ts.append((i + 1) * step)
-            rows.append(state.copy())
-    states = np.array(rows)
+    states = states[:len(ts)]
     traj = Trajectory(t=np.array(ts), states=states,
                       energy=WarpedMetric.energy(states), truncated=truncated)
     return traj, tangent

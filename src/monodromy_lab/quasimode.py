@@ -36,8 +36,16 @@ class LadderDivergenceError(LadderError):
     """A stage increment violated the h^((j+1)/m) magnitude ladder."""
 
 
+class LadderSizeError(LadderError):
+    """The (k, beta) lattice to enumerate exceeds MAX_LATTICE_POINTS."""
+
+
 class GridCapacityError(ValueError):
     """Hermite index not resolvable on the grid."""
+
+
+# (k, beta) lattice points one ladder may enumerate; checked before the loop
+MAX_LATTICE_POINTS = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,12 @@ def k_window(h: float, m_exponent: float, c0: float) -> int:
     return int(math.floor(c0 * h ** (1.0 / m_exponent - 1.0) / math.pi))
 
 
+def _check_lattice(size) -> None:
+    if size > MAX_LATTICE_POINTS:
+        raise LadderSizeError(f"ladder lattice of {size:.3g} points exceeds "
+                              f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+
+
 def _dedup_check(entries, alpha, h):
     """Distinctness of ladder values.  With rational alpha the values
     (alpha/2)(2 b + 1) h + 2 pi k h collide only for equal (k, b), which is
@@ -166,12 +180,15 @@ def _dedup_check(entries, alpha, h):
 def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
     """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
     window |z| <= c0 h^(1/m); residuals are identically zero at continuum
-    level.  Empty windows give an empty (valid) ladder."""
+    level.  Empty windows give an empty (valid) ladder; a window past
+    MAX_LATTICE_POINTS is refused with LadderSizeError."""
     if h <= 0 or float(alpha) <= 0:
         raise ValueError("alpha and h must be positive")
     zmax = c0 * h ** (1.0 / m_exponent)
     alpha_f = float(alpha)
     kmax = k_window(h, m_exponent, c0)
+    # each k admits at most 2 zmax / (alpha h) + 1 values of b
+    _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha_f * h) + 1.0))
     entries = []
     for k in range(-kmax, kmax + 1):
         base = 2.0 * math.pi * k * h
@@ -211,7 +228,8 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
     each later stage re-substitutes the current root into the right-hand
     side.  Stage increments must obey |dz_j| <= margin * h^((j+1)/m) or a
     divergence report is raised.  Entries are kept when the converged root
-    lies inside |z| <= c0 h^(1/m).
+    lies inside |z| <= c0 h^(1/m).  A lattice past MAX_LATTICE_POINTS is
+    refused with LadderSizeError before enumeration.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -234,6 +252,7 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
 
     # enumerate the beta lattice per mode from the stage-zero window
     b_cap = int(max(0.0, (2.0 * zmax / (h * lam0.min()) - 1.0) / 2.0)) + 1
+    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** n_modes)
     entries = []
     betas = _beta_lattice(n_modes, b_cap)
     for k in range(-kmax, kmax + 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _iter_product
 
 import numpy as np

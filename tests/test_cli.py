@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def test_ladder_bad_mode(tmp_path):
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"mode": "exact", "h": 1e-3, "c0": 1e9},
+    {"mode": "perturbed", "h": 1e-3, "c0": 1e9, "lambda0": [0.5, 0.7]},
+], ids=["exact", "perturbed"])
+def test_ladder_oversized_lattice_exits_config_fast(tmp_path, doc):
+    cfg = write_config(tmp_path / "l.json", doc)
+    started = time.perf_counter()
+    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert time.perf_counter() - started < 1.0
+
+
 # ---------------------------------------------------------------------------
 # geodesic
 # ---------------------------------------------------------------------------
@@ -215,6 +227,22 @@ def test_geodesic_blowup_exit(tmp_path):
         "classify_orbits": False,
     })
     assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"stride": 0},
+    {"stride": -3},
+    {"t_final": 1e12},
+    {"t_final": 1e-6, "step": 1e-9, "classify_orbits": True},
+], ids=["zero_stride", "negative_stride", "huge_t_final", "tiny_orbit_step"])
+def test_geodesic_bad_config_exits_config(tmp_path, doc):
+    cfg = write_config(tmp_path / "g.json", {
+        "orbit_z": 0.0, "t_final": 0.01, "step": 1e-3, "stride": 1,
+        "classify_orbits": False, **doc,
+    })
+    started = time.perf_counter()
+    assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert time.perf_counter() - started < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from monodromy_lab.geodesic import (
+    DOMAIN_BOUND,
+    MAX_ROWS,
+    MAX_STEPS,
+    StepLimitError,
     WarpedMetric,
     christoffel,
     effective_potential,
@@ -158,9 +164,122 @@ def test_integrate_blowup_guard():
     assert np.abs(traj.states[-1][[1, 2]]).max() > 10.0 - 1.0
 
 
+def test_integrate_refuses_oversized_runs():
+    state0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(StepLimitError, match="RK4 steps"):
+        integrate(state0, 1e12, step=1e-4, stride=100)
+    with pytest.raises(StepLimitError):
+        integrate(state0, (MAX_STEPS + 1) * 1e-3, step=1e-3, stride=10 ** 9)
+    with pytest.raises(StepLimitError):
+        integrate(state0, 2 * MAX_ROWS * 1e-3, step=1e-3, stride=1)
+    with pytest.raises(ValueError, match="stride"):
+        integrate(state0, 1.0, step=1e-3, stride=0)
+
+
+# ---------------------------------------------------------------------------
+# float kernel against the array-based RK4 loop
+# ---------------------------------------------------------------------------
+
+def _rhs_reference(state):
+    """The geodesic right-hand side written out once more, on numpy scalars."""
+    x, y, z, vx, vy, vz = state
+    uz = 2.0 * z ** 4 - z ** 2 + 1.0
+    up = 8.0 * z ** 3 - 2.0 * z
+    return np.array([
+        vx,
+        vy,
+        vz,
+        -2.0 * math.tanh(y) * vy * vx - 2.0 * (up / uz) * vz * vx,
+        math.sinh(y) * math.cosh(y) * uz ** 2 * vx ** 2,
+        up * uz * math.cosh(y) ** 2 * vx ** 2,
+    ])
+
+
+def numpy_rk4(state0, t_final, step, stride, tangent0=None):
+    """Oracle: RK4 with the state and every stage held in numpy arrays,
+    the same step and storage rules as `integrate`.  Returns (t, states,
+    tangent, truncated)."""
+    state = np.asarray(state0, dtype=float).copy()
+    tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
+    n_steps = int(round(t_final / step))
+    ts, rows = [0.0], [state.copy()]
+    truncated = False
+
+    def deriv(s, tg):
+        return _rhs_reference(s), None if tg is None else geodesic_jacobian(s) @ tg
+
+    for i in range(n_steps):
+        k1, m1 = deriv(state, tangent)
+        k2, m2 = deriv(state + 0.5 * step * k1,
+                       None if tangent is None else tangent + 0.5 * step * m1)
+        k3, m3 = deriv(state + 0.5 * step * k2,
+                       None if tangent is None else tangent + 0.5 * step * m2)
+        k4, m4 = deriv(state + step * k3,
+                       None if tangent is None else tangent + step * m3)
+        state = state + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if tangent is not None:
+            tangent = tangent + step / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
+        truncated = abs(state[1]) > DOMAIN_BOUND or abs(state[2]) > DOMAIN_BOUND
+        if truncated or (i + 1) % stride == 0 or i == n_steps - 1:
+            ts.append((i + 1) * step)
+            rows.append(state.copy())
+        if truncated:
+            break
+    return np.array(ts), np.array(rows), tangent, truncated
+
+
+def _assert_same(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("state0, t_final, step, stride, tangent, truncates", [
+    ([0.0, 0.01, 0.05, 1.0, 0.0, 0.0], 0.5, 1e-4, 100, False, False),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, True, False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 10 ** 9, True, False),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, True, False),
+    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, True, False),
+    ([0.0, 2.5, 0.0, 3.0, 4.0, 0.0], 50.0, 1e-3, 100, False, True),
+], ids=["free", "free_tangent", "orbit_0", "orbit_+half", "orbit_-half", "truncated"])
+def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
+                                      truncates):
+    tangent0 = np.eye(6) if tangent else None
+    traj, tan = integrate(np.array(state0), t_final, step=step, stride=stride,
+                          tangent0=tangent0)
+    ts, states, tan_ref, truncated = numpy_rk4(state0, t_final, step, stride,
+                                               tangent0)
+    assert traj.truncated == truncated == truncates
+    _assert_same(traj.t, ts)
+    _assert_same(traj.states, states)
+    if tangent:
+        _assert_same(tan, tan_ref)
+    else:
+        assert tan is None
+
+
 # ---------------------------------------------------------------------------
 # Poincare classification
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("z0", [0.0, 0.5, -0.5])
+def test_poincare_matches_analytic_floquet(z0):
+    # the base orbit is an equilibrium of the reduced flow, so its transverse
+    # monodromy is exp(T J) with T = u(z0): multipliers e^{+-T} (y-mode)
+    # and e^{+-T sqrt(u''/u)} (z-mode)
+    report = poincare_linearization(z0)
+    period = 2.0 * z0 ** 4 - z0 ** 2 + 1.0
+    rate_z = cmath.sqrt((24.0 * z0 ** 2 - 2.0) / period)
+    got = list(report.multipliers)
+    for want in (cmath.exp(period), cmath.exp(-period),
+                 cmath.exp(period * rate_z), cmath.exp(-period * rate_z)):
+        best = min(got, key=lambda g: abs(g - want))
+        assert abs(best - want) <= 1e-9 * abs(want)
+        got.remove(best)
+    state0 = np.array([0.0, 0.0, z0, 1.0 / period, 0.0, 0.0])
+    idx = [1, 2, 4, 5]
+    exact = scipy.linalg.expm(period * geodesic_jacobian(state0))[np.ix_(idx, idx)]
+    assert np.abs(report.monodromy - exact).max() <= 1e-10
+
 
 def test_poincare_central_orbit_semi_hyperbolic():
     report = poincare_linearization(0.0)

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from monodromy_lab.quasimode import (
     GridCapacityError,
     LadderDivergenceError,
+    LadderSizeError,
     borel_resum,
     exact_model_ladder,
     grid_capacity,
@@ -215,6 +216,18 @@ def test_perturbed_multi_mode_lattice():
                             h, 2.0, 1.0, order=0)
     assert pert.count > 0
     assert all(len(e.beta) == 2 for e in pert.entries)
+
+
+def test_oversized_lattices_refused():
+    with pytest.raises(LadderSizeError, match="MAX_LATTICE_POINTS"):
+        exact_model_ladder(1.0, 1e-3, 2.0, 1e9)
+    with pytest.raises(LadderSizeError):
+        perturbed_ladder([lambda z: 0.5, lambda z: 0.7], [], 1e-3, 2.0, 1e9, order=0)
+    # the benchmark windows, ~3.2e4 (exact, h = 1e-5) and ~1.2e4 (two
+    # modes, h = 1e-3) lattice points, stay admitted
+    assert exact_model_ladder(1.0, 1e-5, 2.0, 0.5).count > 0
+    assert perturbed_ladder([lambda z: 0.5, lambda z: 0.7], [], 1e-3, 2.0, 0.5,
+                            order=0).count > 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -216,14 +215,6 @@ LADDER_KEYS = {
 }
 
 
-def _ladder_rows(ladder, residual_fn=None):
-    rows = []
-    for e in ladder.entries:
-        resid = e.residual if residual_fn is None else residual_fn(e)
-        rows.append([e.k] + list(e.beta) + [e.z, resid])
-    return rows
-
-
 def cmd_ladder(args) -> int:
     started = time.time()
     doc = _load_config(args.config, LADDER_KEYS, required=("mode",))
@@ -257,28 +248,22 @@ def cmd_ladder(args) -> int:
             ladder = exact_model_ladder(alpha, h, m_exp, c0)
         else:
             lam0 = [float(v) for v in doc.get("lambda0", [alpha / 2.0])]
+            if not lam0 or min(lam0) <= 0:
+                raise ConfigError("lambda0 must be a non-empty list of "
+                                  "positive numbers")
             ladder = perturbed_ladder([(lambda z, c=c: c) for c in lam0], [],
                                       h, m_exp, c0, order=int(doc.get("order", 0)))
-        residual_fn = None
         if doc.get("residuals", False):
-            grid_doc = doc.get("grid")
-            grid = _grid_from(grid_doc, 1.0, 512, h)
-            jobs = max(1, args.jobs)
-
-            def one(e):
-                return residual_certify(e.k, e.beta[0], e.z, alpha, h, grid)
-
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    residuals = list(pool.map(one, ladder.entries))
-            else:
-                residuals = [one(e) for e in ladder.entries]
-            lookup = {id(e): r for e, r in zip(ladder.entries, residuals)}
-            residual_fn = lambda e: lookup[id(e)]
+            grid = _grid_from(doc.get("grid"), 1.0, 512, h)
+            residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, h, grid)
+                         for e in ladder.entries]
+        else:
+            residuals = [e.residual for e in ladder.entries]
         out = outdir / f"ladder_{mode}.csv"
         n_beta = len(ladder.entries[0].beta) if ladder.entries else 1
         header = ["k"] + [f"beta_{j + 1}" for j in range(n_beta)] + ["z", "residual"]
-        serialize.write_csv(out, header, _ladder_rows(ladder, residual_fn))
+        serialize.write_csv(out, header, [[e.k, *e.beta, e.z, r]
+                                          for e, r in zip(ladder.entries, residuals)])
         outputs.append(out)
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
@@ -314,10 +299,6 @@ def cmd_geodesic(args) -> int:
         _positive(doc, key)
     step = float(doc.get("step", 1e-4))
     stride = int(doc.get("stride", 100))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
     if "initial_state" in doc:
         state0 = np.array([float(v) for v in doc["initial_state"]])
         if state0.shape != (6,):
@@ -329,6 +310,14 @@ def cmd_geodesic(args) -> int:
         state0 = np.array([0.0, 0.0, z0, 1.0 / w0, 0.0, 0.0])
     t_final = float(doc.get("t_final", 1.0))
     traj, _ = geo.integrate(state0, t_final, step=step, stride=stride)
+    # classify before writing anything: a step the base orbits refuse
+    # leaves no partial output behind
+    classify = doc.get("classify_orbits", True)
+    reports = ([geo.poincare_linearization(z0, step=step) for z0 in (0.0, 0.5, -0.5)]
+               if classify else [])
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "trajectory.csv"
     serialize.write_csv(
         out,
@@ -336,13 +325,8 @@ def cmd_geodesic(args) -> int:
         [[t] + list(row) + [e]
          for t, row, e in zip(traj.t, traj.states, traj.energy)],
     )
-    outputs.append(out)
-
-    reports = []
-    if doc.get("classify_orbits", True):
-        for z0 in (0.0, 0.5, -0.5):
-            rep = geo.poincare_linearization(z0, step=step)
-            reports.append(rep)
+    outputs = [out]
+    if classify:
         rep_path = outdir / "poincare.json"
         rep_path.write_text(
             "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
@@ -422,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
 

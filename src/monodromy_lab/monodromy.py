@@ -134,9 +134,7 @@ def build_hyperbolic_monodromy(p: ModelParams) -> np.ndarray:
     exp(-i lambda (X Xi)^w / hbar_tilde) for every h; unitarity holds to
     rounding accuracy.
     """
-    q1 = _stretch_generator(p)
-    herm = 0.5 * (q1.matrix + q1.matrix.conj().T)
-    return op_exponential(herm, -1.0j / p.h)
+    return op_exponential(_stretch_generator(p), -1.0j / p.h)
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -153,8 +151,7 @@ def escape_weight(p: ModelParams) -> np.ndarray:
     def symbol(x, xi):
         return 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2))
 
-    op = quantize(symbol, p.grid, symbol_tag="escape weight").matrix.real
-    return 0.5 * (op + op.T)
+    return quantize(symbol, p.grid, symbol_tag="escape weight").matrix.real
 
 
 def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
@@ -278,10 +275,10 @@ def contraction_sweep(h_values, lam: float = 1.0, s: float = DEFAULT_WEIGHT,
 # ---------------------------------------------------------------------------
 
 def rotation_generator(alpha: float, grid: PhaseGrid):
-    """Quantized rotation symbol (alpha/2)(x^2 + xi^2) on the h-grid."""
-    op = quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid,
-                  symbol_tag=f"rotation alpha={alpha}")
-    return 0.5 * (op.matrix + op.matrix.conj().T)
+    """Quantized rotation symbol (alpha/2)(x^2 + xi^2) on the h-grid: the
+    (read-only) matrix of a real symbol, exactly Hermitian as quantized."""
+    return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid,
+                    symbol_tag=f"rotation alpha={alpha}").matrix
 
 
 def elliptic_propagator(alpha: float, h: float, grid: PhaseGrid) -> np.ndarray:

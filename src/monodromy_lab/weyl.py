@@ -6,15 +6,17 @@ kernel
     K(x_i, x_j) = (2 pi hbar)^-1 sum_l a((x_i+x_j)/2, xi_l)
                   exp(i (x_i - x_j) xi_l / hbar) dxi dx,
 
-evaluated by FFT over the frequency index for every midpoint.  Real
-symbols give Hermitian matrices; symbols independent of xi give diagonal
-multiplication operators.  States are sample vectors u(x_k); inner
-products carry the quadrature weight dx.
+evaluated by one real FFT over the frequency index for every midpoint.
+Real symbols give exactly Hermitian matrices, complex ones go through by
+linearity; symbols independent of xi give diagonal multiplication
+operators.  States are sample vectors u(x_k); inner products carry the
+quadrature weight dx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import circulant, eigvalsh
@@ -115,9 +117,9 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
 
     Notes
     -----
-    Matrix entries are assembled by FFT over the frequency index for each
-    of the 2N-1 midpoints (x_i + x_j)/2, so the cost is O(N^2 log N).
-    Real-valued symbols produce Hermitian matrices to rounding accuracy.
+    One real FFT over the 2N-1 midpoint rows (x_i + x_j)/2 plus one gather
+    of the N^2 entries, O(N^2 log N).  Real symbols give exactly Hermitian
+    matrices; complex symbols go through by linearity, Re and Im apart.
     """
     n = grid.N
     if xi_support is not None and grid.xi_max < 4.0 * xi_support:
@@ -128,22 +130,40 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
         )
     # midpoints (x_i + x_j)/2 live on the half-step grid of 2N-1 points
     mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
-    vals = np.asarray(symbol(mid[:, None], grid.xi[None, :]), dtype=complex)
+    vals = np.asarray(symbol(mid[:, None], np.fft.ifftshift(grid.xi)[None, :]))
     if vals.shape != (2 * n - 1, n):
-        vals = np.broadcast_to(vals, (2 * n - 1, n)).copy()
+        vals = np.broadcast_to(vals, (2 * n - 1, n))
     if not np.all(np.isfinite(vals)):
         raise GridError("symbol evaluated to a non-finite value on the grid")
-    # sum_l a(m, xi_l) e^{i (x_i - x_j) xi_l / hbar}: with r = i - j the phase
-    # is e^{i 2 pi (l - N/2) r / N}, an inverse DFT in l with a parity twist
-    transform = n * np.fft.ifft(vals, axis=1)  # index r = (i - j) mod N
-    r_signed = np.arange(-(n - 1), n)
-    phase = np.where(r_signed % 2 == 0, 1.0, -1.0)  # e^{-i pi r}
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mid_idx = ii + jj
-    r_idx = (ii - jj) % n
-    kernel = transform[mid_idx, r_idx] * phase[(ii - jj) + (n - 1)]
-    mat = kernel * (grid.dxi * grid.dx / (2.0 * np.pi * grid.hbar))
+    mat = _real_kernel(vals.real)
+    if np.iscomplexobj(vals):
+        mat = mat + 1j * _real_kernel(vals.imag)
     return WeylOperator(grid=grid, matrix=mat, symbol_tag=symbol_tag)
+
+
+def _real_kernel(vals: np.ndarray) -> np.ndarray:
+    """K[i, j] = (1/N) sum_p vals[i + j, p] e^{2 pi i (i - j) p / N} for real
+    vals, frequencies in FFT order (xi_p = pi hbar p / L mod the grid): the
+    Weyl sum, since dxi dx / (2 pi hbar) = 1/N and no parity twist is left."""
+    half = np.fft.rfft(vals, axis=1, norm="forward")
+    index, conjugate = _gather_index(vals.shape[1])
+    mat = np.take(half, index)
+    np.conjugate(mat, out=mat, where=conjugate)
+    return mat
+
+
+@lru_cache(maxsize=4)
+def _gather_index(n: int):
+    """Flat index of K[i, j] in the (2N-1) x (N/2+1) half spectrum, row i + j
+    and column min(r, N - r) with r = (i - j) mod N, and where to conjugate
+    (r <= N/2); columns 0 and N/2 are real, so K is exactly Hermitian."""
+    i, j = np.ogrid[:n, :n]
+    r = (i - j) % n
+    index = (i + j) * (n // 2 + 1) + np.minimum(r, n - r)
+    conjugate = r <= n // 2
+    for shared in (index, conjugate):
+        shared.setflags(write=False)
+    return index, conjugate
 
 
 def op_exponential(a, t: complex, check: bool = False) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_ladder_exact_with_residuals(tmp_path):
         "c0": 0.5, "residuals": True, "grid": {"L": 1.5, "N": 256},
     })
     out = tmp_path / "out"
-    assert run(["ladder", "--config", cfg, "--out", out, "--jobs", 2]) == 0
+    assert run(["ladder", "--config", cfg, "--out", out]) == 0
     lines = (out / "ladder_exact.csv").read_text().splitlines()
     assert lines[0] == "k,beta_1,z,residual"
     assert len(lines) > 1
@@ -200,6 +200,16 @@ def test_ladder_oversized_lattice_exits_config_fast(tmp_path, doc):
     started = time.perf_counter()
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("lambda0", [[0.0], [-0.5, 0.7], []],
+                         ids=["zero", "negative", "empty"])
+def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "perturbed", "h": 1e-2, "lambda0": lambda0,
+    })
+    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o" / "ladder_perturbed.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +253,13 @@ def test_geodesic_bad_config_exits_config(tmp_path, doc):
     started = time.perf_counter()
     assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert time.perf_counter() - started < 1.0
+
+
+def test_geodesic_refused_orbit_step_writes_nothing(tmp_path):
+    cfg = write_config(tmp_path / "g.json", {"t_final": 1e-6, "step": 1e-9})
+    out = tmp_path / "o"
+    assert run(["geodesic", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

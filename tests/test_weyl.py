@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from monodromy_lab.monodromy import rotation_generator
 from monodromy_lab.weyl import (
     GridError,
     PhaseGrid,
@@ -230,3 +233,87 @@ def test_microlocal_cutoff_matches_dense_fourier_construction():
         mom = fourier_multiplier(lambda xi: np.exp(-xi ** 2 / (2.0 * (wxi or wx) ** 2)),
                                  SMALL)
         assert np.abs(pi_c - np.diag(gx) @ mom).max() <= 1e-14
+
+
+def meshgrid_kernel(symbol, grid: PhaseGrid) -> np.ndarray:
+    """The complex-FFT kernel with a parity twist and a 2-D gather, as
+    quantize built it before the real half-spectrum; reference for it."""
+    n = grid.N
+    mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
+    vals = np.asarray(symbol(mid[:, None], grid.xi[None, :]), dtype=complex)
+    if vals.shape != (2 * n - 1, n):
+        vals = np.broadcast_to(vals, (2 * n - 1, n)).copy()
+    transform = n * np.fft.ifft(vals, axis=1)  # index r = (i - j) mod N
+    r_signed = np.arange(-(n - 1), n)
+    phase = np.where(r_signed % 2 == 0, 1.0, -1.0)  # e^{-i pi r}
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    mid_idx = ii + jj
+    r_idx = (ii - jj) % n
+    kernel = transform[mid_idx, r_idx] * phase[(ii - jj) + (n - 1)]
+    return kernel * (grid.dxi * grid.dx / (2.0 * np.pi * grid.hbar))
+
+
+REAL_SYMBOLS = [
+    lambda x, xi: x * xi,
+    lambda x, xi: np.exp(-x ** 2) * np.cos(3.0 * xi) + xi ** 3,
+    lambda x, xi: 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2)),
+    lambda x, xi: 2.5,
+]
+COMPLEX_SYMBOLS = [
+    lambda x, xi: (x + 1j * xi) ** 2,
+    lambda x, xi: np.exp(1j * x * xi) / (1.0 + x ** 2),
+]
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 256, 512])
+def test_quantize_matches_meshgrid_kernel(n):
+    grid = PhaseGrid(L=3.0, N=n, hbar=0.07)
+    for symbol in REAL_SYMBOLS + COMPLEX_SYMBOLS:
+        mat = quantize(symbol, grid).matrix
+        ref = meshgrid_kernel(symbol, grid)
+        assert np.abs(mat - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 256, 512])
+def test_quantize_real_symbol_exactly_hermitian(n):
+    grid = PhaseGrid(L=3.0, N=n, hbar=0.07)
+    for symbol in REAL_SYMBOLS:
+        mat = quantize(symbol, grid).matrix
+        assert np.array_equal(mat, mat.conj().T)
+
+
+def test_quantize_complex_symbol_by_linearity():
+    for symbol in COMPLEX_SYMBOLS:
+        whole = quantize(symbol, SMALL).matrix
+        re = quantize(lambda x, xi: symbol(x, xi).real, SMALL).matrix
+        im = quantize(lambda x, xi: symbol(x, xi).imag, SMALL).matrix
+        assert np.array_equal(whole, re + 1j * im)
+
+
+def test_rotation_generator_exactly_hermitian():
+    for alpha, h in ((1.0, 1e-3), (0.7, 0.05)):
+        q = rotation_generator(alpha, PhaseGrid(L=1.5, N=256, hbar=h))
+        assert np.array_equal(q, q.conj().T)
+
+
+coefficients = st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9)
+
+
+def polynomial(coef):
+    """Real polynomial sum c_ab x^a xi^b of degree at most 2 in each variable."""
+    c = np.reshape(coef, (3, 3))
+    return lambda x, xi: sum(c[a, b] * x ** a * xi ** b
+                             for a in range(3) for b in range(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficients, coefficients, st.floats(-3.0, 3.0))
+def test_quantize_polynomial_hermitian_and_linear(coef_a, coef_b, t):
+    op_a = quantize(polynomial(coef_a), SMALL).matrix
+    op_b = quantize(polynomial(coef_b), SMALL).matrix
+    combined = np.add(coef_a, np.multiply(t, coef_b))
+    op_ab = quantize(polynomial(combined), SMALL).matrix
+    for mat in (op_a, op_b, op_ab):
+        assert np.array_equal(mat, mat.conj().T)
+    scale = max(1.0, np.abs(op_a).max() + abs(t) * np.abs(op_b).max())
+    assert np.abs(op_ab - (op_a + t * op_b)).max() <= 1e-12 * scale

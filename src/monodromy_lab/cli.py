@@ -121,32 +121,13 @@ def cmd_classify(args) -> int:
     started = time.time()
     config = {"matrix_file": args.matrix_file, "tol_unit": args.tol_unit}
     mat = serialize.read_matrix(args.matrix_file)
+    cls = classify_spectrum(mat, tol_unit=args.tol_unit)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cls = classify_spectrum(mat, tol_unit=args.tol_unit)
-    report = {
-        "dim": cls.dim,
-        "n_hc": cls.n_hc,
-        "n_hr_plus": cls.n_hr_plus,
-        "n_hr_minus": cls.n_hr_minus,
-        "n_e": cls.n_e,
-        "blocks": [
-            {
-                "mu": [b.mu.real, b.mu.imag],
-                "multiplicity": b.k,
-                "log": [b.lam.real, b.lam.imag],
-                "kind": b.kind,
-            }
-            for b in cls.blocks
-        ],
-        "rotation_diagonal": [float(v) for v in np.diag(cls.F)[: cls.dim // 2]],
-        "reconstruction_error": cls.reconstruction_error(),
-    }
     out = outdir / "classification.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(cls.to_json() + "\n")
     serialize.write_manifest(outdir, "classify", config, [out], started)
-    print(f"classify: wrote {out} (reconstruction error "
-          f"{report['reconstruction_error']:.3e})")
+    print(f"classify: wrote {out}")
     return EXIT_PASS
 
 
@@ -224,9 +205,6 @@ def cmd_ladder(args) -> int:
     alpha = float(doc.get("alpha", 1.0))
     m_exp = float(doc.get("m_exponent", 2.0))
     c0 = float(doc.get("c0", 1.0))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
 
     if mode == "counting":
         h_values = [float(h) for h in doc.get("h_values", [1e-2, 1e-3, 1e-4])]
@@ -237,9 +215,7 @@ def cmd_ladder(args) -> int:
             slope = math.log(count) / math.log(1.0 / h) if count else float("nan")
             rows.append([h, count, slope])
             slopes.append(slope)
-        out = outdir / "counting.csv"
-        serialize.write_csv(out, ["h", "count", "slope"], rows)
-        outputs.append(out)
+        name, header = "counting.csv", ["h", "count", "slope"]
         summary = {"alpha": alpha, "m_exponent": m_exp, "c0": c0,
                    "h_values": h_values, "slopes": slopes}
     elif mode in ("exact", "perturbed"):
@@ -259,20 +235,23 @@ def cmd_ladder(args) -> int:
                          for e in ladder.entries]
         else:
             residuals = [e.residual for e in ladder.entries]
-        out = outdir / f"ladder_{mode}.csv"
         n_beta = len(ladder.entries[0].beta) if ladder.entries else 1
+        name = f"ladder_{mode}.csv"
         header = ["k"] + [f"beta_{j + 1}" for j in range(n_beta)] + ["z", "residual"]
-        serialize.write_csv(out, header, [[e.k, *e.beta, e.z, r]
-                                          for e, r in zip(ladder.entries, residuals)])
-        outputs.append(out)
+        rows = [[e.k, *e.beta, e.z, r] for e, r in zip(ladder.entries, residuals)]
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
     else:
         raise ConfigError(f"unknown ladder mode {mode!r}")
 
+    # create the output directory only once there is a result to write
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    out = outdir / name
+    serialize.write_csv(out, header, rows)
     summary_path = outdir / "ladder_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    outputs.append(summary_path)
+    outputs = [out, summary_path]
     serialize.write_manifest(outdir, "ladder", doc, outputs, started)
     print(f"ladder[{mode}]: wrote {', '.join(str(o) for o in outputs)}")
     return EXIT_PASS

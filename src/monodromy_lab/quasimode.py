@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .weyl import PhaseGrid
-from .symplectic import SmoothRamp
+from .symplectic import MAX_LATTICE_POINTS, SmoothRamp
 
 
 class LadderError(ValueError):
@@ -42,10 +42,6 @@ class LadderSizeError(LadderError):
 
 class GridCapacityError(ValueError):
     """Hermite index not resolvable on the grid."""
-
-
-# (k, beta) lattice points one ladder may enumerate; checked before the loop
-MAX_LATTICE_POINTS = 10 ** 7
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ xdot = dq/dxi, xidot = -dq/dx).
 from __future__ import annotations
 
 import cmath
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +30,10 @@ from scipy.linalg import expm
 logger = logging.getLogger(__name__)
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
+
+# lattice points one enumeration may visit (nonresonance scan, quasimode
+# ladders); checked before the enumeration starts
+MAX_LATTICE_POINTS = 10 ** 7
 
 KIND_COMPLEX_HYPERBOLIC = "complex-hyperbolic"
 KIND_REAL_POSITIVE = "real-positive"
@@ -89,27 +94,13 @@ class SymplecticMatrix:
         mat.setflags(write=False)
         return cls(entries=mat, dim=mat.shape[0], defect=defect)
 
-    @property
-    def J(self) -> np.ndarray:
-        return standard_form(self.dim)
-
-    def __matmul__(self, other):
-        if isinstance(other, SymplecticMatrix):
-            return SymplecticMatrix.from_array(self.entries @ other.entries, tol=1e-8)
-        return self.entries @ other
-
-
-def random_sp_algebra_element(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the symplectic Lie algebra: J S with S symmetric,
-    entries uniform in [-1, 1]."""
-    m = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    s = 0.5 * (m + m.T)
-    return standard_form(dim) @ s
-
 
 def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 1.0) -> SymplecticMatrix:
-    """exp of a random Lie-algebra element; symplectic to exponential accuracy."""
-    return SymplecticMatrix.from_array(expm(scale * random_sp_algebra_element(dim, rng)), tol=1e-8)
+    """exp of a random Lie-algebra element J S, S symmetric with entries
+    uniform in [-1, 1]; symplectic to exponential accuracy."""
+    m = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    gen = standard_form(dim) @ (0.5 * (m + m.T))
+    return SymplecticMatrix.from_array(expm(scale * gen), tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,7 @@ def symplectic_log(a: SymplecticMatrix, tol: float = 1e-8) -> np.ndarray:
         logger.warning("symplectic_log: ill-conditioned input, cond(A) = %.3e", cond)
     b = (vecs * np.log(evals)) @ vecs.T
     b = 0.5 * (b + b.T)
-    j = a.J
+    j = standard_form(a.dim)
     defect = np.linalg.norm(b.T @ j + j @ b)
     if defect > tol * max(1.0, np.linalg.norm(b)):
         raise SymplecticError(f"logarithm left the symplectic Lie algebra: defect {defect:.3e}")
@@ -220,9 +211,7 @@ class SpectralClassification:
     source: np.ndarray
 
     def __post_init__(self):
-        total = sum(4 * b.k if b.kind == KIND_COMPLEX_HYPERBOLIC else
-                    (2 * b.k if b.kind != KIND_ELLIPTIC else 2)
-                    for b in self.blocks)
+        total = sum(2 * b.x_width for b in self.blocks)
         if total != self.dim:
             raise SymplecticError(
                 f"block dimension count {total} does not match dim {self.dim}"
@@ -246,15 +235,11 @@ class SpectralClassification:
     def n_e(self) -> int:
         return sum(1 for b in self.blocks if b.kind == KIND_ELLIPTIC)
 
-    @property
-    def J(self) -> np.ndarray:
-        return standard_form(self.dim)
-
     def rotation_factor(self) -> np.ndarray:
         """exp(-J F): the unit-modulus part of the map (identity on
         hyperbolic-positive modes, -identity on real-negative modes,
         rotation on elliptic modes)."""
-        return expm(-self.J @ self.F)
+        return expm(-standard_form(self.dim) @ self.F)
 
     def stretch_factor(self) -> np.ndarray:
         """exp(B): the positive-spectrum part of the map."""
@@ -294,9 +279,25 @@ class SpectralClassification:
                     return lam
         raise SymplecticError(f"{mu} is not an eigenvalue of the classified map")
 
-    def elliptic_angles(self) -> list:
-        """Signed rotation angles Im(lam) of the elliptic blocks."""
-        return [float(b.lam.imag) for b in self.blocks if b.kind == KIND_ELLIPTIC]
+    def to_json(self) -> str:
+        return json.dumps({
+            "dim": self.dim,
+            "n_hc": self.n_hc,
+            "n_hr_plus": self.n_hr_plus,
+            "n_hr_minus": self.n_hr_minus,
+            "n_e": self.n_e,
+            "blocks": [
+                {
+                    "mu": [b.mu.real, b.mu.imag],
+                    "multiplicity": b.k,
+                    "log": [b.lam.real, b.lam.imag],
+                    "kind": b.kind,
+                }
+                for b in self.blocks
+            ],
+            "rotation_diagonal": [float(v) for v in np.diag(self.F)[: self.dim // 2]],
+            "reconstruction_error": self.reconstruction_error(),
+        }, indent=2)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 1e-6):
@@ -306,14 +307,12 @@ def _cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 1e-6):
     clusters = []
     for idx in order:
         ev = evals[idx]
-        placed = False
         for c in clusters:
             if abs(ev - c[0] / c[1]) <= rel_gap * max(1.0, abs(ev)):
                 c[0] += ev
                 c[1] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([ev, 1])
     return [(c[0] / c[1], c[1]) for c in clusters]
 
@@ -329,9 +328,9 @@ def _jordan_structure(a: np.ndarray, mu: complex, alg_mult: int):
     """Jordan block sizes for eigenvalue mu via staircase rank tests on
     powers of (A - mu I).  Returns a descending list of block sizes."""
     n = a.shape[0]
-    shifted = a.astype(complex) - mu * np.eye(n)
+    shifted = a - mu * np.eye(n)
     ranks = [n]
-    power = np.eye(n, dtype=complex)
+    power = np.eye(n)
     for _ in range(alg_mult):
         power = power @ shifted
         ranks.append(_rank(power))
@@ -352,48 +351,39 @@ def _jordan_structure(a: np.ndarray, mu: complex, alg_mult: int):
     return sizes
 
 
-def _nullspace(mat: np.ndarray, dim_expected: int) -> np.ndarray:
-    """Orthonormal nullspace basis (columns), taking the dim_expected
-    smallest singular directions."""
-    _, sv, vh = np.linalg.svd(mat)
-    if dim_expected > 0 and sv.size >= dim_expected + 1:
-        kept = sv[-dim_expected]
-        cut = sv[-dim_expected - 1] if sv.size > dim_expected else np.inf
-        if kept > 1e-4 * max(cut, 1.0):
-            logger.debug("nullspace threshold weak: sigma=%.3e next=%.3e", kept, cut)
-    return vh[-dim_expected:].conj().T
-
-
 def _jordan_chains(a: np.ndarray, mu: complex, sizes):
     """Chain basis columns for the generalized eigenspace of mu, organized
     so that A acts as the direct sum of Jordan blocks of the given sizes.
-    Works in complex arithmetic; caller realifies if needed."""
+    Works in mu's own arithmetic, so the chains are real for real mu."""
     n = a.shape[0]
-    shifted = a.astype(complex) - mu * np.eye(n)
+    shifted = a - mu * np.eye(n)
     depth = max(sizes)
     mult = sum(sizes)
-    # nested nullspaces N_1 subset ... subset N_depth
+    # nested nullspaces N_1 subset ... subset N_depth: orthonormal columns,
+    # the `expected` smallest right singular directions of (A - mu)^s
     nulls = []
-    power = np.eye(n, dtype=complex)
+    power = np.eye(n)
     expected = 0
     at_least = {s: sum(1 for k in sizes if k >= s) for s in range(1, depth + 1)}
     for s in range(1, depth + 1):
         power = power @ shifted
         expected += at_least[s]
-        nulls.append(_nullspace(power, expected))
+        nulls.append(np.linalg.svd(power)[2][-expected:].conj().T)
     chains = []
-    used = np.zeros((n, 0), dtype=complex)
+    used = np.zeros((n, 0), dtype=shifted.dtype)
     for size in sizes:  # descending
         top_space = nulls[size - 1]
-        # project away lower nullspace and previously used chain vectors
+        # project away the lower nullspace and the chains already taken; the
+        # two overlap, so the basis of their span must be rank-revealing (a QR
+        # basis adds a stray direction, and the projected top vector then
+        # leaves the nullspace)
         avoid = [used] if used.shape[1] else []
         if size >= 2:
             avoid.append(nulls[size - 2])
-        # also avoid images under shifted^j of used tops to keep chains independent
         candidates = top_space
         if avoid:
-            av = np.hstack(avoid)
-            q, _ = np.linalg.qr(av)
+            u, sv, _ = np.linalg.svd(np.hstack(avoid), full_matrices=False)
+            q = u[:, sv > 1e-8 * sv[0]]
             candidates = top_space - q @ (q.conj().T @ top_space)
         norms = np.linalg.norm(candidates, axis=0)
         top = candidates[:, int(np.argmax(norms))]
@@ -414,31 +404,25 @@ def _jordan_chains(a: np.ndarray, mu: complex, sizes):
     return chains
 
 
-def _standardize_chain(a: np.ndarray, chain: np.ndarray, lam: complex):
-    """Rebase a Jordan chain so the restriction of A becomes exactly
-    exp(lam I + N) with N the unit-superdiagonal nilpotent.  Returns the
-    new basis columns."""
+def _standardize_chain(chain: np.ndarray, mu) -> np.ndarray:
+    """Rebase a Jordan chain of eigenvalue mu (A acts on it as the block
+    J_k(mu)) so the restriction of A becomes mu exp(N) with N the
+    unit-superdiagonal nilpotent: exp(lam I + N) for mu = e^lam, and
+    -exp(lam I + N) for mu = -e^lam.  Works in mu's own arithmetic, so
+    the columns stay real for real mu."""
     k = chain.shape[1]
     if k == 1:
         return chain
-    # representation of A on the chain: the k x k Jordan block J_k(mu)
-    mu = cmath.exp(lam)
-    jb = mu * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1, dtype=complex), 1)
     # nilpotent part of log(J_k(mu)) via the finite series log(I + N/mu)
-    nil = np.diag(np.ones(k - 1, dtype=complex), 1) / mu
-    lognil = np.zeros((k, k), dtype=complex)
-    term = np.eye(k, dtype=complex)
+    nil = np.diag(np.full(k - 1, 1.0 / mu), 1)
+    lognil = np.zeros_like(nil)
+    term = np.eye(k, dtype=nil.dtype)
     for j in range(1, k):
         term = term @ nil
         lognil += ((-1) ** (j + 1) / j) * term
     # chain basis of the nilpotent lognil: columns lognil^(k-1) e_k .. e_k
-    cols = []
-    vec = np.zeros(k, dtype=complex)
-    vec[-1] = 1.0
-    for j in range(k - 1, -1, -1):
-        cols.append(np.linalg.matrix_power(lognil, j) @ vec)
-    p = np.column_stack(cols)
-    return chain @ p
+    cols = [np.linalg.matrix_power(lognil, j)[:, -1] for j in range(k - 1, -1, -1)]
+    return chain @ np.column_stack(cols)
 
 
 def _real_basis_from_complex(cols: np.ndarray) -> np.ndarray:
@@ -450,20 +434,16 @@ def _real_basis_from_complex(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
-def _hc_block_matrix(lam: complex, k: int) -> np.ndarray:
-    """Real 2k x 2k generator block for a complex-hyperbolic eigenvalue:
-    2x2 rotations-plus-stretch on the diagonal, identity couplings above."""
-    lam2 = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-    blk = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        blk[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lam2
-        if i + 1 < k:
-            blk[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = np.eye(2)
+def _generator_block(b: SpectralBlock) -> np.ndarray:
+    """Real x-block of B for a hyperbolic block: lam I + N for a real
+    eigenvalue; for a complex one, 2x2 rotations-plus-stretch on the
+    diagonal and 2x2 identity couplings above."""
+    lam, d = b.lam, b.x_width // b.k
+    diag = [[lam.real, lam.imag], [-lam.imag, lam.real]] if d == 2 else lam.real
+    blk = np.eye(b.x_width, k=d)
+    for i in range(0, b.x_width, d):
+        blk[i:i + d, i:i + d] = diag
     return blk
-
-
-def _hr_block_matrix(lam: float, k: int) -> np.ndarray:
-    return lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
 
 
 def classify_spectrum(ds, tol_unit: float = 1e-6,
@@ -473,8 +453,10 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
 
     Eigenvalues are sorted into four kinds: complex-hyperbolic quadruples
     (|mu| > 1, Im mu != 0), real pairs mu > 1, real pairs mu < -1, and
-    unit-modulus elliptic pairs.  Jordan multiplicities are detected by
-    staircase rank tests.  Elliptic angles are signed by the symplectic
+    unit-modulus elliptic pairs.  Repeated hyperbolic eigenvalues are
+    supported, with one or several Jordan chains each; their block sizes
+    are detected by staircase rank tests.  Repeated elliptic eigenvalues
+    are refused.  Elliptic angles are signed by the symplectic
     orientation of the invariant plane, so a negatively-oriented rotation
     carries Im(lam) < 0.
 
@@ -500,21 +482,26 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     a = ds.entries
     n = ds.dim
     m = n // 2
-    evals = np.linalg.eig(a)[0]
-    clusters = _cluster_eigenvalues(evals)
+    evals, evecs = np.linalg.eig(a)
 
-    hc, hrp, hrm, ell = [], [], [], []
+    groups = []   # (representative mu, multiplicity, kind)
     cluster_tol = 1e-6
-    for mu, mult in clusters:
+    for mu, mult in _cluster_eigenvalues(evals):
         dist = abs(abs(mu) - 1.0)
+        real = abs(mu.imag) <= cluster_tol * max(1.0, abs(mu))
         if dist <= tol_unit:
-            if abs(mu.imag) <= cluster_tol * max(1.0, abs(mu)):
+            if real:
                 raise ClassificationAmbiguousError(
                     f"eigenvalue {mu:.6g} sits at +-1 on the unit circle; "
                     "neither hyperbolic nor nonresonant-elliptic"
                 )
             if mu.imag > 0:
-                ell.append((mu / abs(mu), mult))
+                if mult > 1:
+                    raise UnsupportedSpectrumError(
+                        f"elliptic eigenvalue {mu / abs(mu):.6g} has multiplicity {mult}; "
+                        "repeated unit-modulus eigenvalues are unsupported"
+                    )
+                groups.append((mu / abs(mu), 1, KIND_ELLIPTIC))
             continue
         if dist < 10.0 * tol_unit:
             raise ClassificationAmbiguousError(
@@ -523,114 +510,63 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
             )
         if abs(mu) < 1.0:
             continue  # handled through its reciprocal partner
-        if abs(mu.imag) <= cluster_tol * max(1.0, abs(mu)):
-            mu_r = mu.real
-            if mu_r > 0:
-                hrp.append((complex(mu_r), mult))
-            else:
-                hrm.append((complex(mu_r), mult))
+        if real:
+            kind = KIND_REAL_POSITIVE if mu.real > 0 else KIND_REAL_NEGATIVE
+            groups.append((mu.real, mult, kind))
         elif mu.imag > 0:
-            hc.append((mu, mult))
+            groups.append((mu, mult, KIND_COMPLEX_HYPERBOLIC))
         # Im mu < 0 representatives are the conjugates; skipped.
 
-    for mu, mult in ell:
-        if mult > 1:
-            raise UnsupportedSpectrumError(
-                f"elliptic eigenvalue {mu:.6g} has multiplicity {mult}; "
-                "repeated unit-modulus eigenvalues are unsupported"
-            )
+    def eig_column(mu):
+        # column of the shared eig for a simple eigenvalue, real for real mu
+        col = evecs[:, [int(np.argmin(np.abs(evals - mu)))]]
+        return col if np.iscomplexobj(mu) else col.real
 
-    blocks = []
-    x_cols = []   # columns spanning the x-half of the adapted basis
-    f_groups = [] # parallel list of xi-half column groups
+    parts = []    # (block, its x-half basis columns, its xi-half columns)
     j_form = standard_form(n)
-    evals_full, evecs_full = np.linalg.eig(a)
-
-    def _simple_eigvec(mu):
-        idx = int(np.argmin(np.abs(evals_full - mu)))
-        return evecs_full[:, idx:idx + 1]
-
-    def _dual_columns(x_group: np.ndarray, dual_space: np.ndarray) -> np.ndarray:
-        """Solve for the omega-dual basis inside dual_space with pairing
-        omega(x_i, f_j) = -delta_ij."""
-        gram = x_group.T @ j_form @ dual_space
-        coeff = np.linalg.solve(gram, -np.eye(gram.shape[0]))
-        return dual_space @ coeff
-
-    # --- complex-hyperbolic groups -----------------------------------------
-    for mu, mult in hc:
-        lam = cmath.log(mu)
+    for mu, mult, kind in groups:
+        if kind == KIND_ELLIPTIC:
+            u = eig_column(mu)[:, 0]
+            gamma = complex(u @ (j_form @ np.conj(u))) / 1j  # omega(u, conj u) = i*gamma
+            gamma = gamma.real
+            if abs(gamma) < 1e-12:
+                raise UnsupportedSpectrumError(
+                    f"degenerate symplectic pairing for elliptic eigenvalue {mu:.6g}"
+                )
+            if gamma < 0:
+                u = np.conj(u)       # negatively oriented plane: flip representative
+                mu = np.conj(mu)
+                gamma = -gamma
+            u = u * math.sqrt(2.0 / gamma)
+            parts.append((SpectralBlock(mu=mu, k=1, lam=complex(0.0, cmath.log(mu).imag),
+                                        kind=kind), u.real[:, None], u.imag[:, None]))
+            continue
+        hc = kind == KIND_COMPLEX_HYPERBOLIC
+        lam = cmath.log(mu) if hc else complex(math.log(abs(mu)))
         if mult == 1:
-            sizes = [1]
-            chains = [_simple_eigvec(mu)]
-            dual_space = _simple_eigvec(1.0 / mu)
+            chains = [eig_column(mu)]
+            dual_space = eig_column(1.0 / mu)
         else:
             sizes = _jordan_structure(a, mu, mult)
             chains = _jordan_chains(a, mu, sizes)
             dual_space = np.hstack(_jordan_chains(a, 1.0 / mu, sizes))
-        std = [_standardize_chain(a, c, lam) for c in chains]
-        for c in std:
+        chains = [_standardize_chain(c, mu) for c in chains]
+        # omega-dual basis of all chains at once: omega(x_i, f_j) = -c delta_ij,
+        # c = 2 for the realified complex pairs
+        gram = np.hstack(chains).T @ j_form @ dual_space
+        w = dual_space @ np.linalg.solve(gram, -(2.0 if hc else 1.0) * np.eye(mult))
+        splits = np.cumsum([c.shape[1] for c in chains])[:-1]
+        for c, w_cols in zip(chains, np.hsplit(w, splits)):
             k = c.shape[1]
-            gram = c.T @ j_form @ dual_space
-            coeff = np.linalg.solve(gram.astype(complex), -2.0 * np.eye(k))
-            w_cols = dual_space @ coeff
-            e_real = _real_basis_from_complex(c)
-            f_real = _real_basis_from_complex(w_cols.conj())  # (Re w, -Im w)
-            x_cols.append(e_real)
-            f_groups.append(f_real)
-            blocks.append(SpectralBlock(mu=mu, k=k, lam=lam, kind=KIND_COMPLEX_HYPERBOLIC))
-
-    # --- real hyperbolic groups --------------------------------------------
-    for family, kind in ((hrp, KIND_REAL_POSITIVE), (hrm, KIND_REAL_NEGATIVE)):
-        for mu, mult in family:
-            mu_r = mu.real
-            lam = math.log(abs(mu_r))
-            sizes = [1] * mult if mult == 1 else _jordan_structure(a, mu_r, mult)
-            if max(sizes) == 1:
-                space = _nullspace(a - mu_r * np.eye(n), mult)
-                chains = [space[:, i:i + 1] for i in range(mult)]
-                dual_space = _nullspace(a - (1.0 / mu_r) * np.eye(n), mult)
-            else:
-                chains = [np.real(c) for c in _jordan_chains(a, mu_r, sizes)]
-                dual_space = np.real(np.hstack(_jordan_chains(a, 1.0 / mu_r, sizes)))
-            if mu_r > 0:
-                std = [np.real(_standardize_chain(a, c.astype(complex), complex(lam)))
-                       for c in chains]
-            else:
-                std = [_standardize_negative_chain(a, c, lam) for c in chains]
-            for c in std:
-                k = c.shape[1]
-                f_cols = _dual_columns(c, dual_space)
-                x_cols.append(c)
-                f_groups.append(f_cols)
-                blocks.append(SpectralBlock(mu=complex(mu_r), k=k, lam=complex(lam), kind=kind))
-
-    # --- elliptic pairs ------------------------------------------------------
-    for mu, _ in ell:
-        u = _simple_eigvec(mu)[:, 0]
-        gamma = complex(u @ (j_form @ np.conj(u))) / 1j  # omega(u, conj u) = i*gamma
-        gamma = gamma.real
-        if abs(gamma) < 1e-12:
-            raise UnsupportedSpectrumError(
-                f"degenerate symplectic pairing for elliptic eigenvalue {mu:.6g}"
-            )
-        if gamma < 0:
-            u = np.conj(u)       # negatively oriented plane: flip representative
-            mu = np.conj(mu)
-            gamma = -gamma
-        u = u * math.sqrt(2.0 / gamma)
-        alpha = cmath.log(mu).imag
-        x_cols.append(u.real[:, None])
-        f_groups.append(u.imag[:, None])
-        blocks.append(SpectralBlock(mu=mu, k=1, lam=complex(0.0, alpha), kind=KIND_ELLIPTIC))
+            if hc:  # (Re u, Im u) against (Re w, -Im w)
+                c, w_cols = _real_basis_from_complex(c), _real_basis_from_complex(w_cols.conj())
+            parts.append((SpectralBlock(mu=complex(mu), k=k, lam=lam, kind=kind), c, w_cols))
 
     # --- order blocks: hc, hr+, hr-, elliptic --------------------------------
     kind_order = {KIND_COMPLEX_HYPERBOLIC: 0, KIND_REAL_POSITIVE: 1,
                   KIND_REAL_NEGATIVE: 2, KIND_ELLIPTIC: 3}
-    perm = sorted(range(len(blocks)), key=lambda i: (kind_order[blocks[i].kind], -blocks[i].k))
-    blocks = [blocks[i] for i in perm]
-    x_cols = [x_cols[i] for i in perm]
-    f_groups = [f_groups[i] for i in perm]
+    parts.sort(key=lambda part: (kind_order[part[0].kind], -part[0].k))
+    blocks, x_cols, f_groups = zip(*parts)
 
     if sum(c.shape[1] for c in x_cols) != m:
         raise UnsupportedSpectrumError(
@@ -646,29 +582,22 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
         )
 
     # --- assemble B and F in the adapted coordinates -------------------------
-    bx = np.zeros((m, m))
-    fx = np.zeros((m, m))
+    big_b = np.zeros((n, n))
+    big_f = np.zeros((n, n))
     pos = 0
     for b in blocks:
         w = b.x_width
-        if b.kind == KIND_COMPLEX_HYPERBOLIC:
-            bx[pos:pos + w, pos:pos + w] = _hc_block_matrix(b.lam, b.k)
-        elif b.kind in (KIND_REAL_POSITIVE, KIND_REAL_NEGATIVE):
-            bx[pos:pos + w, pos:pos + w] = _hr_block_matrix(b.lam.real, b.k)
-            if b.kind == KIND_REAL_NEGATIVE:
-                fx[pos:pos + w, pos:pos + w] = math.pi * np.eye(b.k)
+        if b.kind == KIND_ELLIPTIC:
+            big_f[pos, pos] = b.lam.imag
         else:
-            fx[pos, pos] = b.lam.imag
+            big_b[pos:pos + w, pos:pos + w] = _generator_block(b)
+            if b.kind == KIND_REAL_NEGATIVE:
+                big_f[pos:pos + w, pos:pos + w] = math.pi * np.eye(b.k)
         pos += w
+    big_b[m:, m:] = -big_b[:m, :m].T
+    big_f[m:, m:] = big_f[:m, :m]
 
-    big_b = np.zeros((n, n))
-    big_b[:m, :m] = bx
-    big_b[m:, m:] = -bx.T
-    big_f = np.zeros((n, n))
-    big_f[:m, :m] = fx
-    big_f[m:, m:] = fx
-
-    cls = SpectralClassification(dim=n, blocks=tuple(blocks), B=big_b, F=big_f,
+    cls = SpectralClassification(dim=n, blocks=blocks, B=big_b, F=big_f,
                                  basis=basis, source=np.array(a))
     err = cls.reconstruction_error()
     if err > tol_factor:
@@ -677,28 +606,6 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
             f"relative error {err:.3e} > {tol_factor:.1e}"
         )
     return cls
-
-
-def _standardize_negative_chain(a: np.ndarray, chain: np.ndarray, lam: float):
-    """Chain rebasing for a negative real eigenvalue -e^lam: the adapted
-    block must satisfy A|block = -exp(lam I + N) (rotation factor -I times
-    stretch exp(B_j))."""
-    k = chain.shape[1]
-    if k == 1:
-        return chain
-    mu = -math.exp(lam)
-    nil = np.diag(np.ones(k - 1), 1) / mu
-    lognil = np.zeros((k, k))
-    term = np.eye(k)
-    for j in range(1, k):
-        term = term @ nil
-        lognil += ((-1) ** (j + 1) / j) * term
-    cols = []
-    vec = np.zeros(k)
-    vec[-1] = 1.0
-    for j in range(k - 1, -1, -1):
-        cols.append(np.linalg.matrix_power(lognil, j) @ vec)
-    return chain @ np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +636,10 @@ def nonresonance_check(alphas, denominator_bound: int,
     alphas = [float(av) for av in alphas]
     if denominator_bound < 1:
         raise ValueError("denominator_bound must be >= 1")
+    size = (2 * denominator_bound + 1) ** len(alphas)
+    if size > MAX_LATTICE_POINTS:
+        raise ValueError(f"nonresonance scan of {size:.3g} coefficient vectors "
+                         f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
     ranges = [range(-denominator_bound, denominator_bound + 1)] * len(alphas)
     # scan smallest coefficient vectors first so the witness is minimal,
     # preferring a positive leading nonzero entry
@@ -787,11 +698,6 @@ class QuadraticHamiltonian:
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         return float(np.sum(self.rot_coeffs * (x ** 2 + xi ** 2)))
-
-    def evaluate_artificial(self, x, xi) -> float:
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(np.sum(self.ah_coeffs * x * xi))
 
     def hessian(self, which: str = "hyp") -> np.ndarray:
         m = self.m
@@ -966,7 +872,7 @@ def composite_deformation(cls: SpectralClassification, sched: DeformationSchedul
         raise ValueError(f"deformation time must lie in [0, 1], got {t}")
     q = build_quadratic_hamiltonian(cls)
     h_art = q.flow_matrix("art")
-    j = cls.J
+    j = standard_form(cls.dim)
     gen_main = cls.B - h_art
     kappa = (
         expm(-float(sched.psi1(t)) * (j @ cls.F))

@@ -67,6 +67,24 @@ def test_classify_identity_exit_code(tmp_path):
     assert run(["classify", mfile, "--out", tmp_path / "out"]) == 2
 
 
+def test_classify_refusal_leaves_no_output_directory(tmp_path):
+    mfile = tmp_path / "eye.json"
+    write_matrix(mfile, np.eye(4))
+    assert run(["classify", mfile, "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_repeated_real_pair(tmp_path):
+    mu = math.exp(0.6)
+    mfile = tmp_path / "repeated.json"
+    write_matrix(mfile, np.diag([mu, mu, 1.0 / mu, 1.0 / mu]))
+    out = tmp_path / "out"
+    assert run(["classify", mfile, "--out", out]) == 0
+    report = json.loads((out / "classification.json").read_text())
+    assert [b["kind"] for b in report["blocks"]] == ["real-positive"] * 2
+    assert report["reconstruction_error"] <= 1e-10
+
+
 def test_classify_negative_pair_reports_pi(tmp_path):
     mfile = tmp_path / "neg.json"
     write_matrix(mfile, np.diag([-2.0, -0.5]))
@@ -210,6 +228,17 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     })
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o" / "ladder_perturbed.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "perturbed", "h": 1e-2, "lambda0": [0.0]},
+    {"mode": "sideways"},
+    {"mode": "exact", "h": 1e-3, "c0": 1e9},
+], ids=["zero_lambda0", "unknown_mode", "oversized_lattice"])
+def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
+    cfg = write_config(tmp_path / "l.json", doc)
+    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

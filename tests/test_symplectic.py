@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag, expm
 
 from monodromy_lab.symplectic import (
     ClassificationAmbiguousError,
@@ -205,6 +208,117 @@ def test_classify_jordan_block():
     assert cls.reconstruction_error() <= 1e-6
 
 
+def _block_built_map(blocks, angles, seed, scale=0.5):
+    """exp(-J F) exp(B) from hyperbolic blocks (kind, log, angle, k) and
+    elliptic angles, conjugated by a seeded random symplectic matrix.
+    Returns the map and every eigenvalue it was built with."""
+    bxs, rot, mus = [], [], []
+    for kind, lam, theta, k in blocks:
+        if kind == "complex-hyperbolic":
+            lam2 = np.array([[lam, theta], [-theta, lam]])
+            bxs.append(np.kron(np.eye(k), lam2) + np.kron(np.eye(k, k=1), np.eye(2)))
+            rot += [0.0] * 2 * k
+            mus.append(np.exp(complex(lam, theta)))
+        else:
+            negative = kind == "real-negative"
+            bxs.append(lam * np.eye(k) + np.eye(k, k=1))
+            rot += [math.pi * negative] * k
+            mus.append(-math.exp(lam) if negative else math.exp(lam))
+    for alpha in angles:
+        bxs.append(np.zeros((1, 1)))
+        rot.append(alpha)
+        mus.append(np.exp(1j * alpha))
+    bx = block_diag(*bxs)
+    m = bx.shape[0]
+    big = np.zeros((2 * m, 2 * m))
+    big[:m, :m] = bx
+    big[m:, m:] = -bx.T
+    f = np.diag(rot * 2)
+    mat = expm(-standard_form(2 * m) @ f) @ expm(big)
+    t = random_symplectic(2 * m, np.random.default_rng(seed), scale=scale).entries
+    spectrum = [z for mu in mus for z in (mu, np.conj(mu), 1 / mu, 1 / np.conj(mu))]
+    return t @ mat @ np.linalg.inv(t), np.array(spectrum)
+
+
+def _kinds(cls):
+    return sorted((b.kind, b.k) for b in cls.blocks)
+
+
+@pytest.mark.parametrize("kind,sign", [("real-positive", 1.0), ("real-negative", -1.0)])
+def test_classify_repeated_real_pair(kind, sign):
+    mu = math.exp(0.6)
+    diag = sign * np.diag([mu, mu, 1.0 / mu, 1.0 / mu])
+    t = random_symplectic(4, np.random.default_rng(31), scale=0.5).entries
+    for mat in (diag, t @ diag @ np.linalg.inv(t)):
+        cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+        assert _kinds(cls) == [(kind, 1), (kind, 1)]
+        assert all(b.mu == pytest.approx(sign * mu, rel=1e-12) for b in cls.blocks)
+        assert cls.reconstruction_error() <= 1e-10
+
+
+@pytest.mark.parametrize("blocks,expected", [
+    ([("complex-hyperbolic", 0.5, 0.8, 1)] * 2, [("complex-hyperbolic", 1)] * 2),
+    ([("real-negative", 0.7, 0.0, 2)], [("real-negative", 2)]),
+    ([("complex-hyperbolic", 0.5, 0.8, 2)], [("complex-hyperbolic", 2)]),
+    ([("real-positive", 0.7, 0.0, 2)] * 2, [("real-positive", 2)] * 2),
+], ids=["repeated_complex_quadruple", "negative_jordan_2", "complex_jordan_2",
+        "repeated_jordan_2"])
+def test_classify_repeated_and_jordan_blocks(blocks, expected):
+    mat, spectrum = _block_built_map(blocks, [], seed=37, scale=0.4)
+    cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    assert _kinds(cls) == expected
+    assert cls.reconstruction_error() <= 1e-10
+    for b in cls.blocks:
+        assert np.abs(spectrum - b.mu).min() <= 1e-8 * abs(b.mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 2 ** 32 - 1))
+def test_classify_random_symplectic_property(dim, seed):
+    mat = random_symplectic(dim, np.random.default_rng(seed)).entries
+    try:
+        cls = classify_spectrum(mat)
+    except ClassificationAmbiguousError:
+        assume(False)
+    assert cls.reconstruction_error() <= 1e-8
+    assert sum(2 * b.x_width for b in cls.blocks) == dim
+    evals = np.linalg.eigvals(mat)
+    for b in cls.blocks:
+        assert np.abs(evals - b.mu).min() <= 1e-8 * max(1.0, abs(b.mu))
+
+
+HYPERBOLIC_BLOCK = st.tuples(
+    st.sampled_from(["real-positive", "real-negative", "complex-hyperbolic"]),
+    st.sampled_from([0.4, 0.7, 1.1]),       # log |mu|
+    st.sampled_from([0.5, 1.3, 2.2, 2.9]),  # arg mu of a complex quadruple
+    st.integers(1, 2),                      # Jordan size
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(HYPERBOLIC_BLOCK, max_size=4),
+       st.lists(st.sampled_from([0.5, 1.3, 2.2, 2.9]), unique=True, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_classify_block_built_property(blocks, angles, seed):
+    """Negative-real, repeated and Jordan blocks under a random symplectic
+    conjugation.  A Jordan block's eigenvalues come out of eig split by
+    about sqrt(machine epsilon), so the eigenvalue oracle here is the
+    spectrum the map was built with."""
+    widths = [2 * k if kind == "complex-hyperbolic" else k for kind, _, _, k in blocks]
+    assume(0 < sum(widths) + len(angles) <= 6)
+    mat, spectrum = _block_built_map(blocks, angles, seed)
+    try:
+        cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    except ClassificationAmbiguousError:
+        assume(False)
+    assert cls.reconstruction_error() <= 1e-8
+    assert sum(2 * b.x_width for b in cls.blocks) == mat.shape[0]
+    assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
+                                 + [("elliptic", 1)] * len(angles))
+    for b in cls.blocks:
+        assert np.abs(spectrum - b.mu).min() <= 1e-8 * max(1.0, abs(b.mu))
+
+
 # ---------------------------------------------------------------------------
 # nonresonance scan
 # ---------------------------------------------------------------------------
@@ -219,6 +333,13 @@ def test_nonresonance_unit_angle():
     verdict = nonresonance_check([1.0], 50)
     assert verdict.kind == "independent"
     assert verdict.bound == 50
+
+
+def test_nonresonance_refuses_oversized_scan_fast():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
+        nonresonance_check([1.0] * 6, 50)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_nonresonance_integer_combination():

@@ -27,7 +27,6 @@ from .escape import (
     EscapeNormalForm,
     PositivityReport,
     diagonal_normal_form,
-    eval_escape,
     hamiltonian_action,
     verify_positivity,
 )
@@ -36,18 +35,15 @@ from .weyl import (
     PhaseGrid,
     WeylOperator,
     microlocal_cutoff,
-    min_eigenvalue,
     op_exponential,
     quantize,
 )
 from .monodromy import (
     ModelParams,
     MonodromyResult,
-    build_elliptic_monodromy,
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,
-    elliptic_propagator,
     rescale_state,
 )
 from .quasimode import (
@@ -62,8 +58,6 @@ from .quasimode import (
 from .geodesic import (
     PoincareReport,
     WarpedMetric,
-    christoffel,
-    effective_potential,
     geodesic_rhs,
     hessian_signature,
     integrate,

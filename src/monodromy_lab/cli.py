@@ -9,9 +9,10 @@ geodesic    trajectory plus return-map classification of the warped metric
 positivity  sampled escape-function positivity certificate
 
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-
-ambiguous, 3 config error.  Configs are JSON documents with strict
-unknown-key rejection; commands that draw random samples require a seed.
-Identical config and seed produce byte-identical CSV output.
+ambiguous, 3 config or usage error.  Configs are JSON documents with
+strict unknown-key rejection; positivity, the one command that draws
+random samples, requires --seed.  Identical config and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -119,9 +120,14 @@ def _positive(doc, key):
 
 def cmd_classify(args) -> int:
     started = time.time()
-    config = {"matrix_file": args.matrix_file, "tol_unit": args.tol_unit}
+    # the ambiguous band (tol, 10 tol) must stay inside the unit disc
+    tol = args.tol_unit
+    if not (math.isfinite(tol) and tol > 0.0 and 10.0 * tol < 1.0):
+        raise ConfigError(f"--tol-unit must satisfy 0 < tol and 10 * tol < 1, "
+                          f"got {tol}")
+    config = {"matrix_file": args.matrix_file, "tol_unit": tol}
     mat = serialize.read_matrix(args.matrix_file)
-    cls = classify_spectrum(mat, tol_unit=args.tol_unit)
+    cls = classify_spectrum(mat, tol_unit=tol)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "classification.json"
@@ -382,30 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        if config:
-            p.add_argument("--config", required=True, help="JSON config path")
-
     p_classify = sub.add_parser("classify", help="classify a symplectic matrix")
     p_classify.add_argument("matrix_file", help="JSON matrix file")
     p_classify.add_argument("--tol-unit", type=float, default=1e-6,
                             dest="tol_unit")
-    common(p_classify, config=False)
+    p_classify.add_argument("--out", default="out", help="output directory")
     p_classify.set_defaults(func=cmd_classify)
 
     for name, func in (("contract", cmd_contract), ("ladder", cmd_ladder),
                        ("geodesic", cmd_geodesic), ("positivity", cmd_positivity)):
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--config", required=True, help="JSON config path")
+        if name == "positivity":
+            p.add_argument("--seed", type=int, default=None, help="RNG seed")
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the ambiguous code
+        # here; --help exits 0 and stays as it is
+        if exc.code in (0, None):
+            raise
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, geo.StepLimitError,

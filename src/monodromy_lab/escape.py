@@ -63,10 +63,6 @@ class EscapeFunction:
         return gx, gxi
 
 
-def eval_escape(ef: EscapeFunction, x, xi) -> complex:
-    return ef.value(x, xi)
-
-
 def hamiltonian_action(q: QuadraticHamiltonian, ef: EscapeFunction, x, xi) -> complex:
     """Derivative of the escape function along the flow of the constant-
     coefficient quadratic generator: sum_j dq/dXi_j dG/dX_j - dq/dX_j dG/dXi_j."""
@@ -81,12 +77,6 @@ def hamiltonian_action(q: QuadraticHamiltonian, ef: EscapeFunction, x, xi) -> co
     dq_dxi = m @ x          # d<Mx, xi>/dxi
     gx, gxi = ef.gradient(x, xi)
     return complex(dq_dxi @ gx - dq_dx @ gxi)
-
-
-def _envelope(x, xi, dim_hyp):
-    xh = x[:dim_hyp]
-    gh = xi[:dim_hyp]
-    return (xh @ xh) / (1.0 + xh @ xh) + (gh @ gh) / (1.0 + gh @ gh)
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,6 @@ def verify_positivity(q: QuadraticHamiltonian, samples: int, radius: float,
     n_h = m_red.shape[0]
     if n_h == 0:
         raise ValueError("generator has no hyperbolic modes to certify")
-    ef = EscapeFunction(dim_hyp=n_h, dim_ell=0)
 
     dim = 2 * n_h
     pts = rng.standard_normal((samples, dim))

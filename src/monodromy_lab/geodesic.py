@@ -3,10 +3,11 @@ diag(w^2, 1, 1), w(y, z) = cosh(y) (2 z^4 - z^2 + 1).
 
 Three closed geodesics run along the x-circle at (y, z) = (0, 0) and
 (0, +-1/2).  The module integrates the flow and the variational (tangent)
-equations with fixed-step RK4, classifies the transverse monodromy of the
-closed orbits through its Floquet multipliers, and analyzes the effective
-potential w^-2 - 1 whose Hessian signatures distinguish the
-semi-hyperbolic orbit at z = 0 from the hyperbolic pair at z = +-1/2.
+equations with fixed-step RK4 and classifies the transverse monodromy of
+the closed orbits through its Floquet multipliers.  The Hessian signature
+of the effective potential w^-2 - 1 at the orbit is a second verdict that
+needs no integration: one negative direction at the semi-hyperbolic orbit
+z = 0, two at the hyperbolic pair z = +-1/2.
 """
 
 from __future__ import annotations
@@ -47,24 +48,11 @@ def _u_second(z):
 
 
 class WarpedMetric:
-    """Closed-form warp factor, metric matrix, and partial derivatives."""
+    """Closed-form warp factor and the conserved energy."""
 
     @staticmethod
     def warp(y, z):
         return np.cosh(y) * _u(z)
-
-    @staticmethod
-    def warp_dy(y, z):
-        return np.sinh(y) * _u(z)
-
-    @staticmethod
-    def warp_dz(y, z):
-        return np.cosh(y) * _u_prime(z)
-
-    @staticmethod
-    def matrix(y, z):
-        w = WarpedMetric.warp(y, z)
-        return np.diag([w * w, 1.0, 1.0])
 
     @staticmethod
     def energy(state):
@@ -72,22 +60,6 @@ class WarpedMetric:
         state = np.asarray(state, dtype=float)
         w = WarpedMetric.warp(state[..., 1], state[..., 2])
         return (w * state[..., 3]) ** 2 + state[..., 4] ** 2 + state[..., 5] ** 2
-
-
-def christoffel(y: float, z: float) -> dict:
-    """The six nonzero Christoffel symbols Gamma^a_{bc} of the warped
-    metric, keyed by (a, b, c) with coordinates indexed x=0, y=1, z=2."""
-    ty = math.tanh(y)
-    uz = _u(z)
-    ratio = _u_prime(z) / uz
-    g_yxx = -math.sinh(y) * math.cosh(y) * uz ** 2
-    g_zxx = -_u_prime(z) * uz * math.cosh(y) ** 2
-    return {
-        (0, 0, 1): ty, (0, 1, 0): ty,
-        (0, 0, 2): ratio, (0, 2, 0): ratio,
-        (1, 0, 0): g_yxx,
-        (2, 0, 0): g_zxx,
-    }
 
 
 def _accel(y, z, vx, vy, vz):
@@ -211,6 +183,7 @@ class PoincareReport:
     period: float
     multipliers: tuple
     verdict: str
+    hessian_signature: tuple
     closure_residual: float
     symplectic_defect: float
     monodromy: np.ndarray = field(repr=False)
@@ -224,6 +197,7 @@ class PoincareReport:
             "period": self.period,
             "multipliers": [[m.real, m.imag] for m in self.multipliers],
             "verdict": self.verdict,
+            "hessian_signature": list(self.hessian_signature),
             "closure_residual": self.closure_residual,
             "symplectic_defect": self.symplectic_defect,
             "monodromy": [list(row) for row in self.monodromy],
@@ -231,20 +205,14 @@ class PoincareReport:
 
 
 def _classify_multipliers(mults, tol=1e-4):
-    pairs_off = 0
-    pairs_on = 0
-    for mu in mults:
-        if abs(abs(mu) - 1.0) > tol:
-            pairs_off += 1
-        else:
-            pairs_on += 1
-    pairs_off //= 2
-    pairs_on //= 2
+    """Verdict and the number of multiplier pairs off the unit circle."""
+    n_off = sum(1 for mu in mults if abs(abs(mu) - 1.0) > tol)
+    pairs_off, pairs_on = n_off // 2, (len(mults) - n_off) // 2
     if pairs_off and pairs_on:
-        return VERDICT_SEMI_HYPERBOLIC
+        return VERDICT_SEMI_HYPERBOLIC, pairs_off
     if pairs_off:
-        return VERDICT_HYPERBOLIC
-    return VERDICT_ELLIPTIC
+        return VERDICT_HYPERBOLIC, pairs_off
+    return VERDICT_ELLIPTIC, pairs_off
 
 
 def poincare_linearization(z0: float, vx0: float | None = None,
@@ -255,7 +223,9 @@ def poincare_linearization(z0: float, vx0: float | None = None,
     coordinates (y, z, vy, vz); on the base orbits the return time is the
     x-period T = 1 / vx0.  The variational equations are integrated along
     one period and the 4 x 4 transverse monodromy extracted; multipliers
-    come in symplectic pairs (mu, 1/mu).
+    come in symplectic pairs (mu, 1/mu).  The Hessian signature of the
+    effective potential at (0, z0) must count one "-" per pair off the
+    unit circle, or ValueError is raised.
 
     vx0 defaults to 1 / w(0, z0), normalizing the orbit to unit energy.
     """
@@ -280,25 +250,20 @@ def poincare_linearization(z0: float, vx0: float | None = None,
     mults = mults[order]
     j = standard_form(4)
     defect = float(np.linalg.norm(mono.T @ j @ mono - j))
-    verdict = _classify_multipliers(mults)
+    verdict, pairs_off = _classify_multipliers(mults)
+    # the base orbits sit at y = 0, where the potential gradient vanishes
+    # exactly, so (0, z0) is the critical point to read the signature at
+    signature = hessian_signature(0.0, z0)
+    if signature.count("-") != pairs_off:
+        raise ValueError(
+            f"Hessian signature {signature} at z0 = {z0} disagrees with the "
+            f"{verdict} verdict ({pairs_off} multiplier pairs off the unit circle)"
+        )
     return PoincareReport(
         base_z=z0, period=period, multipliers=tuple(complex(m) for m in mults),
-        verdict=verdict, closure_residual=closure,
+        verdict=verdict, hessian_signature=signature, closure_residual=closure,
         symplectic_defect=defect, monodromy=mono,
     )
-
-
-def effective_potential(y, z):
-    """w^-2 - 1: the potential governing transverse stability."""
-    return WarpedMetric.warp(y, z) ** -2.0 - 1.0
-
-
-def potential_gradient(y, z):
-    w = WarpedMetric.warp(y, z)
-    return np.array([
-        -2.0 * w ** -3.0 * WarpedMetric.warp_dy(y, z),
-        -2.0 * w ** -3.0 * WarpedMetric.warp_dz(y, z),
-    ])
 
 
 def potential_hessian(y, z):
@@ -313,31 +278,6 @@ def potential_hessian(y, z):
     v_zz = sech2 * (6.0 * up ** 2 * uz ** -4.0 - 2.0 * upp * uz ** -3.0)
     v_yz = (-2.0 * sech2 * ty) * (-2.0 * uz ** -3.0 * up)
     return np.array([[v_yy, v_yz], [v_yz, v_zz]])
-
-
-def find_critical_point(seed_y: float, seed_z: float, tol: float = 1e-12,
-                        max_iter: int = 60):
-    """Damped Newton iteration on the potential gradient."""
-    yz = np.array([seed_y, seed_z], dtype=float)
-    for _ in range(max_iter):
-        g = potential_gradient(*yz)
-        if np.linalg.norm(g) < tol:
-            return yz
-        h = potential_hessian(*yz)
-        delta = np.linalg.solve(h, -g)
-        scale = 1.0
-        base = np.linalg.norm(g)
-        while scale > 1e-6:
-            trial = yz + scale * delta
-            if np.linalg.norm(potential_gradient(*trial)) < base:
-                break
-            scale *= 0.5
-        else:
-            raise RuntimeError(
-                f"Newton stalled from seed ({seed_y}, {seed_z}) at {yz}"
-            )
-        yz = yz + scale * delta
-    raise RuntimeError(f"Newton failed to converge from seed ({seed_y}, {seed_z})")
 
 
 def hessian_signature(y: float, z: float) -> tuple:

@@ -1,14 +1,15 @@
 """Model monodromy operators on a phase-space grid.
 
-Two model flows are realized.  The hyperbolic model quantizes the stretch
-generator lambda*x*xi; after the two-parameter rescaling its time-one map
-is M = exp(-i lambda (X Xi)^w / hbar_tilde), unitary on the grid.
+The hyperbolic model quantizes the stretch generator lambda*x*xi; after
+the two-parameter rescaling its time-one map is
+M = exp(-i lambda (X Xi)^w / hbar_tilde), unitary on the grid.
 Conjugating by the exponential of the quantized escape weight turns
 unitarity into a strict contraction on states concentrated near the
 origin, and the contraction rate together with the spectral-gap fit of
 Re<(I - M)u, u> across an h-sweep is what this module measures.  The
-elliptic model quantizes the rotation generator (alpha/2)(x^2 + xi^2)
-whose time-one map has the Hermite functions as eigenvectors.
+elliptic model enters through its quantized rotation generator
+(alpha/2)(x^2 + xi^2), whose eigenvectors are the Hermite functions; the
+ladder residuals are measured against it.
 """
 
 from __future__ import annotations
@@ -279,25 +280,3 @@ def rotation_generator(alpha: float, grid: PhaseGrid):
     (read-only) matrix of a real symbol, exactly Hermitian as quantized."""
     return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid,
                     symbol_tag=f"rotation alpha={alpha}").matrix
-
-
-def elliptic_propagator(alpha: float, h: float, grid: PhaseGrid) -> np.ndarray:
-    """exp(-i Q / h) with Q the quantized rotation generator on the h-grid;
-    the spectral parameter enters the monodromy only as a scalar phase, so
-    this factor is computed once per (alpha, h, grid)."""
-    if grid.hbar != h:
-        raise ValueError("elliptic model lives on the h-grid: grid.hbar must equal h")
-    q = rotation_generator(alpha, grid)
-    return op_exponential(q, -1.0j / h)
-
-
-def build_elliptic_monodromy(alpha: float, h: float, z: float,
-                             grid: PhaseGrid,
-                             propagator: np.ndarray | None = None) -> np.ndarray:
-    """Time-one map M(z) = exp(-i (Q - z) / h) = e^(i z / h) exp(-i Q / h)
-    of the elliptic model.  Hermite functions are eigenvectors with
-    eigenphase (z - (alpha/2)(2k+1) h) / h.  Pass a precomputed propagator
-    when sweeping many z values."""
-    if propagator is None:
-        propagator = elliptic_propagator(alpha, h, grid)
-    return np.exp(1.0j * z / h) * propagator

@@ -141,9 +141,6 @@ class QuasimodeLadder:
     def count(self) -> int:
         return len(self.entries)
 
-    def z_values(self) -> np.ndarray:
-        return np.array([e.z for e in self.entries])
-
 
 def k_window(h: float, m_exponent: float, c0: float) -> int:
     """Integer window |k| <= c0 h^(1/m - 1) / pi, sized so the k-term stays

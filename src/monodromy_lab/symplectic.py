@@ -257,27 +257,15 @@ class SpectralClassification:
         raise ValueError(f"unknown frame {frame!r}")
 
     def reconstruction_error(self) -> float:
-        """Relative error of exp(-J F) exp(B) against the classified matrix."""
-        rec = self.reconstruct("original")
-        return float(np.linalg.norm(rec - self.source) / np.linalg.norm(self.source))
+        """Relative error of exp(-J F) exp(B) against the classified matrix.
 
-    def log_branch(self, mu: complex, tol: float = 1e-6) -> complex:
-        """Branch value lambda(mu) for any eigenvalue of the classified map.
-
-        Mirrored eigenvalues get exactly mirrored branches:
-        lambda(1/mu) = -lambda(mu) and lambda(conj mu) = conj(lambda(mu)).
-        """
-        mu = complex(mu)
-        for b in self.blocks:
-            for factor, lam in (
-                (b.mu, b.lam),
-                (1.0 / b.mu, -b.lam),
-                (np.conj(b.mu), np.conj(b.lam)),
-                (1.0 / np.conj(b.mu), -np.conj(b.lam)),
-            ):
-                if abs(mu - factor) <= tol * max(1.0, abs(factor)):
-                    return lam
-        raise SymplecticError(f"{mu} is not an eigenvalue of the classified map")
+        The arrays are read-only, so the value is computed once and kept:
+        classify_spectrum checks it and to_json reports the same number."""
+        if "_reconstruction_error" not in self.__dict__:
+            rec = self.reconstruct("original")
+            err = float(np.linalg.norm(rec - self.source) / np.linalg.norm(self.source))
+            object.__setattr__(self, "_reconstruction_error", err)
+        return self.__dict__["_reconstruction_error"]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -686,18 +674,6 @@ class QuadraticHamiltonian:
     @property
     def m(self) -> int:
         return self.dim // 2
-
-    def evaluate(self, x, xi) -> float:
-        """q_hyp(x, xi) = <M x, xi>; real for real inputs."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(xi @ (self.hyp_coeffs @ x))
-
-    def evaluate_rotation(self, x, xi) -> float:
-        """q_rot(x, xi) = sum_j (F_jj / 2)(x_j^2 + xi_j^2)."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(np.sum(self.rot_coeffs * (x ** 2 + xi ** 2)))
 
     def hessian(self, which: str = "hyp") -> np.ndarray:
         m = self.m

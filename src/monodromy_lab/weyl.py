@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import circulant, eigvalsh
+from scipy.linalg import circulant
 
 _EXP_OVERFLOW = 600.0
+# largest grid whose dense N x N operators one run may build; checked when
+# the grid is made, before any allocation
+MAX_GRID_N = 4096
 
 
 class GridError(ValueError):
@@ -40,6 +43,8 @@ class PhaseGrid:
     def __post_init__(self):
         if self.N % 2 != 0 or self.N <= 0:
             raise GridError(f"N must be a positive even integer, got {self.N}")
+        if self.N > MAX_GRID_N:
+            raise GridError(f"N = {self.N} exceeds MAX_GRID_N = {MAX_GRID_N}")
         if self.L <= 0 or self.hbar <= 0:
             raise GridError("L and hbar must be positive")
 
@@ -67,13 +72,6 @@ class PhaseGrid:
         u = np.asarray(u)
         return float(np.sqrt(np.sum(np.abs(u) ** 2) * self.dx))
 
-    def inner(self, u, v) -> complex:
-        return complex(np.vdot(u, v) * self.dx)
-
-    def normalize(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        return u / self.norm(u)
-
 
 @dataclass(frozen=True)
 class WeylOperator:
@@ -85,13 +83,6 @@ class WeylOperator:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return _is_hermitian(self.matrix)
-
-    def hermitian_defect(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
@@ -190,17 +181,6 @@ def op_exponential(a, t: complex, check: bool = False) -> np.ndarray:
         if defect > 1e-9:
             raise ArithmeticError(f"exponential roundtrip defect {defect:.3e} > 1e-9")
     return out
-
-
-def min_eigenvalue(a: WeylOperator) -> float:
-    """Smallest eigenvalue of a Hermitian quantized operator."""
-    if not a.is_hermitian:
-        raise ValueError(
-            f"min_eigenvalue requires a Hermitian operator "
-            f"(defect {a.hermitian_defect():.3e})"
-        )
-    # eigvalsh reads one triangle; is_hermitian bounds the other's mismatch
-    return float(eigvalsh(a.matrix, subset_by_index=(0, 0))[0])
 
 
 def microlocal_cutoff(grid: PhaseGrid, width_x: float = 1.0,

@@ -99,6 +99,59 @@ def test_classify_missing_file(tmp_path):
     assert run(["classify", tmp_path / "nope.json", "--out", tmp_path]) == 3
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "0.1", "10"])
+def test_classify_rejects_bad_tol_unit(tmp_path, tol):
+    # the ambiguous band (tol, 10 tol) must lie inside the unit disc
+    mfile = tmp_path / "model.json"
+    write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+    out = tmp_path / "out"
+    assert run(["classify", mfile, "--tol-unit", tol, "--out", out]) == 3
+    assert not out.exists()
+
+
+def test_classify_default_tol_unit(tmp_path):
+    from monodromy_lab.cli import build_parser
+
+    assert build_parser().parse_args(["classify", "m.json"]).tol_unit == 1e-6
+    mfile = tmp_path / "model.json"
+    write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+    assert run(["classify", mfile, "--out", tmp_path / "a"]) == 0
+    assert run(["classify", mfile, "--tol-unit", "1e-6", "--out", tmp_path / "b"]) == 0
+    assert ((tmp_path / "a" / "classification.json").read_bytes()
+            == (tmp_path / "b" / "classification.json").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["contract"],
+    ["frobnicate"],
+    ["classify", "m.json", "--tol-unit", "abc"],
+], ids=["missing_config", "unknown_subcommand", "non_numeric_tol"])
+def test_usage_errors_exit_config(argv, capsys):
+    assert run(argv) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_seed_only_on_positivity():
+    from monodromy_lab.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["positivity", "--config", "c.json", "--seed", "5"]).seed == 5
+    for argv in (["classify", "m.json"], ["contract", "--config", "c.json"],
+                 ["ladder", "--config", "c.json"], ["geodesic", "--config", "c.json"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--seed", "5"])
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+
+
 # ---------------------------------------------------------------------------
 # contract
 # ---------------------------------------------------------------------------
@@ -143,8 +196,8 @@ def test_contract_reproducible_output(tmp_path):
            "grid": {"L": 16.0, "N": 128}, "gap_grid": {"L": 24.0, "N": 128}}
     cfg = write_config(tmp_path / "c.json", doc)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert run(["contract", "--config", cfg, "--out", out1, "--seed", 5]) == 0
-    assert run(["contract", "--config", cfg, "--out", out2, "--seed", 5]) == 0
+    assert run(["contract", "--config", cfg, "--out", out1]) == 0
+    assert run(["contract", "--config", cfg, "--out", out2]) == 0
     assert (out1 / "contraction.csv").read_bytes() == (out2 / "contraction.csv").read_bytes()
 
 
@@ -167,10 +220,15 @@ def test_contract_version_in_manifest(tmp_path):
     {"h_values": [0.01], "grid": {"N": 64.9}},
     {"h_values": [math.nan]},
     {"h_values": [0.01], "lam": True},
-], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam"])
+    {"h_values": [0.01], "grid": {"N": 1048576}},
+], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
+    started = time.perf_counter()
     assert run(["contract", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    # refused before any N x N allocation and before the output exists
+    assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +315,19 @@ def test_geodesic_base_orbits(tmp_path):
     reports = json.loads((out / "poincare.json").read_text())
     verdicts = [r["verdict"] for r in reports]
     assert verdicts == ["semi-hyperbolic", "hyperbolic", "hyperbolic"]
+    signatures = [r["hessian_signature"] for r in reports]
+    assert signatures == [["-", "+"], ["-", "-"], ["-", "-"]]
+
+
+def test_geodesic_hessian_disagreement_exits_numeric(tmp_path, monkeypatch):
+    from monodromy_lab import geodesic
+
+    flipped = geodesic.potential_hessian
+    monkeypatch.setattr(geodesic, "potential_hessian", lambda y, z: -flipped(y, z))
+    cfg = write_config(tmp_path / "g.json", {"t_final": 0.01, "step": 1e-3})
+    out = tmp_path / "out"
+    assert run(["geodesic", "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
 
 
 def test_geodesic_blowup_exit(tmp_path):

@@ -9,7 +9,6 @@ from monodromy_lab.escape import (
     EscapeFunction,
     UnsupportedShapeError,
     diagonal_normal_form,
-    eval_escape,
     hamiltonian_action,
     verify_positivity,
 )
@@ -31,28 +30,28 @@ def diag_generator(lams, ah=None):
 
 
 # ---------------------------------------------------------------------------
-# eval_escape
+# escape function values
 # ---------------------------------------------------------------------------
 
 def test_escape_at_origin():
     ef = EscapeFunction(dim_hyp=2, dim_ell=1)
-    assert eval_escape(ef, np.zeros(3), np.zeros(3)) == 0.0
+    assert ef.value(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_escape_pure_hyperbolic_value():
     ef = EscapeFunction(dim_hyp=1, dim_ell=0)
-    assert eval_escape(ef, [1.0], [0.0]) == pytest.approx(0.5 * math.log(2.0))
+    assert ef.value([1.0], [0.0]) == pytest.approx(0.5 * math.log(2.0))
 
 
 def test_escape_elliptic_cancellation():
     ef = EscapeFunction(dim_hyp=0, dim_ell=1)
-    assert eval_escape(ef, [1.0], [1.0]) == 0.0
+    assert ef.value([1.0], [1.0]) == 0.0
 
 
 def test_escape_dimension_mismatch():
     ef = EscapeFunction(dim_hyp=1, dim_ell=1)
     with pytest.raises(EscapeDimensionError):
-        eval_escape(ef, [1.0], [1.0, 2.0, 3.0])
+        ef.value([1.0], [1.0, 2.0, 3.0])
 
 
 def test_escape_antisymmetry():
@@ -63,11 +62,11 @@ def test_escape_antisymmetry():
         xi = rng.standard_normal(4) * 3.0
         swapped_h = np.concatenate([xi[:2], x[2:]])
         swapped_h_xi = np.concatenate([x[:2], xi[2:]])
-        val = eval_escape(ef, x, xi)
-        assert eval_escape(ef, swapped_h, swapped_h_xi).real == pytest.approx(-val.real, abs=1e-13)
+        val = ef.value(x, xi)
+        assert ef.value(swapped_h, swapped_h_xi).real == pytest.approx(-val.real, abs=1e-13)
         swapped_e = np.concatenate([x[:2], xi[2:]])
         swapped_e_xi = np.concatenate([xi[:2], x[2:]])
-        assert eval_escape(ef, swapped_e, swapped_e_xi).imag == pytest.approx(-val.imag, abs=1e-13)
+        assert ef.value(swapped_e, swapped_e_xi).imag == pytest.approx(-val.imag, abs=1e-13)
 
 
 def test_escape_gradient_bounded():
@@ -169,6 +168,29 @@ def test_positivity_excludes_elliptic_modes():
     rng = np.random.default_rng(3)
     report = verify_positivity(q, samples=20000, radius=10.0, rng=rng)
     assert report.min_ratio == pytest.approx(1.0, abs=1e-9)
+
+
+def test_positivity_ratio_matches_finite_differences():
+    # oracle: at the reported witness, the central difference of
+    # G = (1/2) log((1 + |x|^2) / (1 + |xi|^2)) along the time-t flow
+    # expm(t * flow_matrix("hyp")), divided by the saturating envelope
+    rng = np.random.default_rng(11)
+    n = 2
+    m = rng.standard_normal((n, n))
+    q = QuadraticHamiltonian(dim=2 * n, hyp_coeffs=m,
+                             rot_coeffs=np.zeros(n), ah_coeffs=np.zeros(n))
+    report = verify_positivity(q, samples=2000, radius=10.0, rng=rng)
+    z = np.concatenate(report.argmin_point)
+
+    def escape(w):
+        return 0.5 * math.log((1.0 + w[:n] @ w[:n]) / (1.0 + w[n:] @ w[n:]))
+
+    eps = 1e-6
+    flow = q.flow_matrix("hyp")
+    fd = (escape(expm(eps * flow) @ z) - escape(expm(-eps * flow) @ z)) / (2 * eps)
+    nx, nxi = z[:n] @ z[:n], z[n:] @ z[n:]
+    envelope = nx / (1.0 + nx) + nxi / (1.0 + nxi)
+    assert fd / envelope == pytest.approx(report.min_ratio, abs=1e-6)
 
 
 def test_positivity_report_serializes():

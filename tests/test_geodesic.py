@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -11,21 +12,19 @@ from monodromy_lab.geodesic import (
     MAX_STEPS,
     StepLimitError,
     WarpedMetric,
-    christoffel,
-    effective_potential,
-    find_critical_point,
     geodesic_jacobian,
     geodesic_rhs,
     hessian_signature,
     integrate,
     poincare_linearization,
-    potential_gradient,
+    potential_hessian,
 )
 from monodromy_lab.symplectic import standard_form
 
 
 # ---------------------------------------------------------------------------
-# metric and Christoffel symbols
+# metric and Christoffel symbols, read off the accelerations
+# -Gamma^a_bc v^b v^c of geodesic_rhs
 # ---------------------------------------------------------------------------
 
 def test_warp_positive_on_domain():
@@ -39,28 +38,36 @@ def test_warp_positive_on_domain():
 
 
 def test_christoffel_origin_all_zero():
-    table = christoffel(0.0, 0.0)
-    assert all(v == pytest.approx(0.0, abs=1e-15) for v in table.values())
+    # Gamma(0, 0) = 0: the accelerations vanish for every velocity
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        accel = geodesic_rhs([0.0, 0.0, 0.0, *rng.standard_normal(3)])[3:]
+        assert all(v == pytest.approx(0.0, abs=1e-15) for v in accel)
 
 
 def test_christoffel_sample_values():
-    table = christoffel(1.0, 0.0)
-    assert table[(0, 1, 0)] == pytest.approx(math.tanh(1.0))
-    assert table[(1, 0, 0)] == pytest.approx(-math.sinh(1.0) * math.cosh(1.0))
+    # at (y, z) = (1, 0), velocity (1, 0, 0) sees -Gamma^y_xx, (1, 1, 0)
+    # adds -2 Gamma^x_xy, and (1, 0, 1) adds -2 Gamma^x_xz
+    gamma_yxx = -geodesic_rhs([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])[4]
+    assert gamma_yxx == pytest.approx(-math.sinh(1.0) * math.cosh(1.0))
+    gamma_xxy = -0.5 * geodesic_rhs([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])[3]
+    assert gamma_xxy == pytest.approx(math.tanh(1.0))
     # z-derivative factor 8 z^3 - 2 z vanishes at z = 0
-    assert table[(0, 0, 2)] == 0.0
+    assert geodesic_rhs([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])[3] == 0.0
 
 
 def test_christoffel_metric_compatibility():
     # oracle: Levi-Civita formula with finite differences of the metric
+    # diag(w^2, 1, 1), contracted with a velocity
     rng = np.random.default_rng(4)
     eps = 1e-6
 
     def metric(q):
-        return WarpedMetric.matrix(q[1], q[2])
+        return np.diag([WarpedMetric.warp(q[1], q[2]) ** 2, 1.0, 1.0])
 
     for _ in range(100):
         q = rng.uniform(-1.5, 1.5, size=3)
+        v = rng.uniform(-1.0, 1.0, size=3)
         dg = np.zeros((3, 3, 3))  # dg[k, i, j] = d_k g_ij
         for k in range(3):
             qp, qm = q.copy(), q.copy()
@@ -76,11 +83,8 @@ def test_christoffel_metric_compatibility():
                         ginv[a, l] * (dg[b, c, l] + dg[c, b, l] - dg[l, b, c])
                         for l in range(3)
                     )
-        table = christoffel(q[1], q[2])
-        gamma = np.zeros((3, 3, 3))
-        for (a, b, c), v in table.items():
-            gamma[a, b, c] = v
-        assert np.abs(gamma - gamma_fd).max() <= 1e-7
+        accel = geodesic_rhs([*q, *v])[3:]
+        assert np.abs(accel + np.einsum("abc,b,c->a", gamma_fd, v, v)).max() <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +312,18 @@ def test_poincare_side_orbits_hyperbolic(z0):
     assert got == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("z0, signature", [
+    (0.0, ("-", "+")), (0.5, ("-", "-")), (-0.5, ("-", "-")),
+])
+def test_poincare_records_hessian_signature(z0, signature):
+    # one negative Hessian direction per multiplier pair off the unit circle
+    report = poincare_linearization(z0)
+    assert report.hessian_signature == signature
+    off = sum(abs(abs(mu) - 1.0) > 1e-4 for mu in report.multipliers) // 2
+    assert signature.count("-") == off
+    assert json.loads(report.to_json())["hessian_signature"] == list(signature)
+
+
 def test_poincare_symplectic_pairing():
     for z0 in (0.0, 0.5):
         report = poincare_linearization(z0)
@@ -335,23 +351,27 @@ def test_poincare_rejects_non_base_orbit():
 
 
 # ---------------------------------------------------------------------------
-# effective potential
+# effective potential V = w^-2 - 1, built here from the warp factor
 # ---------------------------------------------------------------------------
 
+def potential(y, z):
+    return WarpedMetric.warp(y, z) ** -2.0 - 1.0
+
+
+def potential_gradient(y, z, step=1e-20):
+    """Complex-step derivatives Im V(q + i step e_k) / step: finite
+    differences without cancellation, exact to rounding."""
+    return np.array([potential(y + 1j * step, z).imag,
+                     potential(y, z + 1j * step).imag]) / step
+
+
 def test_potential_at_origin():
-    assert effective_potential(0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert potential(0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_potential_gradient_zeros():
     for z0 in (0.0, 0.5, -0.5):
         assert np.abs(potential_gradient(0.0, z0)).max() <= 1e-14
-
-
-def test_potential_newton_finds_critical_points():
-    for seed, target in ((0.1, 0.05), (0.05, 0.45), (-0.02, -0.55)):
-        yz = find_critical_point(seed, target)
-        assert abs(yz[0]) <= 1e-10
-        assert min(abs(yz[1] - b) for b in (0.0, 0.5, -0.5)) <= 1e-10
 
 
 def test_hessian_signatures():
@@ -361,7 +381,6 @@ def test_hessian_signatures():
 
 
 def test_hessian_matches_finite_differences():
-    from monodromy_lab.geodesic import potential_hessian
     rng = np.random.default_rng(7)
     eps = 1e-5
     for _ in range(40):

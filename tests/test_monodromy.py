@@ -6,11 +6,9 @@ import pytest
 from monodromy_lab.monodromy import (
     AliasingError,
     ModelParams,
-    build_elliptic_monodromy,
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,
-    elliptic_propagator,
     escape_weight,
     fit_gap_exponent,
     microlocal_basis,
@@ -246,12 +244,18 @@ def test_fit_gap_exponent_recovers_power_law():
 ELL_GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
 
 
+def elliptic_propagator(alpha, h):
+    """exp(-i Q / h) of the quantized rotation generator on the h-grid;
+    the elliptic monodromy is M(z) = e^(i z / h) exp(-i Q / h)."""
+    return op_exponential(rotation_generator(alpha, ELL_GRID), -1.0j / h)
+
+
 def test_elliptic_hermite_eigenrelation():
     alpha, h = 1.0, 1e-3
-    prop = elliptic_propagator(alpha, h, ELL_GRID)
+    prop = elliptic_propagator(alpha, h)
     for k, b in ((0, 0), (1, 3), (-2, 7)):
         z = 0.5 * alpha * (2 * b + 1) * h + 2.0 * math.pi * k * h
-        m = build_elliptic_monodromy(alpha, h, z, ELL_GRID, propagator=prop)
+        m = np.exp(1.0j * z / h) * prop
         v = hermite_mode(b, h, ELL_GRID).factor(0)
         phase = np.exp(1j * (z - 0.5 * alpha * (2 * b + 1) * h) / h)
         assert np.sqrt(np.sum(np.abs(m @ v - phase * v) ** 2) * ELL_GRID.dx) <= 1e-8
@@ -261,8 +265,7 @@ def test_elliptic_hermite_eigenrelation():
 
 def test_elliptic_detuned_phase_closed_form():
     alpha, h = 1.0, 1e-3
-    prop = elliptic_propagator(alpha, h, ELL_GRID)
-    m = build_elliptic_monodromy(alpha, h, 0.0, ELL_GRID, propagator=prop)
+    m = elliptic_propagator(alpha, h)  # M(0)
     v = hermite_mode(0, h, ELL_GRID).factor(0)
     # ||M(0) v0 - v0|| = |e^{-i alpha/2} - 1| = 2 |sin(alpha/4)|
     resid = np.sqrt(np.sum(np.abs(m @ v - v) ** 2) * ELL_GRID.dx)
@@ -271,11 +274,9 @@ def test_elliptic_detuned_phase_closed_form():
 
 def test_elliptic_unitarity_and_eigenphase_slope():
     alpha, h = 1.0, 1e-3
-    prop = elliptic_propagator(alpha, h, ELL_GRID)
-    assert unitarity_defect(prop) <= 1e-9
+    m = elliptic_propagator(alpha, h)  # M(0)
+    assert unitarity_defect(m) <= 1e-9
     # eigenphase of M(z) on v_k is linear in k with slope -alpha
-    z = 0.0
-    m = build_elliptic_monodromy(alpha, h, z, ELL_GRID, propagator=prop)
     phases = []
     for b in range(4):
         v = hermite_mode(b, h, ELL_GRID).factor(0)

@@ -41,7 +41,7 @@ def test_hermite_parity_orthogonality():
     g = PhaseGrid(L=6.0, N=512, hbar=h)
     v0 = hermite_mode(0, h, g).factor(0)
     v1 = hermite_mode(1, h, g).factor(0)
-    assert abs(g.inner(v0, v1)) <= 1e-12
+    assert abs(np.vdot(v0, v1) * g.dx) <= 1e-12
 
 
 def test_hermite_orthonormal_family():
@@ -51,7 +51,7 @@ def test_hermite_orthonormal_family():
     for i in range(12):
         for j in range(12):
             expected = 1.0 if i == j else 0.0
-            assert abs(g.inner(modes[i], modes[j]) - expected) <= 1e-10
+            assert abs(np.vdot(modes[i], modes[j]) * g.dx - expected) <= 1e-10
 
 
 def test_hermite_oscillator_expectation():
@@ -132,7 +132,7 @@ def test_exact_ladder_monotone_in_window():
 
 def test_exact_ladder_distinct_rational_alpha():
     ladder = exact_model_ladder(Fraction(1), 1e-3, 2.0, 1.0)
-    zs = ladder.z_values()
+    zs = np.array([e.z for e in ladder.entries])
     assert np.unique(zs).size == zs.size
 
 

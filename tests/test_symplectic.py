@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ from monodromy_lab.symplectic import (
     ClassificationAmbiguousError,
     DeformationSchedule,
     SmoothRamp,
+    SpectralClassification,
     SymplecticError,
     SymplecticMatrix,
     UnsupportedSpectrumError,
@@ -183,13 +185,35 @@ def test_classify_random_reconstruction(dim):
 
 
 def test_classify_branch_pairing_exact():
+    # mirrored eigenvalues get exactly mirrored logarithms: the generator B
+    # is real, block-diagonal in (x, xi), and its xi-block is exactly minus
+    # the transpose of its x-block, so lambda(1/mu) = -lambda(mu) and
+    # lambda(conj mu) = conj(lambda(mu)) hold bit for bit
     rng = np.random.default_rng(5)
     k = random_symplectic(6, rng)
     cls = classify_spectrum(k)
-    for b in cls.blocks:
-        lam = cls.log_branch(b.mu)
-        assert cls.log_branch(1.0 / b.mu) == -lam
-        assert cls.log_branch(np.conj(b.mu)) == np.conj(lam)
+    m = cls.dim // 2
+    assert cls.B.dtype == np.float64
+    assert np.array_equal(cls.B[m:, m:], -cls.B[:m, :m].T)
+    assert not cls.B[:m, m:].any() and not cls.B[m:, :m].any()
+
+
+def test_classify_then_to_json_reconstructs_once(monkeypatch):
+    # the checked reconstruction error is kept, so to_json reports it
+    # without two more expm and one more inverse
+    calls = []
+    reconstruct = SpectralClassification.reconstruct
+
+    def spy(self, frame="original"):
+        calls.append(frame)
+        return reconstruct(self, frame)
+
+    monkeypatch.setattr(SpectralClassification, "reconstruct", spy)
+    cls = classify_spectrum(random_symplectic(6, np.random.default_rng(3)))
+    doc = json.loads(cls.to_json())
+    assert calls == ["original"]
+    assert doc["reconstruction_error"] == cls.reconstruction_error()
+    assert calls == ["original"]
 
 
 def test_classify_jordan_block():
@@ -356,9 +380,9 @@ def test_nonresonance_integer_combination():
 def test_quadratic_model_case():
     cls = classify_spectrum(np.diag([math.e, 1.0 / math.e]))
     q = build_quadratic_hamiltonian(cls)
-    # q = x*xi with unit coefficient
-    assert q.evaluate([1.0], [1.0]) == pytest.approx(1.0, abs=1e-12)
-    assert q.evaluate([2.0], [3.0]) == pytest.approx(6.0, abs=1e-12)
+    # q = <M x, xi> = x*xi with unit coefficient
+    assert q.hyp_coeffs.shape == (1, 1)
+    assert q.hyp_coeffs[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(expm(q.flow_matrix("hyp")), cls.stretch_factor(), atol=1e-10)
 
 
@@ -366,7 +390,7 @@ def test_quadratic_rotation_case():
     cls = classify_spectrum(rotation(0.8))
     q = build_quadratic_hamiltonian(cls)
     # rotation generator (alpha/2)(x^2 + xi^2)
-    assert q.evaluate_rotation([1.0], [0.0]) == pytest.approx(0.4, abs=1e-10)
+    assert q.rot_coeffs[0] == pytest.approx(0.4, abs=1e-10)
     assert np.allclose(expm(q.flow_matrix("rot")), cls.rotation_factor(), atol=1e-10)
 
 
@@ -398,9 +422,7 @@ def test_quadratic_real_for_real_inputs():
     k = random_symplectic(6, rng)
     cls = classify_spectrum(k)
     q = build_quadratic_hamiltonian(cls)
-    x = rng.standard_normal(3)
-    xi = rng.standard_normal(3)
-    assert isinstance(q.evaluate(x, xi), float)
+    assert q.hyp_coeffs.dtype == np.float64 and q.rot_coeffs.dtype == np.float64
     # flow of the full generator stays symplectic
     flow = expm(q.flow_matrix("hyp"))
     assert symplectic_defect(flow) <= 1e-10

@@ -336,6 +336,8 @@ POSITIVITY_KEYS = {
     "samples": (int,),
     "radius": (int, float),
 }
+# the certificate streams in fixed blocks, so only run time bounds this
+MAX_SAMPLES = 10 ** 8
 
 
 def cmd_positivity(args) -> int:
@@ -345,12 +347,16 @@ def cmd_positivity(args) -> int:
         raise ConfigError("positivity sampling requires --seed")
     _positive(doc, "samples")
     _positive(doc, "radius")
+    samples = int(doc.get("samples", 100000))
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     if ("rates" in doc) == ("matrix_file" in doc):
         raise ConfigError("provide exactly one of 'rates' or 'matrix_file'")
     if "rates" in doc:
         rates = [float(v) for v in doc["rates"]]
-        if any(v <= 0 for v in rates):
-            raise ConfigError("rates must be positive")
+        if not rates or min(rates) <= 0:
+            raise ConfigError("rates must be a non-empty list of positive "
+                              "numbers")
         from .symplectic import QuadraticHamiltonian
 
         n = len(rates)
@@ -360,7 +366,7 @@ def cmd_positivity(args) -> int:
         mat = serialize.read_matrix(doc["matrix_file"])
         q = build_quadratic_hamiltonian(classify_spectrum(mat))
     rng = np.random.default_rng(args.seed)
-    report = verify_positivity(q, samples=int(doc.get("samples", 100000)),
+    report = verify_positivity(q, samples=samples,
                                radius=float(doc.get("radius", 10.0)), rng=rng)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

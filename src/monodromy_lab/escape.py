@@ -9,18 +9,25 @@ The escape function on R^(2(dim_hyp+dim_ell)) is
 with the hyperbolic coordinates leading and the elliptic ones trailing.
 Its derivative along the flow of a hyperbolic quadratic generator is
 positive away from the origin; `verify_positivity` certifies this by
-sampling and `diagonal_normal_form` produces the exact normal form in the
-diagonal case.
+sampling, streaming the samples in fixed blocks so its memory does not
+grow with the sample count, and `diagonal_normal_form` produces the exact
+normal form in the diagonal case.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix
+
+
+# rows of samples the positivity certificate evaluates at once
+_BLOCK = 1 << 16
 
 
 class EscapeDimensionError(ValueError):
@@ -109,6 +116,26 @@ def _hyperbolic_reduction(q: QuadraticHamiltonian) -> np.ndarray:
     return m[np.ix_(hyp_slots, hyp_slots)]
 
 
+def _sample_blocks(rng: np.random.Generator, samples: int, radius: float,
+                   dim: int):
+    """Yield the certificate's points in blocks of at most _BLOCK rows: the
+    ball samples, then the radial sweep.  `rng` hands out the same draws
+    in the same order as one draw of every array would."""
+    directions = copy.deepcopy(rng)
+    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+    for size in sizes:
+        rng.standard_normal((size, dim))
+    for size in sizes:
+        pts = directions.standard_normal((size, dim))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts *= (radius * rng.uniform(0.0, 1.0, size=size) ** (1.0 / dim))[:, None]
+        yield pts
+    sweep_dirs = rng.standard_normal((64, dim))
+    sweep_dirs /= np.linalg.norm(sweep_dirs, axis=1)[:, None]
+    sweep_radii = np.geomspace(1e-2, 1e3, 40)
+    yield (sweep_dirs[:, None, :] * sweep_radii[None, :, None]).reshape(-1, dim)
+
+
 def verify_positivity(q: QuadraticHamiltonian, samples: int, radius: float,
                       rng: np.random.Generator) -> PositivityReport:
     """Sampled lower bound for Re(H_q G) against the saturating envelope
@@ -119,41 +146,48 @@ def verify_positivity(q: QuadraticHamiltonian, samples: int, radius: float,
     from the ball of the given radius, plus a log-spaced radial sweep out
     to 1e3 to probe the large-argument asymptotics.  A nonpositive ratio is
     reported with its witness point; for hyperbolic generators the ratio
-    must stay positive.
+    must stay positive.  A sample whose Re(H_q G) or envelope is not finite
+    raises ValueError rather than being dropped.
+
+    Draw order on `rng`: samples x dim standard normals (the directions,
+    row after row), then `samples` uniform radii, then 64 x dim normals for
+    the sweep directions; `rng` ends where one draw of each array would
+    leave it.  The samples stream in blocks of _BLOCK rows (a copy of `rng`
+    replays the directions, `rng` skips them once and then hands out each
+    block's radii), so memory stays a few _BLOCK x dim arrays whatever
+    `samples` is.  The first minimum wins, as with one argmin.
     """
     m_red = _hyperbolic_reduction(q)
     n_h = m_red.shape[0]
     if n_h == 0:
         raise ValueError("generator has no hyperbolic modes to certify")
 
-    dim = 2 * n_h
-    pts = rng.standard_normal((samples, dim))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    radii = radius * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / dim)
-    pts *= radii[:, None]
-
-    sweep_dirs = rng.standard_normal((64, dim))
-    sweep_dirs /= np.linalg.norm(sweep_dirs, axis=1)[:, None]
-    sweep_radii = np.geomspace(1e-2, 1e3, 40)
-    sweep = (sweep_dirs[:, None, :] * sweep_radii[None, :, None]).reshape(-1, dim)
-
-    all_pts = np.vstack([pts, sweep])
-    x_all = all_pts[:, :n_h]
-    xi_all = all_pts[:, n_h:]
-    # vectorized Re(H_q G): <M x, x/(1+|x|^2)> + <M xi, xi/(1+|xi|^2)>
-    x_norm2 = np.einsum("ij,ij->i", x_all, x_all)
-    xi_norm2 = np.einsum("ij,ij->i", xi_all, xi_all)
-    num = (np.einsum("ij,ij->i", x_all @ m_red.T, x_all) / (1.0 + x_norm2)
-           + np.einsum("ij,ij->i", xi_all @ m_red.T, xi_all) / (1.0 + xi_norm2))
-    env = x_norm2 / (1.0 + x_norm2) + xi_norm2 / (1.0 + xi_norm2)
-    keep = env > 1e-14
-    ratios = num[keep] / env[keep]
-    idx = int(np.argmin(ratios))
-    witness = all_pts[keep][idx]
+    min_ratio, witness, kept = math.inf, None, 0
+    for pts in _sample_blocks(rng, samples, radius, 2 * n_h):
+        x = pts[:, :n_h]
+        xi = pts[:, n_h:]
+        # vectorized Re(H_q G): <M x, x/(1+|x|^2)> + <M xi, xi/(1+|xi|^2)>;
+        # overflow is checked below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_norm2 = np.einsum("ij,ij->i", x, x)
+            xi_norm2 = np.einsum("ij,ij->i", xi, xi)
+            num = (np.einsum("ij,ij->i", x @ m_red.T, x) / (1.0 + x_norm2)
+                   + np.einsum("ij,ij->i", xi @ m_red.T, xi) / (1.0 + xi_norm2))
+            env = x_norm2 / (1.0 + x_norm2) + xi_norm2 / (1.0 + xi_norm2)
+        if not (np.isfinite(num).all() and np.isfinite(env).all()):
+            raise ValueError("Re(H_q G) or its envelope is not finite at a "
+                             f"sample of the ball of radius {radius:g}")
+        keep = np.flatnonzero(env > 1e-14)
+        kept += keep.size
+        ratios = num[keep] / env[keep]
+        if ratios.size:
+            idx = int(np.argmin(ratios))
+            if witness is None or ratios[idx] < min_ratio:
+                min_ratio, witness = float(ratios[idx]), pts[keep[idx]].copy()
     return PositivityReport(
-        min_ratio=float(ratios[idx]),
+        min_ratio=min_ratio,
         argmin_point=(tuple(witness[:n_h]), tuple(witness[n_h:])),
-        samples=int(keep.sum()),
+        samples=kept,
         radius=radius,
     )
 

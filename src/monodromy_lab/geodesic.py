@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,22 @@ def geodesic_jacobian(state):
     ), float, 36).reshape(6, 6)
 
 
+def _reusing_jacobian():
+    """geodesic_jacobian that hands back its last matrix while the five
+    floats it reads, (y, z, vx, vy, vz), stay bitwise the same; on a base
+    orbit they do at every stage, so one matrix serves the whole run."""
+    pack = struct.Struct("5d").pack
+    last_key, last = None, None
+
+    def jacobian(state):
+        nonlocal last_key, last
+        key = pack(*state[1:])
+        if key != last_key:
+            last_key, last = key, geodesic_jacobian(state)
+        return last
+    return jacobian
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -126,7 +143,8 @@ def integrate(state0, t_final: float, step: float = 1e-4,
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
     flow, optionally carrying a tangent block for the variational
     equations; the state and the RK4 stages are Python floats, the tangent
-    block is numpy.  Blows past |y| or |z| > 10 truncate the trajectory
+    block is numpy, and a stage Jacobian is rebuilt only when its inputs
+    change.  Blows past |y| or |z| > 10 truncate the trajectory
     with a flag.  Runs past MAX_STEPS steps or MAX_ROWS stored rows are
     refused with StepLimitError.  Returns (Trajectory, tangent_final)."""
     if step <= 0 or stride < 1:
@@ -137,6 +155,7 @@ def integrate(state0, t_final: float, step: float = 1e-4,
                              f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
     tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
+    jac = _reusing_jacobian()
     half, sixth = 0.5 * step, step / 6.0
     states = np.empty((n_steps // stride + 2, 6))
     states[0] = x, y, z, vx, vy, vz
@@ -154,10 +173,10 @@ def integrate(state0, t_final: float, step: float = 1e-4,
               vx + step * ax3, vy + step * ay3, vz + step * az3)
         ax4, ay4, az4 = _accel(*s4[1:])
         if tangent is not None:
-            m1 = geodesic_jacobian((x, y, z, vx, vy, vz)).dot(tangent)
-            m2 = geodesic_jacobian(s2).dot(tangent + half * m1)
-            m3 = geodesic_jacobian(s3).dot(tangent + half * m2)
-            m4 = geodesic_jacobian(s4).dot(tangent + step * m3)
+            m1 = jac((x, y, z, vx, vy, vz)).dot(tangent)
+            m2 = jac(s2).dot(tangent + half * m1)
+            m3 = jac(s3).dot(tangent + half * m2)
+            m4 = jac(s4).dot(tangent + step * m3)
             tangent = tangent + sixth * (m1 + 2 * m2 + 2 * m3 + m4)
         x += sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
         y += sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])

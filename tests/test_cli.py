@@ -391,3 +391,27 @@ def test_positivity_from_matrix(tmp_path):
     })
     out = tmp_path / "out"
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 2]) == 0
+
+
+def test_positivity_overflow_exits_numeric(tmp_path):
+    # |x|^2 overflows at this radius for every ball sample; the run must
+    # fail rather than certify on the 2560 sweep points alone
+    cfg = write_config(tmp_path / "p.json", {
+        "rates": [1.0], "samples": 1000, "radius": 1e200,
+    })
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"rates": [], "samples": 100},
+    {"rates": [1.0], "samples": 10 ** 8 + 1},
+], ids=["empty_rates", "oversized_samples"])
+def test_positivity_bad_config_exits_config_fast(tmp_path, doc):
+    cfg = write_config(tmp_path / "p.json", doc)
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert not out.exists()

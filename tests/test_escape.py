@@ -1,13 +1,20 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from monodromy_lab.escape import (
+    _BLOCK,
     EscapeDimensionError,
     EscapeFunction,
+    PositivityReport,
     UnsupportedShapeError,
+    _hyperbolic_reduction,
     diagonal_normal_form,
     hamiltonian_action,
     verify_positivity,
@@ -155,8 +162,8 @@ def test_positivity_complex_hyperbolic_block():
     assert report.min_ratio > 0.0
 
 
-def test_positivity_excludes_elliptic_modes():
-    # mixed semi-hyperbolic generator: one stretch mode, one elliptic mode
+def mixed_generator():
+    """Semi-hyperbolic generator: one stretch mode, one elliptic mode."""
     rot = np.array([[math.cos(1.0), math.sin(1.0)], [-math.sin(1.0), math.cos(1.0)]])
     mat = np.zeros((4, 4))
     mat[0, 0], mat[2, 2] = math.e, 1.0 / math.e
@@ -164,7 +171,11 @@ def test_positivity_excludes_elliptic_modes():
     mat[3, 1], mat[3, 3] = rot[1, 0], rot[1, 1]
     cls = classify_spectrum(mat)
     assert cls.n_e == 1 and cls.n_hr_plus == 1
-    q = build_quadratic_hamiltonian(cls)
+    return build_quadratic_hamiltonian(cls)
+
+
+def test_positivity_excludes_elliptic_modes():
+    q = mixed_generator()
     rng = np.random.default_rng(3)
     report = verify_positivity(q, samples=20000, radius=10.0, rng=rng)
     assert report.min_ratio == pytest.approx(1.0, abs=1e-9)
@@ -198,6 +209,103 @@ def test_positivity_report_serializes():
     report = verify_positivity(diag_generator([1.0]), samples=100, radius=5.0, rng=rng)
     text = report.to_json()
     assert '"min_ratio"' in text and '"samples"' in text
+
+
+def one_shot_positivity(q, samples, radius, rng):
+    """Oracle: the same certificate with every sample drawn and evaluated
+    at once, in one array."""
+    m_red = _hyperbolic_reduction(q)
+    n_h = m_red.shape[0]
+    if n_h == 0:
+        raise ValueError("generator has no hyperbolic modes to certify")
+
+    dim = 2 * n_h
+    pts = rng.standard_normal((samples, dim))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    radii = radius * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / dim)
+    pts *= radii[:, None]
+
+    sweep_dirs = rng.standard_normal((64, dim))
+    sweep_dirs /= np.linalg.norm(sweep_dirs, axis=1)[:, None]
+    sweep_radii = np.geomspace(1e-2, 1e3, 40)
+    sweep = (sweep_dirs[:, None, :] * sweep_radii[None, :, None]).reshape(-1, dim)
+
+    all_pts = np.vstack([pts, sweep])
+    x_all = all_pts[:, :n_h]
+    xi_all = all_pts[:, n_h:]
+    # vectorized Re(H_q G): <M x, x/(1+|x|^2)> + <M xi, xi/(1+|xi|^2)>
+    x_norm2 = np.einsum("ij,ij->i", x_all, x_all)
+    xi_norm2 = np.einsum("ij,ij->i", xi_all, xi_all)
+    num = (np.einsum("ij,ij->i", x_all @ m_red.T, x_all) / (1.0 + x_norm2)
+           + np.einsum("ij,ij->i", xi_all @ m_red.T, xi_all) / (1.0 + xi_norm2))
+    env = x_norm2 / (1.0 + x_norm2) + xi_norm2 / (1.0 + xi_norm2)
+    keep = env > 1e-14
+    ratios = num[keep] / env[keep]
+    idx = int(np.argmin(ratios))
+    witness = all_pts[keep][idx]
+    return PositivityReport(
+        min_ratio=float(ratios[idx]),
+        argmin_point=(tuple(witness[:n_h]), tuple(witness[n_h:])),
+        samples=int(keep.sum()),
+        radius=radius,
+    )
+
+
+def coupled_generator():
+    m = np.array([[1.0, 0.7], [-0.4, 2.0]])
+    return QuadraticHamiltonian(dim=4, hyp_coeffs=m,
+                                rot_coeffs=np.zeros(2), ah_coeffs=np.zeros(2))
+
+
+GENERATORS = {
+    "diagonal": lambda: diag_generator([1.0, 2.0, 0.5]),
+    "coupled": coupled_generator,
+    "mixed_elliptic": mixed_generator,
+}
+
+
+@pytest.mark.parametrize("samples", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                     3 * _BLOCK + 17])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_streamed_positivity_matches_one_shot(kind, samples):
+    q = GENERATORS[kind]()
+    rng = np.random.default_rng(samples)
+    oracle_rng = copy.deepcopy(rng)
+    got = verify_positivity(q, samples=samples, radius=10.0, rng=rng)
+    want = one_shot_positivity(q, samples=samples, radius=10.0, rng=oracle_rng)
+    assert got.to_json() == want.to_json()
+    # the caller's generator ends in the same state
+    assert rng.random() == oracle_rng.random()
+
+
+def test_positivity_memory_does_not_grow_with_samples():
+    # the one-shot certificate peaks at about 192 MiB here
+    q = diag_generator([1.0, 2.0, 0.5])
+    tracemalloc.start()
+    try:
+        report = verify_positivity(q, samples=10 ** 6, radius=10.0,
+                                   rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 10 ** 6 + 64 * 40
+    assert peak < 32 * 2 ** 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(rates=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_positivity_diagonal_ratio_within_rates(rates, seed):
+    # for a diagonal generator the ratio is an average of the rates
+    report = verify_positivity(diag_generator(rates), samples=500, radius=10.0,
+                               rng=np.random.default_rng(seed))
+    assert min(rates) - 1e-12 <= report.min_ratio <= max(rates) + 1e-12
+    x, xi = (np.array(v) for v in report.argmin_point)
+    nx, nxi = x @ x, xi @ xi
+    r = np.array(rates)
+    num = (r * x ** 2).sum() / (1.0 + nx) + (r * xi ** 2).sum() / (1.0 + nxi)
+    ratio = num / (nx / (1.0 + nx) + nxi / (1.0 + nxi))
+    assert ratio == pytest.approx(report.min_ratio, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

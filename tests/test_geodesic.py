@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from monodromy_lab import geodesic
 from monodromy_lab.geodesic import (
     DOMAIN_BOUND,
     MAX_ROWS,
@@ -259,6 +260,28 @@ def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
         _assert_same(tan, tan_ref)
     else:
         assert tan is None
+
+
+@pytest.mark.parametrize("state0, t_final, tangent, calls", [
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 1),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 1),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, True, 4 * 1000),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, False, 0),
+], ids=["orbit_0", "orbit_+half", "free_tangent", "free"])
+def test_integrate_rebuilds_jacobian_only_when_inputs_change(
+        monkeypatch, state0, t_final, tangent, calls):
+    # on a base orbit (y, z, vx, vy, vz) is bitwise the same at every RK4
+    # stage, so one Jacobian serves the run; off it every stage differs
+    count = []
+
+    def counting_jacobian(state):
+        count.append(1)
+        return geodesic_jacobian(state)
+
+    monkeypatch.setattr(geodesic, "geodesic_jacobian", counting_jacobian)
+    integrate(np.array(state0), t_final, step=1e-3, stride=10,
+              tangent0=np.eye(6) if tangent else None)
+    assert len(count) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,7 +387,10 @@ def cmd_positivity(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="monodromy-lab",
         description="numerical laboratory for monodromy contraction, "

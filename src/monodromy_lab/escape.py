@@ -28,6 +28,8 @@ from .symplectic import QuadraticHamiltonian, SymplecticMatrix
 
 # rows of samples the positivity certificate evaluates at once
 _BLOCK = 1 << 16
+# smallest envelope the certificate divides by
+_TINY = np.finfo(float).tiny
 
 
 class EscapeDimensionError(ValueError):
@@ -146,8 +148,9 @@ def verify_positivity(q: QuadraticHamiltonian, samples: int, radius: float,
     from the ball of the given radius, plus a log-spaced radial sweep out
     to 1e3 to probe the large-argument asymptotics.  A nonpositive ratio is
     reported with its witness point; for hyperbolic generators the ratio
-    must stay positive.  A sample whose Re(H_q G) or envelope is not finite
-    raises ValueError rather than being dropped.
+    must stay positive.  A sample whose Re(H_q G) or envelope is not finite,
+    or whose envelope falls below the smallest normal float, raises
+    ValueError rather than being dropped; every sample counts.
 
     Draw order on `rng`: samples x dim standard normals (the directions,
     row after row), then `samples` uniform radii, then 64 x dim normals for
@@ -177,13 +180,16 @@ def verify_positivity(q: QuadraticHamiltonian, samples: int, radius: float,
         if not (np.isfinite(num).all() and np.isfinite(env).all()):
             raise ValueError("Re(H_q G) or its envelope is not finite at a "
                              f"sample of the ball of radius {radius:g}")
-        keep = np.flatnonzero(env > 1e-14)
-        kept += keep.size
-        ratios = num[keep] / env[keep]
-        if ratios.size:
-            idx = int(np.argmin(ratios))
-            if witness is None or ratios[idx] < min_ratio:
-                min_ratio, witness = float(ratios[idx]), pts[keep[idx]].copy()
+        # the ratio is a Rayleigh quotient, well conditioned down to the
+        # smallest normal envelope; below it the quotient is not computable
+        if env.min() < _TINY:
+            raise ValueError("the envelope underflows at a sample of the "
+                             f"ball of radius {radius:g}")
+        kept += env.size
+        ratios = num / env
+        idx = int(np.argmin(ratios))
+        if witness is None or ratios[idx] < min_ratio:
+            min_ratio, witness = float(ratios[idx]), pts[idx].copy()
     return PositivityReport(
         min_ratio=min_ratio,
         argmin_point=(tuple(witness[:n_h]), tuple(witness[n_h:])),

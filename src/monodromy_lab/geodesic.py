@@ -4,10 +4,15 @@ diag(w^2, 1, 1), w(y, z) = cosh(y) (2 z^4 - z^2 + 1).
 Three closed geodesics run along the x-circle at (y, z) = (0, 0) and
 (0, +-1/2).  The module integrates the flow and the variational (tangent)
 equations with fixed-step RK4 and classifies the transverse monodromy of
-the closed orbits through its Floquet multipliers.  The Hessian signature
-of the effective potential w^-2 - 1 at the orbit is a second verdict that
-needs no integration: one negative direction at the semi-hyperbolic orbit
-z = 0, two at the hyperbolic pair z = +-1/2.
+the closed orbits through its Floquet multipliers.  On a closed orbit every
+RK4 step after the first applies the same tangent map I + D, so a run of k
+such steps is applied at once as I + E_k = (I + D)^k: the same discrete
+RK4 propagator, with E_k built by binary powering on the increment D
+itself.  Never adding I keeps the relative precision of the O(h) map,
+which summing k steps into the tangent would round away.  The Hessian
+signature of the effective potential w^-2 - 1 at the orbit is a second
+verdict that needs no integration: one negative direction at the
+semi-hyperbolic orbit z = 0, two at the hyperbolic pair z = +-1/2.
 """
 
 from __future__ import annotations
@@ -138,15 +143,55 @@ class Trajectory:
         return float(np.abs(self.energy - self.energy[0]).max())
 
 
+def _rk4_increment(jacs, tangent, step):
+    """Stage-wise RK4 increment of the variational equations X' = J X for
+    the stage Jacobians (J1, J2, J3, J4) of one step."""
+    j1, j2, j3, j4 = jacs
+    half = 0.5 * step
+    m1 = j1.dot(tangent)
+    m2 = j2.dot(tangent + half * m1)
+    m3 = j3.dot(tangent + half * m2)
+    m4 = j4.dot(tangent + step * m3)
+    return step / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
+
+
+def _increment_power(d, k: int):
+    """E with I + E = (I + D)^k, by binary powering on the increment:
+    E_2m = 2 E_m + E_m E_m and E_(a+b) = E_a + E_b + E_a E_b.  No sum adds
+    I, so E keeps the relative precision of D; (I + D)^k - I would lose
+    every digit of D that rounds away against I."""
+    total = np.zeros_like(d)
+    power = d
+    while k:
+        if k & 1:
+            total = total + power + total.dot(power)
+        k >>= 1
+        if k:
+            power = 2.0 * power + power.dot(power)
+    return total
+
+
 def integrate(state0, t_final: float, step: float = 1e-4,
               stride: int = 1, tangent0=None):
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
     flow, optionally carrying a tangent block for the variational
     equations; the state and the RK4 stages are Python floats, the tangent
     block is numpy, and a stage Jacobian is rebuilt only when its inputs
-    change.  Blows past |y| or |z| > 10 truncate the trajectory
-    with a flag.  Runs past MAX_STEPS steps or MAX_ROWS stored rows are
-    refused with StepLimitError.  Returns (Trajectory, tangent_final)."""
+    change.
+
+    A tangent step whose four stage inputs (y, z, vx, vy, vz) are bitwise
+    those of the step before applies the same linear map I + D, with D the
+    stage-wise increment taken on the identity.  Such steps are counted,
+    not taken: a run of k of them is applied at its end in one product
+    T <- T + E_k T, where I + E_k = (I + D)^k comes from binary powering on
+    the increment (_increment_power), which keeps the O(h) map's relative
+    precision instead of rounding k updates into T.  On a base orbit every
+    step after the first repeats.  Every other step, the first of each run
+    included, takes the stage-wise update.
+
+    Blows past |y| or |z| > 10 truncate the trajectory with a flag.  Runs
+    past MAX_STEPS steps or MAX_ROWS stored rows are refused with
+    StepLimitError.  Returns (Trajectory, tangent_final)."""
     if step <= 0 or stride < 1:
         raise ValueError("step and stride must be positive")
     n_steps = int(round(t_final / step))
@@ -156,6 +201,17 @@ def integrate(state0, t_final: float, step: float = 1e-4,
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
     tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
     jac = _reusing_jacobian()
+    pack = struct.Struct("20d").pack
+    # stage inputs and Jacobians of the last stage-wise step, and the
+    # number of steps since that repeated it
+    last_key, jacs, repeats = None, None, 0
+
+    def apply_repeats(tangent):
+        if not repeats:
+            return tangent
+        incr = _increment_power(_rk4_increment(jacs, np.eye(6), step), repeats)
+        return tangent + incr.dot(tangent)
+
     half, sixth = 0.5 * step, step / 6.0
     states = np.empty((n_steps // stride + 2, 6))
     states[0] = x, y, z, vx, vy, vz
@@ -173,11 +229,18 @@ def integrate(state0, t_final: float, step: float = 1e-4,
               vx + step * ax3, vy + step * ay3, vz + step * az3)
         ax4, ay4, az4 = _accel(*s4[1:])
         if tangent is not None:
-            m1 = jac((x, y, z, vx, vy, vz)).dot(tangent)
-            m2 = jac(s2).dot(tangent + half * m1)
-            m3 = jac(s3).dot(tangent + half * m2)
-            m4 = jac(s4).dot(tangent + step * m3)
-            tangent = tangent + sixth * (m1 + 2 * m2 + 2 * m3 + m4)
+            # spelled out: a starred call builds a 20-tuple per step, and
+            # CPython's tuple free list keeps up to 2000 of them (0.4 MB)
+            key = pack(y, z, vx, vy, vz, s2[1], s2[2], s2[3], s2[4], s2[5],
+                       s3[1], s3[2], s3[3], s3[4], s3[5],
+                       s4[1], s4[2], s4[3], s4[4], s4[5])
+            if key == last_key:
+                repeats += 1
+            else:
+                tangent = apply_repeats(tangent)
+                last_key, repeats = key, 0
+                jacs = (jac((x, y, z, vx, vy, vz)), jac(s2), jac(s3), jac(s4))
+                tangent = tangent + _rk4_increment(jacs, tangent, step)
         x += sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
         y += sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])
         z += sixth * (vz + 2 * s2[5] + 2 * s3[5] + s4[5])
@@ -190,6 +253,8 @@ def integrate(state0, t_final: float, step: float = 1e-4,
             ts.append((i + 1) * step)
         if truncated:
             break
+    if tangent is not None:
+        tangent = apply_repeats(tangent)
     states = states[:len(ts)]
     traj = Trajectory(t=np.array(ts), states=states,
                       energy=WarpedMetric.energy(states), truncated=truncated)

@@ -163,9 +163,10 @@ def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
     return cutoff_range(microlocal_cutoff(grid, width_x, width_xi), sv_tol=sv_tol)
 
 
-def restricted_norm(m: np.ndarray, basis: np.ndarray) -> float:
-    """sup ||M u|| / ||u|| over u in the span of the basis columns."""
-    return float(np.linalg.norm(m @ basis, 2))
+def restricted_norm(image: np.ndarray) -> float:
+    """sup ||M u|| / ||u|| over u in the span of an orthonormal basis B,
+    read off the image M B."""
+    return float(np.linalg.norm(image, 2))
 
 
 def restricted_gap(m: np.ndarray, basis: np.ndarray) -> float:
@@ -178,22 +179,22 @@ def restricted_gap(m: np.ndarray, basis: np.ndarray) -> float:
 def conjugated_contraction(p: ModelParams, gap_data: bool = True) -> MonodromyResult:
     """Weight-conjugated contraction of the hyperbolic model monodromy.
 
-    Builds M, the weight exponentials exp(+-s G^w), and the conjugated map
-    Mtilde = exp(-s G^w) M exp(+s G^w); reports the restricted norm r of
-    Mtilde on the microlocalized subspace.  r < 1 is the contraction; at
-    s = 0 the map stays unitary and r = 1.  The unconjugated gap
-    min Re<(I - M)u, u> on the subspace transported from the h-calculus
-    (position width sqrt(hbar_tilde/h), momentum width its inverse) is
-    recorded for the h-sweep fit.
+    Builds M and the weight exponentials exp(+-s G^w), and applies the
+    conjugated map Mtilde = exp(-s G^w) M exp(+s G^w) factor by factor to
+    the N x r basis of the microlocalized subspace (the N x N Mtilde is
+    never formed); reports the restricted norm r of Mtilde there.  r < 1
+    is the contraction; at s = 0 the map stays unitary and r = 1.  The
+    unconjugated gap min Re<(I - M)u, u> on the subspace transported from
+    the h-calculus (position width sqrt(hbar_tilde/h), momentum width its
+    inverse) is recorded for the h-sweep fit.
     """
     m = build_hyperbolic_monodromy(p)
     defect = unitarity_defect(m)
     gw = escape_weight(p)
     w_minus = op_exponential(gw, -p.s)
     w_plus = op_exponential(gw, +p.s)
-    m_tilde = w_minus @ m @ w_plus
     basis = microlocal_basis(p.grid)
-    r = restricted_norm(m_tilde, basis)
+    r = restricted_norm(w_minus @ (m @ (w_plus @ basis)))
     gap_val = 0.0
     rank = basis.shape[1]
     if gap_data:

@@ -152,6 +152,23 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
+def test_shared_parser_serves_successive_commands(tmp_path):
+    # the parser is built once per process; a usage error must leave it fit
+    # for the commands that follow in the same process
+    from monodromy_lab.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert run(["contract"]) == 3
+    mfile = tmp_path / "model.json"
+    write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+    assert run(["classify", mfile, "--out", tmp_path / "c"]) == 0
+    cfg = write_config(tmp_path / "p.json", {
+        "rates": [1.0], "samples": 100, "radius": 5.0,
+    })
+    assert run(["positivity", "--config", cfg, "--out", tmp_path / "p",
+                "--seed", 1]) == 0
+
+
 # ---------------------------------------------------------------------------
 # contract
 # ---------------------------------------------------------------------------
@@ -398,6 +415,30 @@ def test_positivity_overflow_exits_numeric(tmp_path):
     # fail rather than certify on the 2560 sweep points alone
     cfg = write_config(tmp_path / "p.json", {
         "rates": [1.0], "samples": 1000, "radius": 1e200,
+    })
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 1
+    assert not out.exists()
+
+
+def test_positivity_small_radius_counts_every_sample(tmp_path):
+    # |x|^2 + |xi|^2 ~ 1e-16 here: every ball sample is kept next to the
+    # 2560 sweep points, and the Rayleigh quotient stays exact
+    cfg = write_config(tmp_path / "p.json", {
+        "rates": [1.0], "samples": 1000, "radius": 1e-8,
+    })
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
+    report = json.loads((out / "positivity.json").read_text())
+    assert report["samples"] == 1000 + 64 * 40
+    assert report["min_ratio"] >= 1.0 - 1e-12
+
+
+def test_positivity_underflow_exits_numeric(tmp_path):
+    # the envelope underflows at this radius; the run must fail rather than
+    # drop the ball samples and certify on the sweep points alone
+    cfg = write_config(tmp_path / "p.json", {
+        "rates": [1.0], "samples": 1000, "radius": 1e-200,
     })
     out = tmp_path / "out"
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 1

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +10,7 @@ import scipy.linalg
 from monodromy_lab import geodesic
 from monodromy_lab.geodesic import (
     DOMAIN_BOUND,
+    _increment_power,
     MAX_ROWS,
     MAX_STEPS,
     StepLimitError,
@@ -233,22 +235,52 @@ def numpy_rk4(state0, t_final, step, stride, tangent0=None):
     return np.array(ts), np.array(rows), tangent, truncated
 
 
+def _mp_power(mat, n):
+    """mat**n for an mpmath matrix, by binary powering."""
+    out = mpmath.eye(mat.rows)
+    while n:
+        if n & 1:
+            out = out * mat
+        n >>= 1
+        if n:
+            mat = mat * mat
+    return out
+
+
+def rk4_propagator(jac, step, n_steps):
+    """Oracle: the exact n-step RK4 propagator S^n of X' = J X with J
+    constant, S = I + hJ + (hJ)^2/2 + (hJ)^3/6 + (hJ)^4/24, evaluated at 50
+    digits from the float entries of J and h."""
+    with mpmath.workdps(50):
+        hj = mpmath.matrix(jac.tolist()) * mpmath.mpf(step)
+        hj2 = hj * hj
+        s = mpmath.eye(6) + hj + hj2 / 2 + hj2 * hj / 6 + hj2 * hj2 / 24
+        return np.array(_mp_power(s, n_steps).tolist(), dtype=float)
+
+
 def _assert_same(got, want):
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
+# tangent oracle per case: None (no tangent block), "loop" (numpy_rk4) or
+# "propagator" (rk4_propagator: on a base orbit every step applies the same
+# map, and the numpy loop's own accumulated rounding exceeds the bound)
 @pytest.mark.parametrize("state0, t_final, step, stride, tangent, truncates", [
-    ([0.0, 0.01, 0.05, 1.0, 0.0, 0.0], 0.5, 1e-4, 100, False, False),
-    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, True, False),
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 10 ** 9, True, False),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, True, False),
-    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, True, False),
-    ([0.0, 2.5, 0.0, 3.0, 4.0, 0.0], 50.0, 1e-3, 100, False, True),
-], ids=["free", "free_tangent", "orbit_0", "orbit_+half", "orbit_-half", "truncated"])
+    ([0.0, 0.01, 0.05, 1.0, 0.0, 0.0], 0.5, 1e-4, 100, None, False),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, "loop", False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 10 ** 9, "propagator", False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-4, 10 ** 9, "propagator", False),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "propagator",
+     False),
+    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "propagator",
+     False),
+    ([0.0, 2.5, 0.0, 3.0, 4.0, 0.0], 50.0, 1e-3, 100, None, True),
+], ids=["free", "free_tangent", "orbit_0", "orbit_0_step1e-4", "orbit_+half",
+        "orbit_-half", "truncated"])
 def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
                                       truncates):
-    tangent0 = np.eye(6) if tangent else None
+    tangent0 = None if tangent is None else np.eye(6)
     traj, tan = integrate(np.array(state0), t_final, step=step, stride=stride,
                           tangent0=tangent0)
     ts, states, tan_ref, truncated = numpy_rk4(state0, t_final, step, stride,
@@ -256,10 +288,31 @@ def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
     assert traj.truncated == truncated == truncates
     _assert_same(traj.t, ts)
     _assert_same(traj.states, states)
-    if tangent:
+    if tangent == "loop":
         _assert_same(tan, tan_ref)
+    elif tangent == "propagator":
+        n_steps = int(round(t_final / step))
+        jac = geodesic_jacobian(np.array(state0, dtype=float))
+        _assert_same(tan, rk4_propagator(jac, step, n_steps))
     else:
         assert tan is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 27500])
+def test_increment_power_matches_mpmath(n):
+    # E with I + E = (I + D)^n, against (I + D)^n - I at 50 digits
+    rng = np.random.default_rng(n)
+    d = rng.standard_normal((6, 6))
+    d *= 1e-4 / np.linalg.norm(d, 2)
+    got = _increment_power(d, n)
+    if n == 0:
+        assert np.array_equal(got, np.zeros((6, 6)))
+        return
+    with mpmath.workdps(50):
+        ident = mpmath.eye(6)
+        power = _mp_power(ident + mpmath.matrix(d.tolist()), n) - ident
+        want = np.array(power.tolist(), dtype=float)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("state0, t_final, tangent, calls", [

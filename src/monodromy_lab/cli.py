@@ -12,7 +12,8 @@ Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-
 ambiguous, 3 config or usage error.  Configs are JSON documents with
 strict unknown-key rejection; positivity, the one command that draws
 random samples, requires --seed.  Identical config and seed produce
-byte-identical output.
+byte-identical output.  Only the commands that classify a matrix (classify,
+and positivity from a matrix_file) load scipy.linalg, for expm.
 """
 
 from __future__ import annotations
@@ -201,14 +202,26 @@ LADDER_KEYS = {
     "order": (int,),
     "lambda0": (list,),
 }
+# what each mode reads besides mode, alpha, m_exponent and c0; any other
+# key is refused, since the mode would ignore it
+LADDER_MODE_KEYS = {
+    "exact": {"h", "residuals", "grid"},
+    "perturbed": {"h", "lambda0", "order"},
+    "counting": {"h_values"},
+}
 
 
 def cmd_ladder(args) -> int:
     started = time.time()
     doc = _load_config(args.config, LADDER_KEYS, required=("mode",))
+    mode = doc["mode"]
+    if mode not in LADDER_MODE_KEYS:
+        raise ConfigError(f"unknown ladder mode {mode!r}")
+    unread = set(doc) - {"mode", "alpha", "m_exponent", "c0"} - LADDER_MODE_KEYS[mode]
+    if unread:
+        raise ConfigError(f"ladder mode {mode!r} does not read {sorted(unread)}")
     for key in ("alpha", "h", "m_exponent", "c0"):
         _positive(doc, key)
-    mode = doc["mode"]
     alpha = float(doc.get("alpha", 1.0))
     m_exp = float(doc.get("m_exponent", 2.0))
     c0 = float(doc.get("c0", 1.0))
@@ -225,7 +238,7 @@ def cmd_ladder(args) -> int:
         name, header = "counting.csv", ["h", "count", "slope"]
         summary = {"alpha": alpha, "m_exponent": m_exp, "c0": c0,
                    "h_values": h_values, "slopes": slopes}
-    elif mode in ("exact", "perturbed"):
+    else:
         h = float(doc.get("h", 1e-3))
         if mode == "exact":
             ladder = exact_model_ladder(alpha, h, m_exp, c0)
@@ -248,8 +261,6 @@ def cmd_ladder(args) -> int:
         rows = [[e.k, *e.beta, e.z, r] for e, r in zip(ladder.entries, residuals)]
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
-    else:
-        raise ConfigError(f"unknown ladder mode {mode!r}")
 
     # create the output directory only once there is a result to write
     outdir = Path(args.out)

@@ -115,22 +115,6 @@ def geodesic_jacobian(state):
     ), float, 36).reshape(6, 6)
 
 
-def _reusing_jacobian():
-    """geodesic_jacobian that hands back its last matrix while the five
-    floats it reads, (y, z, vx, vy, vz), stay bitwise the same; on a base
-    orbit they do at every stage, so one matrix serves the whole run."""
-    pack = struct.Struct("5d").pack
-    last_key, last = None, None
-
-    def jacobian(state):
-        nonlocal last_key, last
-        key = pack(*state[1:])
-        if key != last_key:
-            last_key, last = key, geodesic_jacobian(state)
-        return last
-    return jacobian
-
-
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -176,8 +160,8 @@ def integrate(state0, t_final: float, step: float = 1e-4,
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
     flow, optionally carrying a tangent block for the variational
     equations; the state and the RK4 stages are Python floats, the tangent
-    block is numpy, and a stage Jacobian is rebuilt only when its inputs
-    change.
+    block is numpy, and the four stage Jacobians are built only for the
+    steps taken stage-wise.
 
     A tangent step whose four stage inputs (y, z, vx, vy, vz) are bitwise
     those of the step before applies the same linear map I + D, with D the
@@ -200,7 +184,6 @@ def integrate(state0, t_final: float, step: float = 1e-4,
                              f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
     tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
-    jac = _reusing_jacobian()
     pack = struct.Struct("20d").pack
     # stage inputs and Jacobians of the last stage-wise step, and the
     # number of steps since that repeated it
@@ -239,7 +222,9 @@ def integrate(state0, t_final: float, step: float = 1e-4,
             else:
                 tangent = apply_repeats(tangent)
                 last_key, repeats = key, 0
-                jacs = (jac((x, y, z, vx, vy, vz)), jac(s2), jac(s3), jac(s4))
+                jacs = (geodesic_jacobian((x, y, z, vx, vy, vz)),
+                        geodesic_jacobian(s2), geodesic_jacobian(s3),
+                        geodesic_jacobian(s4))
                 tangent = tangent + _rk4_increment(jacs, tangent, step)
         x += sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
         y += sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])

@@ -8,6 +8,7 @@ endings regardless of platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -93,7 +94,10 @@ def write_manifest(outdir, command: str, config: dict, outputs,
     return path
 
 
+@functools.cache
 def _package_version() -> str:
+    """Looked up once per process: outside an install the lookup scans
+    every distribution on sys.path before it falls back to __version__."""
     from importlib.metadata import PackageNotFoundError, version
 
     try:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import circulant
 
 _EXP_OVERFLOW = 600.0
 # largest grid whose dense N x N operators one run may build; checked when
@@ -194,7 +193,8 @@ def microlocal_cutoff(grid: PhaseGrid, width_x: float = 1.0,
     gxi = np.exp(-np.fft.ifftshift(grid.xi) ** 2 / (2.0 * width_xi ** 2))
     # F^-1 diag(gxi) F is the circulant with kernel ifft(gxi)[(i - j) mod N];
     # gxi is even in xi, so the kernel is real
-    return gx[:, None] * circulant(np.fft.ifft(gxi).real)
+    i, j = np.ogrid[:grid.N, :grid.N]
+    return gx[:, None] * np.fft.ifft(gxi).real[(i - j) % grid.N]
 
 
 def cutoff_range(cutoff: np.ndarray, sv_tol: float = 1e-6,

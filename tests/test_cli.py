@@ -231,6 +231,28 @@ def test_contract_version_in_manifest(tmp_path):
     assert manifest["versions"]["monodromy_lab"] == monodromy_lab.__version__
 
 
+def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
+    import importlib.metadata
+
+    from monodromy_lab import serialize
+
+    lookups = []
+    real_version = importlib.metadata.version
+
+    def counted(name):
+        lookups.append(name)
+        return real_version(name)
+
+    serialize._package_version.cache_clear()
+    monkeypatch.setattr(importlib.metadata, "version", counted)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        serialize.write_manifest(tmp_path / name, "contract", {}, [], time.time())
+    assert lookups == ["monodromy-lab"]
+    docs = [json.loads((tmp_path / n / "manifest.json").read_text()) for n in "ab"]
+    assert docs[0]["versions"] == docs[1]["versions"]
+
+
 @pytest.mark.parametrize("doc", [
     {"h_values": [0.01], "grid": {"N": 63}},
     {"h_values": ["x"]},
@@ -314,6 +336,36 @@ def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o").exists()
+
+
+LADDER_BASE = {
+    "exact": {"mode": "exact", "h": 0.01, "c0": 0.1},
+    "perturbed": {"mode": "perturbed", "h": 0.001, "c0": 0.1, "lambda0": [0.5, 0.7]},
+    "counting": {"mode": "counting", "c0": 0.1, "h_values": [1e-2]},
+}
+UNREAD_LADDER_KEYS = [
+    ("exact", "lambda0", [0.5]), ("exact", "order", 1),
+    ("exact", "h_values", [1e-2]),
+    ("perturbed", "residuals", True), ("perturbed", "grid", {"L": 1.0, "N": 64}),
+    ("perturbed", "h_values", [1e-2]),
+    ("counting", "residuals", True), ("counting", "grid", {"L": 1.0, "N": 64}),
+    ("counting", "lambda0", [0.5]), ("counting", "order", 1),
+    ("counting", "h", 1e-3),
+]
+
+
+@pytest.mark.parametrize("mode, key, value", UNREAD_LADDER_KEYS,
+                         ids=[f"{m}-{k}" for m, k, _ in UNREAD_LADDER_KEYS])
+def test_ladder_refuses_keys_its_mode_does_not_read(tmp_path, mode, key, value):
+    # perturbed with residuals used to certify the elliptic rotation on
+    # beta_1 alone and write that as the perturbed residual
+    cfg = write_config(tmp_path / "l.json", {**LADDER_BASE[mode], key: value})
+    out = tmp_path / "o"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    # without the key the same config runs
+    cfg = write_config(tmp_path / "l.json", LADDER_BASE[mode])
+    assert run(["ladder", "--config", cfg, "--out", out]) == 0
 
 
 # ---------------------------------------------------------------------------

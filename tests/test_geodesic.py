@@ -316,15 +316,18 @@ def test_increment_power_matches_mpmath(n):
 
 
 @pytest.mark.parametrize("state0, t_final, tangent, calls", [
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 1),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 1),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 4),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 4),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 4),
     ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, True, 4 * 1000),
     ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, False, 0),
-], ids=["orbit_0", "orbit_+half", "free_tangent", "free"])
+], ids=["orbit_0", "orbit_0_twice", "orbit_+half", "free_tangent", "free"])
 def test_integrate_rebuilds_jacobian_only_when_inputs_change(
         monkeypatch, state0, t_final, tangent, calls):
-    # on a base orbit (y, z, vx, vy, vz) is bitwise the same at every RK4
-    # stage, so one Jacobian serves the run; off it every stage differs
+    # on a base orbit every step after the first repeats the stage inputs
+    # of the one before and is squared, not taken, so the run builds only
+    # the four stage Jacobians of its first step, however long it is; off
+    # it every step is taken stage-wise
     count = []
 
     def counting_jacobian(state):

@@ -1,6 +1,12 @@
-"""Tooling check: every name a module imports at module level is used."""
+"""Tooling checks: every name a module imports at module level is used,
+every definition is reachable from the CLI, and the commands that never
+run expm start without scipy.linalg."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +134,56 @@ def test_every_definition_is_reachable_from_cli():
     staged = {(mod, name) for mod, names in STAGED.items() for name in names}
     assert sorted(dead - staged) == [], "definitions no CLI path reaches"
     assert sorted(staged - dead) == [], "STAGED lists a name that is reached or gone"
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy.linalg loads only on the paths that run expm
+# ---------------------------------------------------------------------------
+
+COLD_RUNS = """
+import json, sys
+from pathlib import Path
+
+from monodromy_lab import cli, serialize
+
+tmp = Path(sys.argv[1])
+
+
+def config(name, doc):
+    path = tmp / (name + ".json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+cold = [
+    ["contract", "--config", config("contract", {
+        "h_values": [0.01], "grid": {"L": 16.0, "N": 64},
+        "gap_grid": {"L": 24.0, "N": 64}})],
+    ["ladder", "--config", config("ladder", {
+        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
+        "grid": {"L": 1.5, "N": 64}})],
+    ["geodesic", "--config", config("geodesic", {
+        "t_final": 0.01, "step": 1e-3, "classify_orbits": True})],
+    ["positivity", "--config", config("positivity", {
+        "rates": [1.0, 0.5], "samples": 1000}), "--seed", "1"],
+]
+codes = [cli.main([*argv, "--out", str(tmp / argv[0])]) for argv in cold]
+cold_loaded = "scipy.linalg" in sys.modules
+serialize.write_matrix(tmp / "m.json", [[2.0, 0.0], [0.0, 0.5]])
+codes.append(cli.main(["classify", str(tmp / "m.json"), "--out", str(tmp / "c")]))
+print(json.dumps({"codes": codes, "cold": cold_loaded,
+                  "classify": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_cold_commands_leave_scipy_linalg_unloaded(tmp_path):
+    src = str(Path(monodromy_lab.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_RUNS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0, 0, 0], "cold": False, "classify": True}
+    # the ladder certified a residual on the grid, so the weyl path ran
+    assert len((tmp_path / "ladder" / "ladder_exact.csv").read_text().splitlines()) > 1

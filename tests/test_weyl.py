@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh, expm
+from scipy.linalg import circulant, eigvalsh, expm
 
 from monodromy_lab.monodromy import rotation_generator
 from monodromy_lab.weyl import (
@@ -240,6 +240,16 @@ def test_microlocal_cutoff_matches_dense_fourier_construction():
         assert np.abs(pi_c - np.diag(gx) @ mom).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 64, 512])
+def test_microlocal_cutoff_matches_scipy_circulant(n):
+    # the gather only copies kernel entries, so the match is bit for bit
+    grid = PhaseGrid(L=8.0, N=n, hbar=0.2)
+    gx = np.exp(-grid.x ** 2 / 2.0)
+    gxi = np.exp(-np.fft.ifftshift(grid.xi) ** 2 / 2.0)
+    want = gx[:, None] * circulant(np.fft.ifft(gxi).real)
+    assert np.array_equal(microlocal_cutoff(grid), want)
+
+
 def meshgrid_kernel(symbol, grid: PhaseGrid) -> np.ndarray:
     """The complex-FFT kernel with a parity twist and a 2-D gather, as
     quantize built it before the real half-spectrum; reference for it."""
@@ -322,3 +332,24 @@ def test_quantize_polynomial_hermitian_and_linear(coef_a, coef_b, t):
         assert np.array_equal(mat, mat.conj().T)
     scale = max(1.0, np.abs(op_a).max() + abs(t) * np.abs(op_b).max())
     assert np.abs(op_ab - (op_a + t * op_b)).max() <= 1e-12 * scale
+
+
+# the monomials x^a xi^b of total degree at most 2, as slots of `polynomial`
+DEGREE_TWO = tuple(zip(*[(a, b) for a in range(3) for b in range(3) if a + b <= 2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-10.0, 10.0))
+def test_op_exponential_group_law_on_random_symbols(coef, s, t, sign, tau):
+    c = np.zeros((3, 3))
+    c[DEGREE_TWO] = coef
+    gen = quantize(polynomial(c), SMALL).matrix
+    # s and t share a sign: with opposite signs the product cancels a growth
+    # of e^(|s| ||A||) and carries eps times it, far above the bound
+    s, t = sign * s, sign * t
+    lhs = op_exponential(gen, s) @ op_exponential(gen, t)
+    assert close_to(lhs, op_exponential(gen, s + t))
+    unitary = op_exponential(gen, 1j * tau)
+    assert close_to(unitary @ unitary.conj().T, np.eye(SMALL.N))

@@ -44,7 +44,6 @@ from .monodromy import (
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,
-    rescale_state,
 )
 from .quasimode import (
     HermiteMode,

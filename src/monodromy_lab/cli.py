@@ -156,11 +156,12 @@ CONTRACT_KEYS = {
 def cmd_contract(args) -> int:
     started = time.time()
     doc = _load_config(args.config, CONTRACT_KEYS, required=("h_values",))
-    for key in ("lam", "hbar_tilde"):
-        _positive(doc, key)
+    _positive(doc, "lam")
     if "s" in doc and abs(doc["s"]) > 0.5:
         raise ConfigError("weight strength |s| must be <= 1/2")
     hbar_tilde = float(doc.get("hbar_tilde", 0.2))
+    if not 0.0 < hbar_tilde <= 1.0:
+        raise ConfigError("hbar_tilde must satisfy 0 < hbar_tilde <= 1")
     h_values = [float(h) for h in doc["h_values"]]
     if not h_values or any(h <= 0 or h > hbar_tilde for h in h_values):
         raise ConfigError("h_values must be positive and at most hbar_tilde")
@@ -174,9 +175,10 @@ def cmd_contract(args) -> int:
     out = outdir / "contraction.csv"
     serialize.write_csv(
         out,
-        ["h", "hbar_tilde", "s", "r", "gap_C", "gap_N", "unitarity_defect"],
-        [[r.h, r.hbar_tilde, r.s, r.norm_conjugated, r.gap_constant,
-          r.gap_exponent, r.unitarity_defect] for r in rows],
+        ["h", "hbar_tilde", "s", "r", "gap_value", "subspace_rank",
+         "unitarity_defect"],
+        [[r.h, r.hbar_tilde, r.s, r.norm_conjugated, r.gap_value,
+          r.subspace_rank, r.unitarity_defect] for r in rows],
     )
     serialize.write_manifest(outdir, "contract", doc, [out], started)
     worst = max(r.norm_conjugated for r in rows)
@@ -241,16 +243,20 @@ def cmd_ladder(args) -> int:
     else:
         h = float(doc.get("h", 1e-3))
         if mode == "exact":
+            # a malformed grid is refused whether or not residuals read it
+            grid = _grid_from(doc.get("grid"), 1.0, 512, h)
             ladder = exact_model_ladder(alpha, h, m_exp, c0)
         else:
             lam0 = [float(v) for v in doc.get("lambda0", [alpha / 2.0])]
             if not lam0 or min(lam0) <= 0:
                 raise ConfigError("lambda0 must be a non-empty list of "
                                   "positive numbers")
+            order = doc.get("order", 0)
+            if order < 0:
+                raise ConfigError(f"order must be >= 0, got {order}")
             ladder = perturbed_ladder([(lambda z, c=c: c) for c in lam0], [],
-                                      h, m_exp, c0, order=int(doc.get("order", 0)))
+                                      h, m_exp, c0, order=order)
         if doc.get("residuals", False):
-            grid = _grid_from(doc.get("grid"), 1.0, 512, h)
             residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, h, grid)
                          for e in ladder.entries]
         else:

@@ -37,7 +37,8 @@ class LadderDivergenceError(LadderError):
 
 
 class LadderSizeError(LadderError):
-    """The (k, beta) lattice to enumerate exceeds MAX_LATTICE_POINTS."""
+    """The (k, beta) lattice points times the stages each runs exceed
+    MAX_LATTICE_POINTS."""
 
 
 class GridCapacityError(ValueError):
@@ -150,8 +151,8 @@ def k_window(h: float, m_exponent: float, c0: float) -> int:
 
 def _check_lattice(size) -> None:
     if size > MAX_LATTICE_POINTS:
-        raise LadderSizeError(f"ladder lattice of {size:.3g} points exceeds "
-                              f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+        raise LadderSizeError(f"ladder work of {size:.3g} lattice point stages "
+                              f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
 def _dedup_check(entries, alpha, h):
@@ -221,8 +222,9 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
     each later stage re-substitutes the current root into the right-hand
     side.  Stage increments must obey |dz_j| <= margin * h^((j+1)/m) or a
     divergence report is raised.  Entries are kept when the converged root
-    lies inside |z| <= c0 h^(1/m).  A lattice past MAX_LATTICE_POINTS is
-    refused with LadderSizeError before enumeration.
+    lies inside |z| <= c0 h^(1/m).  A lattice whose points times the
+    order + 1 stages each runs exceed MAX_LATTICE_POINTS is refused with
+    LadderSizeError before enumeration.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -245,7 +247,7 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
 
     # enumerate the beta lattice per mode from the stage-zero window
     b_cap = int(max(0.0, (2.0 * zmax / (h * lam0.min()) - 1.0) / 2.0)) + 1
-    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** n_modes)
+    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** n_modes * (order + 1))
     entries = []
     betas = _beta_lattice(n_modes, b_cap)
     for k in range(-kmax, kmax + 1):

@@ -183,11 +183,13 @@ def test_contract_sweep(tmp_path):
     out = tmp_path / "out"
     assert run(["contract", "--config", cfg, "--out", out]) == 0
     lines = (out / "contraction.csv").read_text().splitlines()
-    assert lines[0] == "h,hbar_tilde,s,r,gap_C,gap_N,unitarity_defect"
+    assert lines[0] == "h,hbar_tilde,s,r,gap_value,subspace_rank,unitarity_defect"
     assert len(lines) == 3
     for line in lines[1:]:
-        r = float(line.split(",")[3])
-        assert r < 1.0
+        fields = line.split(",")
+        assert float(fields[3]) < 1.0
+        assert float(fields[4]) > 0.0
+        assert int(fields[5]) > 0
 
 
 def test_contract_zero_weight_row(tmp_path):
@@ -260,7 +262,9 @@ def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
     {"h_values": [math.nan]},
     {"h_values": [0.01], "lam": True},
     {"h_values": [0.01], "grid": {"N": 1048576}},
-], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N"])
+    {"h_values": [0.01], "hbar_tilde": 1.5},
+], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N",
+        "hbar_tilde_above_one"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
     started = time.perf_counter()
@@ -309,7 +313,10 @@ def test_ladder_bad_mode(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"mode": "exact", "h": 1e-3, "c0": 1e9},
     {"mode": "perturbed", "h": 1e-3, "c0": 1e9, "lambda0": [0.5, 0.7]},
-], ids=["exact", "perturbed"])
+    # 9 lattice points, each running 10^8 + 1 stages
+    {"mode": "perturbed", "h": 0.01, "c0": 0.1, "lambda0": [0.5, 0.7],
+     "order": 100000000},
+], ids=["exact", "perturbed", "perturbed_stages"])
 def test_ladder_oversized_lattice_exits_config_fast(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     started = time.perf_counter()
@@ -331,9 +338,22 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "perturbed", "h": 1e-2, "lambda0": [0.0]},
     {"mode": "sideways"},
     {"mode": "exact", "h": 1e-3, "c0": 1e9},
-], ids=["zero_lambda0", "unknown_mode", "oversized_lattice"])
+    {"mode": "perturbed", "h": 0.01, "c0": 0.1, "lambda0": [0.5, 0.7], "order": -3},
+], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
+    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
+    # the grid is checked before the ladder is built, also when no
+    # residual reads it
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": residuals,
+        "grid": {"L": 1.0, "N": 63},
+    })
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o").exists()
 

@@ -68,7 +68,6 @@ STAGED = {
                "diagonal_normal_form"),
     "quasimode": ("TruncationCertificate", "ResummedSeries",
                   "_default_cutoff_schedule", "borel_resum"),
-    "monodromy": ("AliasingError", "rescale_state"),
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from monodromy_lab.monodromy import (
-    AliasingError,
     ModelParams,
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,
     escape_weight,
-    fit_gap_exponent,
     microlocal_basis,
-    rescale_state,
     restricted_norm,
     rotation_generator,
     unconjugated_gap,
@@ -26,7 +23,7 @@ GRID = PhaseGrid(L=16.0, N=512, hbar=HT)
 
 
 def model(h=0.01, s=0.3, lam=1.0):
-    return ModelParams(lam=lam, alpha=1.0, h=h, hbar_tilde=HT, s=s, grid=GRID)
+    return ModelParams(lam=lam, h=h, hbar_tilde=HT, s=s, grid=GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -35,68 +32,11 @@ def model(h=0.01, s=0.3, lam=1.0):
 
 def test_params_validate_ordering():
     with pytest.raises(ValueError, match="h <= hbar_tilde"):
-        ModelParams(h=0.5, hbar_tilde=0.2)
+        model(h=0.5)
     with pytest.raises(ValueError, match="weight"):
-        ModelParams(h=0.01, hbar_tilde=0.2, s=0.9)
+        model(s=0.9)
     # h == hbar_tilde is allowed (trivial zoom)
-    ModelParams(h=0.2, hbar_tilde=0.2)
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-def test_rescale_identity_when_parameters_match():
-    g = PhaseGrid(L=4.0, N=128, hbar=0.1)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    out = rescale_state(u, 0.1, 0.1, g, g)
-    assert np.allclose(out, u, atol=1e-14)
-
-
-def test_rescale_gaussian_closed_form():
-    h, ht = 0.0125, 0.2
-    ratio = math.sqrt(h / ht)
-    grid_to = PhaseGrid(L=8.0, N=256, hbar=ht)
-    grid_from = PhaseGrid(L=8.0 * ratio, N=256, hbar=h)
-    u = np.exp(-grid_from.x ** 2 / (2.0 * h))
-    out = rescale_state(u, h, ht, grid_from, grid_to)
-    expected = (h / ht) ** 0.25 * np.exp(-grid_to.x ** 2 / (2.0 * ht))
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_rescale_preserves_norm():
-    h, ht = 0.2 / 16.0, 0.2
-    ratio = math.sqrt(h / ht)
-    grid_to = PhaseGrid(L=8.0, N=512, hbar=ht)
-    grid_from = PhaseGrid(L=8.0 * ratio, N=512, hbar=h)
-    rng = np.random.default_rng(1)
-    # smooth random state: random Hermite combination
-    u = sum(rng.standard_normal() * hermite_mode(b, h, grid_from).factor(0)
-            for b in range(8))
-    n_from = grid_from.norm(u)
-    out = rescale_state(u, h, ht, grid_from, grid_to)
-    assert grid_to.norm(out) == pytest.approx(n_from, abs=1e-8 * n_from)
-
-
-def test_rescale_general_window_interpolation():
-    # unmatched windows exercise the trigonometric interpolation path
-    h, ht = 0.05, 0.2
-    grid_from = PhaseGrid(L=6.0, N=256, hbar=h)
-    grid_to = PhaseGrid(L=8.0, N=256, hbar=ht)
-    u = np.exp(-grid_from.x ** 2).astype(complex)
-    out = rescale_state(u, h, ht, grid_from, grid_to)
-    expected = (h / ht) ** 0.25 * np.exp(-(math.sqrt(h / ht) * grid_to.x) ** 2)
-    assert np.abs(out - expected).max() <= 1e-8
-
-
-def test_rescale_refuses_aliasing():
-    h, ht = 0.05, 0.2
-    grid_from = PhaseGrid(L=2.0, N=128, hbar=h)
-    grid_to = PhaseGrid(L=8.0, N=128, hbar=ht)
-    u = np.exp(-grid_from.x ** 2)
-    with pytest.raises(AliasingError):
-        rescale_state(u, h, ht, grid_from, grid_to)
+    model(h=HT)
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +101,47 @@ def test_group_law():
 # ---------------------------------------------------------------------------
 
 def test_contraction_no_weight_is_unitary():
-    res = conjugated_contraction(model(s=0.0), gap_data=False)
-    assert res.norm_conjugated == pytest.approx(1.0, abs=1e-9)
+    r, _ = conjugated_contraction(model(s=0.0))
+    assert r == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contraction_strict_for_positive_weight():
-    res = conjugated_contraction(model(s=0.3), gap_data=False)
-    assert res.norm_conjugated < 1.0
-    assert res.unitarity_defect <= 1e-9
+    r, defect = conjugated_contraction(model(s=0.3))
+    assert r < 1.0
+    assert defect <= 1e-9
 
 
 def test_contraction_gap_matches_unconjugated_gap():
-    p = model(s=0.3)
-    res = conjugated_contraction(p, gap_data=True)
-    gap, rank = unconjugated_gap(p)
-    assert res.gap_value == pytest.approx(gap, abs=1e-13)
-    assert res.subspace_rank == rank
+    # a sweep row carries the gap and rank unconjugated_gap gives at its h
+    gap_grid = PhaseGrid(L=32.0, N=256, hbar=HT)
+    rows = contraction_sweep([0.05, 0.02], lam=1.0, s=0.3, hbar_tilde=HT,
+                             grid=PhaseGrid(L=16.0, N=256, hbar=HT),
+                             gap_grid=gap_grid)
+    p = ModelParams(lam=1.0, h=0.02, hbar_tilde=HT, s=0.3, grid=gap_grid)
+    gap, rank = unconjugated_gap(p, build_hyperbolic_monodromy(p))
+    assert rows[1].gap_value == pytest.approx(gap, abs=1e-13)
+    assert rows[1].subspace_rank == rank
+
+
+def test_gap_is_dilation_covariant():
+    # (x xi)^w generates dilations: at h / 4 the h-microlocal widths double
+    # in x and halve in xi, so doubling L gives the same sampled basis and
+    # the same monodromy matrix, hence the same gap and rank
+    gaps = []
+    for h, length in ((0.05, 32.0), (0.0125, 64.0)):
+        p = ModelParams(lam=1.0, h=h, hbar_tilde=HT, s=0.3,
+                        grid=PhaseGrid(L=length, N=256, hbar=HT))
+        gaps.append(unconjugated_gap(p, build_hyperbolic_monodromy(p)))
+    (gap_a, rank_a), (gap_b, rank_b) = gaps
+    assert rank_a == rank_b
+    assert gap_a > 0.0
+    assert abs(gap_a - gap_b) <= 1e-10
 
 
 def test_contraction_monotone_in_weight():
     rs = []
     for s in (0.0, 0.125, 0.25, 0.375, 0.5):
-        rs.append(conjugated_contraction(model(s=s), gap_data=False).norm_conjugated)
+        rs.append(conjugated_contraction(model(s=s))[0])
     assert all(b < a + 1e-12 for a, b in zip(rs, rs[1:]))
     assert rs[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -191,7 +150,7 @@ def test_contraction_sign_flip_expands():
     # with the opposite weight sign the restricted map expands: smallest
     # singular value on the subspace stays above 1/r of the contracted run
     p_plus = model(s=0.3)
-    r_plus = conjugated_contraction(p_plus, gap_data=False).norm_conjugated
+    r_plus, _ = conjugated_contraction(p_plus)
     m = build_hyperbolic_monodromy(p_plus)
     gw = escape_weight(p_plus)
     m_minus = op_exponential(gw, +0.3) @ m @ op_exponential(gw, -0.3)
@@ -203,8 +162,7 @@ def test_contraction_sign_flip_expands():
 
 def test_contraction_gap_inequality_random_states():
     p = model(s=0.3)
-    res = conjugated_contraction(p, gap_data=False)
-    r = res.norm_conjugated
+    r, _ = conjugated_contraction(p)
     m = build_hyperbolic_monodromy(p)
     gw = escape_weight(p)
     m_tilde = op_exponential(gw, -p.s) @ m @ op_exponential(gw, p.s)
@@ -221,20 +179,14 @@ def test_contraction_gap_inequality_random_states():
 def test_contraction_sweep_constant_rate_and_gap_fit():
     hs = [1 / 100, 1 / 200]
     small_gap_grid = PhaseGrid(L=32.0, N=256, hbar=HT)
-    rows = contraction_sweep(hs, grid=PhaseGrid(L=16.0, N=256, hbar=HT),
+    rows = contraction_sweep(hs, lam=1.0, s=0.3, hbar_tilde=HT,
+                             grid=PhaseGrid(L=16.0, N=256, hbar=HT),
                              gap_grid=small_gap_grid)
     rs = [row.norm_conjugated for row in rows]
     assert max(rs) < 1.0
     assert max(rs) - min(rs) <= 1e-12
-    assert all(row.gap_value > 0 for row in rows)
-    assert np.isfinite(rows[0].gap_exponent)
-
-
-def test_fit_gap_exponent_recovers_power_law():
-    hs = np.array([1e-2, 1e-3, 1e-4])
-    c, n = fit_gap_exponent(hs, 2.0 * hs ** 1.5)
-    assert n == pytest.approx(1.5, abs=1e-12)
-    assert c == pytest.approx(0.5, rel=1e-9)
+    assert [row.h for row in rows] == hs
+    assert all(row.gap_value > 0 and row.subspace_rank > 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------

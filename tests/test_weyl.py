@@ -160,7 +160,7 @@ def test_op_exponential_zero_time():
 
 def test_op_exponential_unitary_for_hermitian():
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, GRID)
-    u = op_exponential(op, -1.0j / GRID.hbar, check=True)
+    u = op_exponential(op, -1.0j / GRID.hbar)
     defect = np.linalg.norm(u.conj().T @ u - np.eye(GRID.N))
     assert defect <= 1e-10 * GRID.N
 

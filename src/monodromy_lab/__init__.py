@@ -4,20 +4,16 @@ quasimode ladders, and a warped-product geodesic example."""
 
 from .symplectic import (
     ClassificationAmbiguousError,
-    DeformationSchedule,
     QuadraticHamiltonian,
-    SmoothRamp,
     SpectralClassification,
     SymplecticError,
     SymplecticMatrix,
     UnsupportedSpectrumError,
     build_quadratic_hamiltonian,
     classify_spectrum,
-    composite_deformation,
     nonresonance_check,
     polar_decompose,
     random_symplectic,
-    reparametrize_flow,
     standard_form,
     symplectic_defect,
     symplectic_log,
@@ -48,7 +44,6 @@ from .monodromy import (
 from .quasimode import (
     HermiteMode,
     QuasimodeLadder,
-    borel_resum,
     exact_model_ladder,
     hermite_mode,
     perturbed_ladder,

@@ -230,6 +230,10 @@ def cmd_ladder(args) -> int:
 
     if mode == "counting":
         h_values = [float(h) for h in doc.get("h_values", [1e-2, 1e-3, 1e-4])]
+        # the slope log(count)/log(1/h) needs 0 < h < 1
+        if not h_values or not all(0.0 < h < 1.0 for h in h_values):
+            raise ConfigError("h_values must be a non-empty list with every "
+                              "h in (0, 1)")
         rows = []
         slopes = []
         for h in h_values:
@@ -303,6 +307,9 @@ def cmd_geodesic(args) -> int:
     step = float(doc.get("step", 1e-4))
     stride = int(doc.get("stride", 100))
     if "initial_state" in doc:
+        if "orbit_z" in doc:
+            raise ConfigError("give orbit_z or initial_state, not both: "
+                              "initial_state sets the whole start")
         state0 = np.array([float(v) for v in doc["initial_state"]])
         if state0.shape != (6,):
             raise ConfigError("initial_state must have six components "
@@ -446,7 +453,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, geo.StepLimitError,
-            LadderSizeError) as exc:
+            LadderSizeError, serialize.MatrixFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ClassificationAmbiguousError as exc:

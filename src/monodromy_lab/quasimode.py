@@ -11,9 +11,8 @@ quantization condition
 by staged successive substitution; stage increments shrink like
 h^((j+1)/m).  Note the normalization: feeding the model rate
 lambda(z) = alpha/2 with no corrections makes the direct ladder exactly
-twice the solved root, z_direct = 2 * z_root, entry by entry.  A smooth
-cutoff schedule resums divergent stage series with per-order truncation
-certificates.
+twice the solved root, z_direct = 2 * z_root, entry by entry.  Ladder
+entries are certified by the residual of their quasimode on a product grid.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .weyl import PhaseGrid
-from .symplectic import MAX_LATTICE_POINTS, SmoothRamp
+from .symplectic import MAX_LATTICE_POINTS
 
 
 class LadderError(ValueError):
@@ -283,98 +282,6 @@ def _beta_lattice(n_modes: int, cap: int):
         return [(b,) for b in range(cap + 1)]
     smaller = _beta_lattice(n_modes - 1, cap)
     return [(b,) + rest for b in range(cap + 1) for rest in smaller]
-
-
-# ---------------------------------------------------------------------------
-# Resummation of stage series
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncationCertificate:
-    order: int
-    constant: float
-    max_ratio: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ResummedSeries:
-    h_grid: np.ndarray
-    values: np.ndarray
-    cutoffs: np.ndarray
-    certificates: tuple
-
-    def __post_init__(self):
-        for arr in (self.h_grid, self.values, self.cutoffs):
-            arr.setflags(write=False)
-
-
-def _default_cutoff_schedule(envelopes, m_exponent, n_max=3):
-    """Increasing cutoff scales making the tail of the resummed series
-    uniformly small: lambda_j >= 2 (2^(j+1) max(C_j, 1))^(m / max(j+1-m*n, 1))
-    for the largest certified order."""
-    lams = []
-    prev = 1.0
-    m = m_exponent
-    for j, c in enumerate(envelopes):
-        power = m / max(j + 1.0 - m * n_max, 1.0)
-        lam = 2.0 * (2.0 ** (j + 1) * max(abs(c), 1.0)) ** power
-        prev = max(1.5 * prev, lam)
-        lams.append(prev)
-    return np.array(lams)
-
-
-def borel_resum(coefficients, h_grid, m_exponent: float,
-                cutoffs=None, orders=(1, 2, 3)):
-    """Cutoff-weighted resummation of a stage series z^(j)(h) = c_j h^((j+1)/m).
-
-    The resummed value sum_j chi(lambda_j h) c_j h^((j+1)/m) uses a smooth
-    cutoff chi identically one on [0, 1] and supported in [-1, 2], with an
-    increasing scale schedule lambda_j.  For each certified order N the
-    difference against the partial sum through j = m N is bounded by
-    C_N h^N across the h grid; the certificate records the constant and the
-    largest observed ratio.
-    """
-    coefficients = np.asarray(coefficients, dtype=float)
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    envelopes = np.abs(coefficients)
-    if cutoffs is None:
-        cutoffs = _default_cutoff_schedule(envelopes, m_exponent, n_max=max(orders))
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if np.any(np.diff(cutoffs) <= 0):
-        raise ValueError("cutoff scales must be strictly increasing")
-    ramp = SmoothRamp(1.0, 2.0)
-
-    def chi(x):
-        return 1.0 - ramp(x)
-
-    j_idx = np.arange(coefficients.size)
-    powers = (j_idx + 1.0) / m_exponent
-    terms = coefficients[None, :] * h_grid[:, None] ** powers[None, :]
-    weights = np.array([[chi(lam * h) for lam in cutoffs] for h in h_grid])
-    values = (weights * terms).sum(axis=1)
-
-    certificates = []
-    for n in orders:
-        j_cut = int(m_exponent * n)
-        partial = terms[:, : j_cut + 1].sum(axis=1)
-        diff = np.abs(values - partial)
-        # closed-form constant from the schedule: tail terms need
-        # lambda_j h <= 2, truncated head terms need lambda_j h >= 1
-        c_n = 0.0
-        for j, (c, lam) in enumerate(zip(envelopes, cutoffs)):
-            if j > j_cut:
-                c_n += abs(c) * (2.0 / lam) ** max((j + 1.0) / m_exponent - n, 0.0)
-            else:
-                c_n += abs(c) * lam ** max(n - (j + 1.0) / m_exponent, 0.0)
-        ratios = diff / h_grid ** n
-        max_ratio = float(ratios.max()) if ratios.size else 0.0
-        certificates.append(TruncationCertificate(
-            order=n, constant=float(c_n), max_ratio=max_ratio,
-            passed=bool(max_ratio <= c_n * (1.0 + 1e-9)),
-        ))
-    return ResummedSeries(h_grid=h_grid, values=values, cutoffs=cutoffs,
-                          certificates=tuple(certificates))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -29,17 +30,33 @@ def matrix_to_json_text(mat: np.ndarray) -> str:
     return '{\n  "dim": %d,\n  "rows": [\n    %s\n  ]\n}\n' % (mat.shape[0], rows)
 
 
+class MatrixFileError(ValueError):
+    """A matrix file that is not an object with an integer dim and a
+    dim x dim array of finite numbers in rows."""
+
+
 def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixFileError(f"matrix file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise MatrixFileError("matrix file must be a JSON object with keys "
+                              "'dim' and 'rows'")
     unknown = set(doc) - {"dim", "rows"}
     if unknown:
-        raise ValueError(f"unknown matrix-file keys: {sorted(unknown)}")
-    mat = np.array(doc["rows"], dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix rows must form a square array, got {mat.shape}")
-    if mat.shape[0] != doc["dim"]:
-        raise ValueError(f"dim field {doc['dim']} does not match rows {mat.shape[0]}")
-    return mat
+        raise MatrixFileError(f"unknown matrix-file keys: {sorted(unknown)}")
+    dim, rows = doc.get("dim"), doc.get("rows")
+    if type(dim) is not int or dim <= 0:
+        raise MatrixFileError(f"matrix-file dim must be a positive integer, got {dim!r}")
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and len({len(r) for r in rows} | {len(rows)}) == 1):
+        raise MatrixFileError("matrix rows must form a square array")
+    if len(rows) != dim:
+        raise MatrixFileError(f"dim field {dim} does not match rows {len(rows)}")
+    if not all(type(v) in (int, float) and math.isfinite(v) for r in rows for v in r):
+        raise MatrixFileError("matrix entries must be finite numbers")
+    return np.array(rows, dtype=float)
 
 
 def write_matrix(path, mat) -> None:

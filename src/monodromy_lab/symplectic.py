@@ -1,6 +1,6 @@
 """Symplectic linear algebra: polar factors, matrix logarithms, spectral
-classification of linearized return maps, quadratic generators, and the
-scheduled deformation of the identity into a given symplectic map.
+classification of linearized return maps into the real factorization
+exp(-J F) exp(B), and the quadratic generators of its two factors.
 
 Conventions
 -----------
@@ -253,16 +253,10 @@ class SpectralClassification:
 
         return expm(self.B)
 
-    def reconstruct(self, frame: str = "original") -> np.ndarray:
-        """exp(-J F) exp(B), conjugated back to the original coordinates
-        when frame == 'original'."""
+    def reconstruct(self) -> np.ndarray:
+        """exp(-J F) exp(B), conjugated back to the original coordinates."""
         rec = self.rotation_factor() @ self.stretch_factor()
-        if frame == "adapted":
-            return rec
-        if frame == "original":
-            t = self.basis
-            return t @ rec @ np.linalg.inv(t)
-        raise ValueError(f"unknown frame {frame!r}")
+        return self.basis @ rec @ np.linalg.inv(self.basis)
 
     def reconstruction_error(self) -> float:
         """Relative error of exp(-J F) exp(B) against the classified matrix.
@@ -270,7 +264,7 @@ class SpectralClassification:
         The arrays are read-only, so the value is computed once and kept:
         classify_spectrum checks it and to_json reports the same number."""
         if "_reconstruction_error" not in self.__dict__:
-            rec = self.reconstruct("original")
+            rec = self.reconstruct()
             err = float(np.linalg.norm(rec - self.source) / np.linalg.norm(self.source))
             object.__setattr__(self, "_reconstruction_error", err)
         return self.__dict__["_reconstruction_error"]
@@ -664,16 +658,17 @@ class QuadraticHamiltonian:
     """Quadratic generators attached to a spectral classification, in the
     adapted coordinates.
 
-    q_hyp generates the stretch factor: exp(flow(q_hyp)) = exp(B).
-    q_rot generates the rotation factor: exp(flow(q_rot)) = exp(-J F).
-    q_art is the auxiliary stretch 2 x_j xi_j on each elliptic mode used to
-    stand in for the rotation during the scheduled deformation.
+    q_hyp = <M x, xi> generates the stretch factor exp(B), and
+    q_rot = sum_j c_j (x_j^2 + xi_j^2) generates the rotation factor
+    exp(-J F); each time-one flow is the exponential of -J Hess(q).
     """
 
     dim: int
     hyp_coeffs: np.ndarray   # m x m matrix M with q_hyp = <M x, xi>
-    rot_coeffs: np.ndarray   # per-mode coefficients of (x_j^2 + xi_j^2)/1 in q_rot, = F_jj/2
-    ah_coeffs: np.ndarray    # per-mode coefficients c_j with q_art = sum c_j x_j xi_j
+    rot_coeffs: np.ndarray   # per-mode coefficients c_j of (x_j^2 + xi_j^2) in q_rot, = F_jj/2
+    # nonzero exactly on the elliptic modes; it only marks them, so that
+    # escape._hyperbolic_reduction can drop them
+    ah_coeffs: np.ndarray
 
     def __post_init__(self):
         for arr in (self.hyp_coeffs, self.rot_coeffs, self.ah_coeffs):
@@ -682,26 +677,6 @@ class QuadraticHamiltonian:
     @property
     def m(self) -> int:
         return self.dim // 2
-
-    def hessian(self, which: str = "hyp") -> np.ndarray:
-        m = self.m
-        h = np.zeros((self.dim, self.dim))
-        if which == "hyp":
-            h[:m, m:] = self.hyp_coeffs.T
-            h[m:, :m] = self.hyp_coeffs
-        elif which == "rot":
-            h[:m, :m] = np.diag(2.0 * self.rot_coeffs)
-            h[m:, m:] = np.diag(2.0 * self.rot_coeffs)
-        elif which == "art":
-            h[:m, m:] = np.diag(self.ah_coeffs)
-            h[m:, :m] = np.diag(self.ah_coeffs)
-        else:
-            raise ValueError(f"unknown generator {which!r}")
-        return h
-
-    def flow_matrix(self, which: str = "hyp") -> np.ndarray:
-        """Hamiltonian matrix -J Hess(q); its exponential is the time-one flow."""
-        return -standard_form(self.dim) @ self.hessian(which)
 
 
 def build_quadratic_hamiltonian(cls: SpectralClassification) -> QuadraticHamiltonian:
@@ -723,150 +698,3 @@ def build_quadratic_hamiltonian(cls: SpectralClassification) -> QuadraticHamilto
             ah[pos] = 2.0
         pos += b.x_width
     return QuadraticHamiltonian(dim=cls.dim, hyp_coeffs=hyp, rot_coeffs=rot, ah_coeffs=ah)
-
-
-# ---------------------------------------------------------------------------
-# Smooth schedules and deformations
-# ---------------------------------------------------------------------------
-
-def _bump(t):
-    """exp(-1/t) for t > 0, exactly 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
-def _bump_prime(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
-
-
-class SmoothRamp:
-    """Monotone C-infinity ramp from 0 to 1 with derivative supported in
-    [start, stop], built from the normalized exp(-1/t) bump."""
-
-    def __init__(self, start: float, stop: float):
-        if not stop > start:
-            raise ValueError("ramp requires stop > start")
-        self.start = float(start)
-        self.stop = float(stop)
-
-    def _s(self, t):
-        return (np.asarray(t, dtype=float) - self.start) / (self.stop - self.start)
-
-    def __call__(self, t):
-        s = self._s(t)
-        f, g = _bump(s), _bump(1.0 - s)
-        with np.errstate(invalid="ignore"):
-            val = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, f / (f + g)))
-        return val if val.ndim else float(val)
-
-    def derivative(self, t):
-        s = self._s(t)
-        f, g = _bump(s), _bump(1.0 - s)
-        fp, gp = _bump_prime(s), _bump_prime(1.0 - s)
-        denom = (f + g) ** 2
-        inside = (s > 0.0) & (s < 1.0)
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        num = fp * g + f * gp
-        out[inside] = num[inside] / denom[inside] / (self.stop - self.start)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class DeformationSchedule:
-    """The four scheduled cutoffs driving the staged deformation: rotation
-    ramp psi1 on [0, 1/4], holding window chi on [1/4, 1/2], auxiliary
-    stretch ramp psi2 on [1/2, 3/4], and main ramp psi on [3/4, 1]."""
-
-    psi1: SmoothRamp
-    psi2: SmoothRamp
-    psi: SmoothRamp
-    chi: SmoothRamp
-
-    @classmethod
-    def default(cls) -> "DeformationSchedule":
-        return cls(psi1=SmoothRamp(0.0, 0.25), chi=SmoothRamp(0.25, 0.5),
-                   psi2=SmoothRamp(0.5, 0.75), psi=SmoothRamp(0.75, 1.0))
-
-
-def reparametrize_flow(a_func, chi: SmoothRamp, mat_dim: int,
-                       rtol: float = 1e-11, atol: float = 1e-13):
-    """Compress a time-one matrix flow into the interior of [0, 1].
-
-    Given the fundamental solution phi of phi' = A(t) phi, the rescaled
-    generator B(t) = chi'(t) A(chi(t)) has support inside (0, 1) and the
-    solution of psi' = B psi satisfies psi(t) = phi(chi(t)), in particular
-    psi(1) = phi(1).
-
-    Returns (b_func, psi_end, phi_end, report).
-    """
-    from scipy.integrate import solve_ivp
-
-    def b_func(t):
-        return chi.derivative(t) * np.asarray(a_func(chi(t)), dtype=float)
-
-    ident = np.eye(mat_dim)
-
-    def rhs_psi(t, y):
-        return (b_func(t) @ y.reshape(mat_dim, mat_dim)).ravel()
-
-    def rhs_phi(t, y):
-        return (np.asarray(a_func(t), dtype=float) @ y.reshape(mat_dim, mat_dim)).ravel()
-
-    sol_psi = solve_ivp(rhs_psi, (0.0, 1.0), ident.ravel(), method="DOP853",
-                        rtol=rtol, atol=atol)
-    sol_phi = solve_ivp(rhs_phi, (0.0, 1.0), ident.ravel(), method="DOP853",
-                        rtol=rtol, atol=atol)
-    if not (sol_psi.success and sol_phi.success):
-        raise RuntimeError(
-            "flow integration failed: "
-            f"psi: {sol_psi.message!r}, phi: {sol_phi.message!r}"
-        )
-    psi_end = sol_psi.y[:, -1].reshape(mat_dim, mat_dim)
-    phi_end = sol_phi.y[:, -1].reshape(mat_dim, mat_dim)
-    report = {
-        "deviation": float(np.linalg.norm(psi_end - phi_end)),
-        "psi_steps": int(sol_psi.t.size),
-        "phi_steps": int(sol_phi.t.size),
-    }
-    return b_func, psi_end, phi_end, report
-
-
-def composite_deformation(cls: SpectralClassification, sched: DeformationSchedule,
-                          t: float, frame: str = "adapted") -> SymplecticMatrix:
-    """The staged linear deformation of the identity into the classified map.
-
-    In the adapted coordinates the path is
-
-        kappa(t) = exp(-psi1(t) J F) exp(psi2(t) H_art) exp(psi(t) (B - H_art)),
-
-    with H_art the flow matrix of the auxiliary stretch on the elliptic
-    modes.  kappa(0) = I, kappa(1) = exp(-J F) exp(B), and on the holding
-    window (the support of chi') kappa(t) equals the rotation factor
-    exp(-J F) exactly: identity on hyperbolic-positive modes, -identity on
-    real-negative modes, a rotation on elliptic modes.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"deformation time must lie in [0, 1], got {t}")
-    from scipy.linalg import expm
-
-    q = build_quadratic_hamiltonian(cls)
-    h_art = q.flow_matrix("art")
-    j = standard_form(cls.dim)
-    gen_main = cls.B - h_art
-    kappa = (
-        expm(-float(sched.psi1(t)) * (j @ cls.F))
-        @ expm(float(sched.psi2(t)) * h_art)
-        @ expm(float(sched.psi(t)) * gen_main)
-    )
-    if frame == "original":
-        kappa = cls.basis @ kappa @ np.linalg.inv(cls.basis)
-    elif frame != "adapted":
-        raise ValueError(f"unknown frame {frame!r}")
-    return SymplecticMatrix.from_array(kappa, tol=1e-8)

@@ -60,16 +60,8 @@ class PhaseGrid:
         return np.pi * self.hbar * (np.arange(self.N) - self.N // 2) / self.L
 
     @property
-    def dxi(self) -> float:
-        return np.pi * self.hbar / self.L
-
-    @property
     def xi_max(self) -> float:
         return float(np.abs(self.xi).max())
-
-    def norm(self, u) -> float:
-        u = np.asarray(u)
-        return float(np.sqrt(np.sum(np.abs(u) ** 2) * self.dx))
 
 
 @dataclass(frozen=True)

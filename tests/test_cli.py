@@ -7,6 +7,7 @@ import pytest
 
 from monodromy_lab.cli import main
 from monodromy_lab.serialize import (
+    MatrixFileError,
     matrix_from_json,
     matrix_to_json_text,
     read_matrix,
@@ -44,6 +45,39 @@ def test_matrix_rejects_malformed():
         matrix_from_json('{"dim": 2, "rows": [[1, 0], [0, 1]], "extra": 1}')
     with pytest.raises(ValueError, match="does not match"):
         matrix_from_json('{"dim": 4, "rows": [[1, 0], [0, 1]]}')
+    for text in MALFORMED_MATRICES.values():
+        with pytest.raises(MatrixFileError):
+            matrix_from_json(text)
+
+
+MALFORMED_MATRICES = {
+    "bare_rows": "[[1, 0], [0, 1]]",
+    "null": "null",
+    "no_rows": '{"dim": 2}',
+    "list": "[1, 2]",
+    "nan_entry": '{"dim": 2, "rows": [[NaN, 0], [0, 1]]}',
+    "invalid_json": '{"dim": 2, "rows": [[1, 0], [0, 1]]',
+    "ragged_rows": '{"dim": 2, "rows": [[1, 0], [0]]}',
+    "float_dim": '{"dim": 2.0, "rows": [[1, 0], [0, 1]]}',
+    "bool_entry": '{"dim": 2, "rows": [[true, 0], [0, 1]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "positivity"])
+@pytest.mark.parametrize("text", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES)
+def test_malformed_matrix_file_exits_config(tmp_path, capsys, command, text):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(text)
+    out = tmp_path / "out"
+    if command == "classify":
+        argv = ["classify", mfile, "--out", out]
+    else:
+        cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile)})
+        argv = ["positivity", "--config", cfg, "--out", out, "--seed", 1]
+    assert run(argv) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: matrix") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +373,14 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "sideways"},
     {"mode": "exact", "h": 1e-3, "c0": 1e9},
     {"mode": "perturbed", "h": 0.01, "c0": 0.1, "lambda0": [0.5, 0.7], "order": -3},
-], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order"])
+    # the counting slope log(count)/log(1/h) needs 0 < h < 1
+    {"mode": "counting", "c0": 0.1, "h_values": [1.0]},
+    {"mode": "counting", "c0": 0.1, "h_values": [0.0]},
+    {"mode": "counting", "c0": 0.1, "h_values": [1e-2, -0.1]},
+    {"mode": "counting", "c0": 0.1, "h_values": []},
+], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
+        "counting_h_one", "counting_h_zero", "counting_h_negative",
+        "counting_no_h"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -433,7 +474,10 @@ def test_geodesic_blowup_exit(tmp_path):
     {"stride": -3},
     {"t_final": 1e12},
     {"t_final": 1e-6, "step": 1e-9, "classify_orbits": True},
-], ids=["zero_stride", "negative_stride", "huge_t_final", "tiny_orbit_step"])
+    # initial_state sets the whole start, so orbit_z would go unread
+    {"initial_state": [0.0, 0.0, 0.5, 1.0, 0.0, 0.0]},
+], ids=["zero_stride", "negative_stride", "huge_t_final", "tiny_orbit_step",
+        "orbit_z_and_initial_state"])
 def test_geodesic_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "g.json", {
         "orbit_z": 0.0, "t_final": 0.01, "step": 1e-3, "stride": 1,
@@ -442,6 +486,7 @@ def test_geodesic_bad_config_exits_config(tmp_path, doc):
     started = time.perf_counter()
     assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "o").exists()
 
 
 def test_geodesic_refused_orbit_step_writes_nothing(tmp_path):

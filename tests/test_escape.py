@@ -23,7 +23,16 @@ from monodromy_lab.symplectic import (
     QuadraticHamiltonian,
     build_quadratic_hamiltonian,
     classify_spectrum,
+    standard_form,
 )
+
+
+def hyp_flow(q):
+    """-J Hess(<M x, xi>): its exponential is the time-one flow of the
+    stretch generator."""
+    m = q.hyp_coeffs
+    hess = np.block([[np.zeros_like(m), m.T], [m, np.zeros_like(m)]])
+    return -standard_form(q.dim) @ hess
 
 
 def diag_generator(lams, ah=None):
@@ -110,7 +119,7 @@ def test_action_matches_finite_differences():
     q = QuadraticHamiltonian(dim=2 * n, hyp_coeffs=m,
                              rot_coeffs=np.zeros(n), ah_coeffs=np.zeros(n))
     ef = EscapeFunction(dim_hyp=n, dim_ell=0)
-    flow = q.flow_matrix("hyp")
+    flow = hyp_flow(q)
     for _ in range(25):
         z = rng.standard_normal(2 * n) * 2.0
         eps = 1e-6
@@ -184,7 +193,7 @@ def test_positivity_excludes_elliptic_modes():
 def test_positivity_ratio_matches_finite_differences():
     # oracle: at the reported witness, the central difference of
     # G = (1/2) log((1 + |x|^2) / (1 + |xi|^2)) along the time-t flow
-    # expm(t * flow_matrix("hyp")), divided by the saturating envelope
+    # expm(t * hyp_flow(q)), divided by the saturating envelope
     rng = np.random.default_rng(11)
     n = 2
     m = rng.standard_normal((n, n))
@@ -197,7 +206,7 @@ def test_positivity_ratio_matches_finite_differences():
         return 0.5 * math.log((1.0 + w[:n] @ w[:n]) / (1.0 + w[n:] @ w[n:]))
 
     eps = 1e-6
-    flow = q.flow_matrix("hyp")
+    flow = hyp_flow(q)
     fd = (escape(expm(eps * flow) @ z) - escape(expm(-eps * flow) @ z)) / (2 * eps)
     nx, nxi = z[:n] @ z[:n], z[n:] @ z[n:]
     envelope = nx / (1.0 + nx) + nxi / (1.0 + nxi)

@@ -1,6 +1,7 @@
 """Tooling checks: every name a module imports at module level is used,
-every definition is reachable from the CLI, and the commands that never
-run expm start without scipy.linalg."""
+every definition is reachable from the CLI, every method of a reached
+class is read somewhere in the package, and the commands that never run
+expm start without scipy.linalg."""
 
 import ast
 import json
@@ -60,14 +61,10 @@ KEEP = {
 # together with its tests (ROADMAP item 6)
 STAGED = {
     "symplectic": ("polar_decompose", "symplectic_log", "NonresonanceVerdict",
-                   "nonresonance_check", "_bump", "_bump_prime", "SmoothRamp",
-                   "DeformationSchedule", "reparametrize_flow",
-                   "composite_deformation"),
+                   "nonresonance_check"),
     "escape": ("EscapeDimensionError", "EscapeFunction", "hamiltonian_action",
                "EscapeNormalForm", "UnsupportedShapeError",
                "diagonal_normal_form"),
-    "quasimode": ("TruncationCertificate", "ResummedSeries",
-                  "_default_cutoff_schedule", "borel_resum"),
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -133,6 +130,57 @@ def test_every_definition_is_reachable_from_cli():
     staged = {(mod, name) for mod, names in STAGED.items() for name in names}
     assert sorted(dead - staged) == [], "definitions no CLI path reaches"
     assert sorted(staged - dead) == [], "STAGED lists a name that is reached or gone"
+
+
+def unread_methods(sources: dict, roots) -> set:
+    """(module, class, name) of every method or property of a class that
+    `unreachable` does not flag (so not of a STAGED class), whose name no
+    module reads as an attribute.  Dunder methods are exempt, since the
+    language calls them; an attribute rooted at a module bound by
+    `import` (np.linalg.norm) is not a read of a method."""
+    dead = unreachable(sources, roots)
+    methods, read = {}, set()
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and (mod, node.name) not in dead:
+                methods[mod, node.name] = [
+                    f.name for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and f.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in imported):
+                    read.add(node.attr)
+    return {(mod, cls, name) for (mod, cls), names in methods.items()
+            for name in names if name not in read}
+
+
+def test_method_scanner():
+    sources = {
+        "cli": "import numpy as np\nfrom .a import P\n"
+               "def main():\n    p = P()\n    return p.used + np.linalg.norm(p.x)\n",
+        "a": "class P:\n    def __init__(self):\n        self.x = 1\n\n"
+             "    @property\n    def used(self):\n        return self.helper()\n\n"
+             "    def helper(self):\n        return 1\n\n"
+             "    def norm(self):\n        return 0\n\n"
+             "    @property\n    def spare(self):\n        return 2\n\n"
+             "class Dead:\n    def m(self):\n        return P()\n",
+    }
+    found = unread_methods(sources, roots=[("cli", "main")])
+    assert found == {("a", "P", "norm"), ("a", "P", "spare")}
+
+
+def test_every_method_is_read_in_src():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert sorted(unread_methods(sources, roots=[("cli", "main"), *KEEP])) == [], \
+        "methods no module reads; move them into the tests that use them"
 
 
 # ---------------------------------------------------------------------------

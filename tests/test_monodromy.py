@@ -22,6 +22,11 @@ HT = 0.2
 GRID = PhaseGrid(L=16.0, N=512, hbar=HT)
 
 
+def grid_norm(grid, u) -> float:
+    """L2 norm of the samples u(x_k) with the quadrature weight dx."""
+    return float(np.sqrt(np.sum(np.abs(np.asarray(u)) ** 2) * grid.dx))
+
+
 def model(h=0.01, s=0.3, lam=1.0):
     return ModelParams(lam=lam, h=h, hbar_tilde=HT, s=s, grid=GRID)
 
@@ -77,7 +82,7 @@ def test_hyperbolic_variance_growth():
     p = ModelParams(lam=1.0, h=HT, hbar_tilde=HT, s=0.3, grid=GRID)
     m = build_hyperbolic_monodromy(p)
     u = np.exp(-GRID.x ** 2 / (2.0 * HT)).astype(complex)
-    u /= GRID.norm(u)
+    u /= grid_norm(GRID, u)
     v = m @ u
     var0 = np.sum(GRID.x ** 2 * np.abs(u) ** 2) * GRID.dx
     var1 = np.sum(GRID.x ** 2 * np.abs(v) ** 2) * GRID.dx

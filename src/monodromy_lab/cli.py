@@ -66,8 +66,8 @@ def _load_config(path, allowed: dict, required=()):
     `allowed` maps key -> type tuple."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -452,8 +452,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, geo.StepLimitError,
-            LadderSizeError, serialize.MatrixFileError) as exc:
+    except (ConfigError, geo.StepLimitError, LadderSizeError,
+            serialize.MatrixFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ClassificationAmbiguousError as exc:

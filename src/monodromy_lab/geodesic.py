@@ -4,9 +4,12 @@ diag(w^2, 1, 1), w(y, z) = cosh(y) (2 z^4 - z^2 + 1).
 Three closed geodesics run along the x-circle at (y, z) = (0, 0) and
 (0, +-1/2).  The module integrates the flow and the variational (tangent)
 equations with fixed-step RK4 and classifies the transverse monodromy of
-the closed orbits through its Floquet multipliers.  On a closed orbit every
-RK4 step after the first applies the same tangent map I + D, so a run of k
-such steps is applied at once as I + E_k = (I + D)^k: the same discrete
+the closed orbits through its Floquet multipliers.  The accelerations never
+read x, so a state whose (y, z, vx, vy, vz) one RK4 step leaves bitwise
+unchanged is a fixed point of the transverse flow: every later step
+repeats the same x increment and the same tangent map I + D.  Each closed
+orbit is such a fixed point, so after its first step the remaining k steps
+are applied at once, the tangent as I + E_k = (I + D)^k: the same discrete
 RK4 propagator, with E_k built by binary powering on the increment D
 itself.  Never adding I keeps the relative precision of the O(h) map,
 which summing k steps into the tangent would round away.  The Hessian
@@ -160,22 +163,23 @@ def integrate(state0, t_final: float, step: float = 1e-4,
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
     flow, optionally carrying a tangent block for the variational
     equations; the state and the RK4 stages are Python floats, the tangent
-    block is numpy, and the four stage Jacobians are built only for the
-    steps taken stage-wise.
+    block is numpy, and each stage-wise step builds its four stage
+    Jacobians.
 
-    A tangent step whose four stage inputs (y, z, vx, vy, vz) are bitwise
-    those of the step before applies the same linear map I + D, with D the
-    stage-wise increment taken on the identity.  Such steps are counted,
-    not taken: a run of k of them is applied at its end in one product
-    T <- T + E_k T, where I + E_k = (I + D)^k comes from binary powering on
-    the increment (_increment_power), which keeps the O(h) map's relative
-    precision instead of rounding k updates into T.  On a base orbit every
-    step after the first repeats.  Every other step, the first of each run
-    included, takes the stage-wise update.
+    A step that leaves (y, z, vx, vy, vz) bitwise unchanged has reached a
+    fixed point of the transverse flow: the stages never read x, so every
+    later step would repeat its stage inputs, its x increment and its
+    tangent map I + D, with D the stage-wise increment taken on the
+    identity.  The remaining k steps are then not taken.  The saved x
+    increment is added once per step, rounding as the steps would, and the
+    tangent takes one product T <- T + E_k T, where I + E_k = (I + D)^k
+    comes from binary powering on the increment (_increment_power), which
+    keeps the O(h) map's relative precision instead of rounding k updates
+    into T.  A base orbit is such a fixed point from its first step.
 
-    Blows past |y| or |z| > 10 truncate the trajectory with a flag.  Runs
-    past MAX_STEPS steps or MAX_ROWS stored rows are refused with
-    StepLimitError.  Returns (Trajectory, tangent_final)."""
+    Blows past |y| or |z| > 10 truncate the trajectory with a flag, fixed
+    point or not.  Runs past MAX_STEPS steps or MAX_ROWS stored rows are
+    refused with StepLimitError.  Returns (Trajectory, tangent_final)."""
     if step <= 0 or stride < 1:
         raise ValueError("step and stride must be positive")
     n_steps = int(round(t_final / step))
@@ -184,62 +188,53 @@ def integrate(state0, t_final: float, step: float = 1e-4,
                              f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
     tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
-    pack = struct.Struct("20d").pack
-    # stage inputs and Jacobians of the last stage-wise step, and the
-    # number of steps since that repeated it
-    last_key, jacs, repeats = None, None, 0
-
-    def apply_repeats(tangent):
-        if not repeats:
-            return tangent
-        incr = _increment_power(_rk4_increment(jacs, np.eye(6), step), repeats)
-        return tangent + incr.dot(tangent)
-
     half, sixth = 0.5 * step, step / 6.0
+    pack = struct.Struct("5d").pack
     states = np.empty((n_steps // stride + 2, 6))
     states[0] = x, y, z, vx, vy, vz
     ts = [0.0]
-    truncated = False
+    truncated = fixed = False
     for i in range(n_steps):
-        ax1, ay1, az1 = _accel(y, z, vx, vy, vz)
-        s2 = (x + half * vx, y + half * vy, z + half * vz,
-              vx + half * ax1, vy + half * ay1, vz + half * az1)
-        ax2, ay2, az2 = _accel(*s2[1:])
-        s3 = (x + half * s2[3], y + half * s2[4], z + half * s2[5],
-              vx + half * ax2, vy + half * ay2, vz + half * az2)
-        ax3, ay3, az3 = _accel(*s3[1:])
-        s4 = (x + step * s3[3], y + step * s3[4], z + step * s3[5],
-              vx + step * ax3, vy + step * ay3, vz + step * az3)
-        ax4, ay4, az4 = _accel(*s4[1:])
-        if tangent is not None:
-            # spelled out: a starred call builds a 20-tuple per step, and
-            # CPython's tuple free list keeps up to 2000 of them (0.4 MB)
-            key = pack(y, z, vx, vy, vz, s2[1], s2[2], s2[3], s2[4], s2[5],
-                       s3[1], s3[2], s3[3], s3[4], s3[5],
-                       s4[1], s4[2], s4[3], s4[4], s4[5])
-            if key == last_key:
-                repeats += 1
-            else:
-                tangent = apply_repeats(tangent)
-                last_key, repeats = key, 0
+        if fixed:
+            x += dx
+        else:
+            ax1, ay1, az1 = _accel(y, z, vx, vy, vz)
+            s2 = (x + half * vx, y + half * vy, z + half * vz,
+                  vx + half * ax1, vy + half * ay1, vz + half * az1)
+            ax2, ay2, az2 = _accel(*s2[1:])
+            s3 = (x + half * s2[3], y + half * s2[4], z + half * s2[5],
+                  vx + half * ax2, vy + half * ay2, vz + half * az2)
+            ax3, ay3, az3 = _accel(*s3[1:])
+            s4 = (x + step * s3[3], y + step * s3[4], z + step * s3[5],
+                  vx + step * ax3, vy + step * ay3, vz + step * az3)
+            ax4, ay4, az4 = _accel(*s4[1:])
+            if tangent is not None:
                 jacs = (geodesic_jacobian((x, y, z, vx, vy, vz)),
                         geodesic_jacobian(s2), geodesic_jacobian(s3),
                         geodesic_jacobian(s4))
                 tangent = tangent + _rk4_increment(jacs, tangent, step)
-        x += sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
-        y += sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])
-        z += sixth * (vz + 2 * s2[5] + 2 * s3[5] + s4[5])
-        vx += sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
-        vy += sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
-        vz += sixth * (az1 + 2 * az2 + 2 * az3 + az4)
-        truncated = abs(y) > DOMAIN_BOUND or abs(z) > DOMAIN_BOUND
+            dx = sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
+            x += dx
+            y1 = y + sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])
+            z1 = z + sixth * (vz + 2 * s2[5] + 2 * s3[5] + s4[5])
+            vx1 = vx + sixth * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
+            vy1 = vy + sixth * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
+            vz1 = vz + sixth * (az1 + 2 * az2 + 2 * az3 + az4)
+            truncated = abs(y1) > DOMAIN_BOUND or abs(z1) > DOMAIN_BOUND
+            # == short-circuits on a moving state; the bytes tell 0.0 from -0.0
+            fixed = (not truncated and y1 == y and z1 == z and vx1 == vx
+                     and vy1 == vy and vz1 == vz
+                     and pack(y1, z1, vx1, vy1, vz1) == pack(y, z, vx, vy, vz))
+            y, z, vx, vy, vz = y1, z1, vx1, vy1, vz1
+            if fixed and tangent is not None and i + 1 < n_steps:
+                incr = _increment_power(_rk4_increment(jacs, np.eye(6), step),
+                                        n_steps - 1 - i)
+                tangent = tangent + incr.dot(tangent)
         if truncated or (i + 1) % stride == 0 or i == n_steps - 1:
             states[len(ts)] = x, y, z, vx, vy, vz
             ts.append((i + 1) * step)
         if truncated:
             break
-    if tangent is not None:
-        tangent = apply_repeats(tangent)
     states = states[:len(ts)]
     traj = Trajectory(t=np.array(ts), states=states,
                       energy=WarpedMetric.energy(states), truncated=truncated)

@@ -31,8 +31,8 @@ def matrix_to_json_text(mat: np.ndarray) -> str:
 
 
 class MatrixFileError(ValueError):
-    """A matrix file that is not an object with an integer dim and a
-    dim x dim array of finite numbers in rows."""
+    """A matrix file that cannot be read, or is not an object with a positive
+    even integer dim and a dim x dim array of finite numbers in rows."""
 
 
 def matrix_from_json(text: str) -> np.ndarray:
@@ -47,8 +47,8 @@ def matrix_from_json(text: str) -> np.ndarray:
     if unknown:
         raise MatrixFileError(f"unknown matrix-file keys: {sorted(unknown)}")
     dim, rows = doc.get("dim"), doc.get("rows")
-    if type(dim) is not int or dim <= 0:
-        raise MatrixFileError(f"matrix-file dim must be a positive integer, got {dim!r}")
+    if type(dim) is not int or dim <= 0 or dim % 2:
+        raise MatrixFileError(f"matrix dim must be a positive even integer, got {dim!r}")
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
             and len({len(r) for r in rows} | {len(rows)}) == 1):
         raise MatrixFileError("matrix rows must form a square array")
@@ -64,7 +64,10 @@ def write_matrix(path, mat) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    return matrix_from_json(Path(path).read_text())
+    try:
+        return matrix_from_json(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise MatrixFileError(f"matrix file {path} cannot be read: {exc.strerror}")
 
 
 def write_csv(path, header, rows) -> None:

@@ -60,6 +60,9 @@ MALFORMED_MATRICES = {
     "ragged_rows": '{"dim": 2, "rows": [[1, 0], [0]]}',
     "float_dim": '{"dim": 2.0, "rows": [[1, 0], [0, 1]]}',
     "bool_entry": '{"dim": 2, "rows": [[true, 0], [0, 1]]}',
+    "odd_dim": '{"dim": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+    "zero_dim": '{"dim": 0, "rows": []}',
+    "negative_dim": '{"dim": -2, "rows": [[1, 0], [0, 1]]}',
 }
 
 
@@ -78,6 +81,28 @@ def test_malformed_matrix_file_exits_config(tmp_path, capsys, command, text):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: matrix") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "contract", "ladder", "geodesic",
+                                     "positivity", "positivity_matrix"])
+def test_directory_path_exits_config(tmp_path, capsys, command):
+    # a matrix file or config path that names a directory cannot be read
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    if command == "classify":
+        argv = ["classify", folder, "--out", out]
+    elif command == "positivity_matrix":
+        cfg = write_config(tmp_path / "p.json", {"matrix_file": str(folder)})
+        argv = ["positivity", "--config", cfg, "--out", out, "--seed", 1]
+    else:
+        argv = [command, "--config", folder, "--out", out]
+        if command == "positivity":
+            argv += ["--seed", 1]
+    assert run(argv) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,10 @@ def _assert_same(got, want):
 
 
 # tangent oracle per case: None (no tangent block), "loop" (numpy_rk4) or
-# "propagator" (rk4_propagator: on a base orbit every step applies the same
-# map, and the numpy loop's own accumulated rounding exceeds the bound)
+# "propagator" (rk4_propagator: at a fixed point of the transverse flow
+# every step applies the same map, and the numpy loop's own accumulated
+# rounding exceeds the bound); a state at rest outside the domain must
+# truncate after its first step, like the oracle
 @pytest.mark.parametrize("state0, t_final, step, stride, tangent, truncates", [
     ([0.0, 0.01, 0.05, 1.0, 0.0, 0.0], 0.5, 1e-4, 100, None, False),
     ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, "loop", False),
@@ -275,9 +277,17 @@ def _assert_same(got, want):
      False),
     ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "propagator",
      False),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10, "propagator",
+     False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 7, None, False),
+    ([0.0, 0.3, 0.2, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, None, False),
+    ([0.0, 0.3, 0.2, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "propagator", False),
     ([0.0, 2.5, 0.0, 3.0, 4.0, 0.0], 50.0, 1e-3, 100, None, True),
+    ([0.0, 11.0, 0.5, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, None, True),
+    ([0.0, 0.5, -12.0, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "loop", True),
 ], ids=["free", "free_tangent", "orbit_0", "orbit_0_step1e-4", "orbit_+half",
-        "orbit_-half", "truncated"])
+        "orbit_-half", "orbit_+half_stride10", "orbit_0_stride7", "rest",
+        "rest_tangent", "truncated", "rest_outside", "rest_outside_tangent"])
 def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
                                       truncates):
     tangent0 = None if tangent is None else np.eye(6)
@@ -324,10 +334,10 @@ def test_increment_power_matches_mpmath(n):
 ], ids=["orbit_0", "orbit_0_twice", "orbit_+half", "free_tangent", "free"])
 def test_integrate_rebuilds_jacobian_only_when_inputs_change(
         monkeypatch, state0, t_final, tangent, calls):
-    # on a base orbit every step after the first repeats the stage inputs
-    # of the one before and is squared, not taken, so the run builds only
-    # the four stage Jacobians of its first step, however long it is; off
-    # it every step is taken stage-wise
+    # a base orbit is a fixed point of the transverse flow: its first step
+    # is taken stage-wise and the rest are applied by squaring, so the run
+    # builds only the four stage Jacobians of that step, however long it
+    # is; off it every step is taken stage-wise
     count = []
 
     def counting_jacobian(state):
@@ -338,6 +348,35 @@ def test_integrate_rebuilds_jacobian_only_when_inputs_change(
     integrate(np.array(state0), t_final, step=1e-3, stride=10,
               tangent0=np.eye(6) if tangent else None)
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("state0, t_final, tangent, calls", [
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 4),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 4),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, False, 4),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, False, 4),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 4),
+    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, False, 4),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, False, 4 * 1000),
+], ids=["orbit_0_tangent", "orbit_0_twice_tangent", "orbit_0", "orbit_0_twice",
+        "orbit_+half_tangent", "orbit_-half", "free"])
+def test_integrate_stops_stepping_at_a_fixed_point(monkeypatch, state0, t_final,
+                                                   tangent, calls):
+    # a base orbit leaves (y, z, vx, vy, vz) bitwise unchanged after its
+    # first step, so only that step evaluates the four RK4 stages; a moving
+    # state evaluates them every step
+    count = []
+    accel = geodesic._accel
+
+    def counting_accel(*args):
+        count.append(1)
+        return accel(*args)
+
+    monkeypatch.setattr(geodesic, "_accel", counting_accel)
+    traj, _ = integrate(np.array(state0), t_final, step=1e-3, stride=10,
+                        tangent0=np.eye(6) if tangent else None)
+    assert len(count) == calls
+    assert traj.t[-1] == pytest.approx(t_final)
 
 
 # ---------------------------------------------------------------------------

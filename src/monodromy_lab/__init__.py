@@ -11,7 +11,6 @@ from .symplectic import (
     UnsupportedSpectrumError,
     build_quadratic_hamiltonian,
     classify_spectrum,
-    nonresonance_check,
     polar_decompose,
     random_symplectic,
     standard_form,

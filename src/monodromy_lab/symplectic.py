@@ -22,7 +22,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 import numpy as np
 
@@ -32,10 +31,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
-
-# lattice points one enumeration may visit (nonresonance scan, quasimode
-# ladders); checked before the enumeration starts
-MAX_LATTICE_POINTS = 10 ** 7
 
 KIND_COMPLEX_HYPERBOLIC = "complex-hyperbolic"
 KIND_REAL_POSITIVE = "real-positive"
@@ -596,57 +591,6 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
             f"relative error {err:.3e} > {tol_factor:.1e}"
         )
     return cls
-
-
-# ---------------------------------------------------------------------------
-# Nonresonance scan
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonresonanceVerdict:
-    kind: str                 # "resonant" or "independent"
-    witness: tuple = ()       # integer coefficients when resonant
-    pi_multiple: int = 0      # the integer p with sum c_j alpha_j = p*pi
-    bound: int = 0
-
-    @property
-    def is_resonant(self) -> bool:
-        return self.kind == "resonant"
-
-
-def nonresonance_check(alphas, denominator_bound: int,
-                       tol: float = 1e-9) -> NonresonanceVerdict:
-    """Scan for integer relations sum c_j alpha_j in pi*Z with
-    |c_j| <= denominator_bound.
-
-    Returns a resonant verdict with witness coefficients when a relation is
-    found; otherwise "independent" up to the scanned bound (true
-    independence is not decidable numerically, so the bound is recorded).
-    """
-    alphas = [float(av) for av in alphas]
-    if denominator_bound < 1:
-        raise ValueError("denominator_bound must be >= 1")
-    size = (2 * denominator_bound + 1) ** len(alphas)
-    if size > MAX_LATTICE_POINTS:
-        raise ValueError(f"nonresonance scan of {size:.3g} coefficient vectors "
-                         f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
-    ranges = [range(-denominator_bound, denominator_bound + 1)] * len(alphas)
-    # scan smallest coefficient vectors first so the witness is minimal,
-    # preferring a positive leading nonzero entry
-    candidates = sorted(
-        (c for c in _iter_product(*ranges) if any(c)),
-        key=lambda c: (max(abs(v) for v in c), sum(abs(v) for v in c),
-                       [-v for v in c]),
-    )
-    for coeffs in candidates:
-        total = sum(c * av for c, av in zip(coeffs, alphas))
-        ratio = total / math.pi
-        nearest = round(ratio)
-        scale = max(1.0, sum(abs(c * av) for c, av in zip(coeffs, alphas)) / math.pi)
-        if abs(ratio - nearest) <= tol * scale:
-            return NonresonanceVerdict(kind="resonant", witness=tuple(coeffs),
-                                       pi_multiple=int(nearest), bound=denominator_bound)
-    return NonresonanceVerdict(kind="independent", bound=denominator_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ kernel
                   exp(i (x_i - x_j) xi_l / hbar) dxi dx,
 
 evaluated by one real FFT over the frequency index for every midpoint.
+The midpoint rows are streamed in blocks, each evaluated, transformed and
+scattered into the result, so no N x N temporary is built beside it.
 Real symbols give exactly Hermitian matrices, complex ones go through by
 linearity; symbols independent of xi give diagonal multiplication
 operators.  States are sample vectors u(x_k); inner products carry the
@@ -24,6 +26,9 @@ _EXP_OVERFLOW = 600.0
 # largest grid whose dense N x N operators one run may build; checked when
 # the grid is made, before any allocation
 MAX_GRID_N = 4096
+# midpoint rows quantize evaluates and transforms at a time; at N = 512 one
+# block's symbol values and half spectrum take about 0.5 MiB
+_BLOCK_ROWS = 64
 
 
 class GridError(ValueError):
@@ -99,9 +104,12 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
 
     Notes
     -----
-    One real FFT over the 2N-1 midpoint rows (x_i + x_j)/2 plus one gather
-    of the N^2 entries, O(N^2 log N).  Real symbols give exactly Hermitian
-    matrices; complex symbols go through by linearity, Re and Im apart.
+    One real FFT per midpoint row (x_i + x_j)/2, O(N^2 log N).  The 2N-1
+    rows go in blocks of _BLOCK_ROWS: each block's symbol values are
+    checked, transformed, and their entries gathered into the preallocated
+    result, so memory beyond the result stays O(N * _BLOCK_ROWS).  Real
+    symbols give exactly Hermitian matrices; complex symbols go through by
+    linearity, Re and Im apart.
     """
     n = grid.N
     if xi_support is not None and grid.xi_max < 4.0 * xi_support:
@@ -112,40 +120,55 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
         )
     # midpoints (x_i + x_j)/2 live on the half-step grid of 2N-1 points
     mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
-    vals = np.asarray(symbol(mid[:, None], np.fft.ifftshift(grid.xi)[None, :]))
-    if vals.shape != (2 * n - 1, n):
-        vals = np.broadcast_to(vals, (2 * n - 1, n))
-    if not np.all(np.isfinite(vals)):
-        raise GridError("symbol evaluated to a non-finite value on the grid")
-    mat = _real_kernel(vals.real)
-    if np.iscomplexobj(vals):
-        mat = mat + 1j * _real_kernel(vals.imag)
+    xi = np.fft.ifftshift(grid.xi)[None, :]
+    mat = np.empty((n, n), dtype=complex)
+    flat = mat.reshape(-1)
+    for s0, s1, dest, src, conjugate in _block_gather(n):
+        vals = np.asarray(symbol(mid[s0:s1, None], xi))
+        if vals.shape != (s1 - s0, n):
+            vals = np.broadcast_to(vals, (s1 - s0, n))
+        if not np.all(np.isfinite(vals)):
+            raise GridError("symbol evaluated to a non-finite value on the grid")
+        entries = _real_kernel(vals.real, src, conjugate)
+        if np.iscomplexobj(vals):
+            entries = entries + 1j * _real_kernel(vals.imag, src, conjugate)
+        flat[dest] = entries
     return WeylOperator(grid=grid, matrix=mat, symbol_tag=symbol_tag)
 
 
-def _real_kernel(vals: np.ndarray) -> np.ndarray:
-    """K[i, j] = (1/N) sum_p vals[i + j, p] e^{2 pi i (i - j) p / N} for real
-    vals, frequencies in FFT order (xi_p = pi hbar p / L mod the grid): the
-    Weyl sum, since dxi dx / (2 pi hbar) = 1/N and no parity twist is left."""
+def _real_kernel(vals: np.ndarray, src: np.ndarray,
+                 conjugate: np.ndarray) -> np.ndarray:
+    """Entries K[i, j] = (1/N) sum_p vals[i + j - s0, p] e^{2 pi i (i - j) p / N}
+    of one block of real midpoint rows, frequencies in FFT order (xi_p =
+    pi hbar p / L mod the grid): the Weyl sum, since dxi dx / (2 pi hbar) =
+    1/N and no parity twist is left."""
     half = np.fft.rfft(vals, axis=1, norm="forward")
-    index, conjugate = _gather_index(vals.shape[1])
-    mat = np.take(half, index)
-    np.conjugate(mat, out=mat, where=conjugate)
-    return mat
+    entries = np.take(half, src)
+    np.conjugate(entries, out=entries, where=conjugate)
+    return entries
 
 
 @lru_cache(maxsize=4)
-def _gather_index(n: int):
-    """Flat index of K[i, j] in the (2N-1) x (N/2+1) half spectrum, row i + j
-    and column min(r, N - r) with r = (i - j) mod N, and where to conjugate
-    (r <= N/2); columns 0 and N/2 are real, so K is exactly Hermitian."""
-    i, j = np.ogrid[:n, :n]
-    r = (i - j) % n
-    index = (i + j) * (n // 2 + 1) + np.minimum(r, n - r)
-    conjugate = r <= n // 2
-    for shared in (index, conjugate):
-        shared.setflags(write=False)
-    return index, conjugate
+def _block_gather(n: int) -> tuple:
+    """Per block of midpoint rows s0 <= i + j < s1: the flat destinations
+    i N + j in K (ascending), the flat sources in the block's
+    (s1 - s0) x (N/2+1) half spectrum, row i + j - s0 and column
+    min(r, N - r) with r = (i - j) mod N, and where to conjugate (r <= N/2);
+    columns 0 and N/2 are real, so K is exactly Hermitian."""
+    i = np.arange(n)[:, None]
+    blocks = []
+    for s0 in range(0, 2 * n - 1, _BLOCK_ROWS):
+        s1 = min(s0 + _BLOCK_ROWS, 2 * n - 1)
+        j = np.arange(s0, s1)[None, :] - i
+        inside = (j >= 0) & (j < n)
+        ii, jj = np.broadcast_to(i, j.shape)[inside], j[inside]
+        r = (ii - jj) % n
+        src = (ii + jj - s0) * (n // 2 + 1) + np.minimum(r, n - r)
+        block = (s0, s1, ii * n + jj, src, r <= n // 2)
+        for shared in block[2:]:
+            shared.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def op_exponential(a, t: complex) -> np.ndarray:

@@ -353,6 +353,21 @@ def test_ladder_exact_with_residuals(tmp_path):
     assert summary["count"] == len(lines) - 1
 
 
+def test_ladder_exact_residuals_beyond_any_time_grid(tmp_path):
+    # 77 entries reach |k| = 35; h D_t needs no time grid, so none is refused
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "exact", "alpha": 100, "h": 1e-3, "m_exponent": 1,
+        "c0": 110, "residuals": True,
+    })
+    out = tmp_path / "out"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in
+            (out / "ladder_exact.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 77
+    assert max(abs(int(row[0])) for row in rows) == 35
+    assert all(float(row[-1]) <= 1e-8 for row in rows)
+
+
 def test_ladder_counting_slopes(tmp_path):
     cfg = write_config(tmp_path / "l.json", {
         "mode": "counting", "alpha": 1.0, "m_exponent": 2, "c0": 1.0,

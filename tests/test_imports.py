@@ -60,8 +60,7 @@ KEEP = {
 # reached only by their own tests; each group goes in a later change
 # together with its tests (ROADMAP item 6)
 STAGED = {
-    "symplectic": ("polar_decompose", "symplectic_log", "NonresonanceVerdict",
-                   "nonresonance_check"),
+    "symplectic": ("polar_decompose", "symplectic_log"),
     "escape": ("EscapeDimensionError", "EscapeFunction", "hamiltonian_action",
                "EscapeNormalForm", "UnsupportedShapeError",
                "diagonal_normal_form"),

@@ -252,6 +252,16 @@ def test_residual_detuned():
         assert r == pytest.approx(delta, rel=1e-8)
 
 
+def test_residual_needs_no_time_grid():
+    # h D_t acts on e^{i 2 pi k t} as 2 pi k h for every k: a |k| past any
+    # fixed time grid certifies like k = 0
+    alpha, h = 100.0, 1e-3
+    z = 0.5 * alpha * 3 * h + 2.0 * math.pi * (-33) * h  # k=-33, beta=1
+    assert residual_certify(-33, 1, z, alpha, h, GRID) <= 1e-8
+    assert residual_certify(-33, 1, z + 1e-4, alpha, h, GRID) == pytest.approx(
+        1e-4, rel=1e-8)
+
+
 def test_residual_capacity_refused():
     alpha, h = 1.0, 1e-3
     small = PhaseGrid(L=0.1, N=128, hbar=h)

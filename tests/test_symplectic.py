@@ -1,6 +1,5 @@
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from monodromy_lab.symplectic import (
     UnsupportedSpectrumError,
     build_quadratic_hamiltonian,
     classify_spectrum,
-    nonresonance_check,
     polar_decompose,
     random_symplectic,
     standard_form,
@@ -350,36 +348,6 @@ def test_classify_block_built_property(blocks, angles, seed):
                                  + [("elliptic", 1)] * len(angles))
     for b in cls.blocks:
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * max(1.0, abs(b.mu))
-
-
-# ---------------------------------------------------------------------------
-# nonresonance scan
-# ---------------------------------------------------------------------------
-
-def test_nonresonance_half_pi():
-    verdict = nonresonance_check([math.pi / 2], 4)
-    assert verdict.is_resonant
-    assert verdict.witness == (2,) or verdict.witness == (-2,)
-
-
-def test_nonresonance_unit_angle():
-    verdict = nonresonance_check([1.0], 50)
-    assert verdict.kind == "independent"
-    assert verdict.bound == 50
-
-
-def test_nonresonance_refuses_oversized_scan_fast():
-    started = time.perf_counter()
-    with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
-        nonresonance_check([1.0] * 6, 50)
-    assert time.perf_counter() - started < 1.0
-
-
-def test_nonresonance_integer_combination():
-    verdict = nonresonance_check([1.0, 2.0], 4)
-    assert verdict.is_resonant
-    c1, c2 = verdict.witness
-    assert c1 * 1.0 + c2 * 2.0 == pytest.approx(verdict.pi_multiple * math.pi, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,70 @@ def test_quantize_matches_meshgrid_kernel(n):
         mat = quantize(symbol, grid).matrix
         ref = meshgrid_kernel(symbol, grid)
         assert np.abs(mat - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def one_shot_kernel(symbol, grid: PhaseGrid) -> np.ndarray:
+    """quantize's kernel before it streamed the midpoint rows: all 2N-1 rows
+    evaluated and transformed at once, then one gather of the N^2 entries
+    from the whole half spectrum; reference for the blocked kernel."""
+    n = grid.N
+    mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
+    vals = np.asarray(symbol(mid[:, None], np.fft.ifftshift(grid.xi)[None, :]))
+    if vals.shape != (2 * n - 1, n):
+        vals = np.broadcast_to(vals, (2 * n - 1, n))
+    mat = one_shot_real_kernel(vals.real)
+    if np.iscomplexobj(vals):
+        mat = mat + 1j * one_shot_real_kernel(vals.imag)
+    return mat
+
+
+def one_shot_real_kernel(vals: np.ndarray) -> np.ndarray:
+    n = vals.shape[1]
+    half = np.fft.rfft(vals, axis=1, norm="forward")
+    i, j = np.ogrid[:n, :n]
+    r = (i - j) % n
+    mat = np.take(half, (i + j) * (n // 2 + 1) + np.minimum(r, n - r))
+    np.conjugate(mat, out=mat, where=r <= n // 2)
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 66, 512])
+def test_quantize_matches_one_shot_kernel_bitwise(n):
+    # 2N-1 is never a multiple of the block size here, so the last block
+    # is short; every row gets the same FFT, gather and conjugation
+    grid = PhaseGrid(L=3.0, N=n, hbar=0.07)
+    for symbol in REAL_SYMBOLS + COMPLEX_SYMBOLS:
+        mat = quantize(symbol, grid).matrix
+        ref = one_shot_kernel(symbol, grid)
+        assert np.array_equal(mat.view(np.float64), ref.view(np.float64))
+
+
+@pytest.mark.parametrize("n", [66, 512])
+def test_quantize_rejects_nan_in_last_block(n):
+    grid = PhaseGrid(L=3.0, N=n, hbar=0.07)
+    last_mid = grid.x[-1]  # the midpoint of x_{N-1} with itself
+
+    def symbol(x, xi):
+        return np.where(x > last_mid - grid.dx / 4.0, np.nan, 1.0) + 0.0 * xi
+
+    with pytest.raises(GridError, match="non-finite"):
+        quantize(symbol, grid)
+
+
+def test_quantize_allocates_little_beyond_its_result():
+    # the blocked stream holds one block of symbol values, half spectrum
+    # and gathered entries beside the N x N result; the warm-up call builds
+    # the cached gather indices, which later calls reuse
+    grid = PhaseGrid(L=1.0, N=512, hbar=1e-3)
+    rotation_generator(1.0, grid)
+    tracemalloc.start()
+    try:
+        q = rotation_generator(1.0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.nbytes == 4 * 2 ** 20
+    assert peak <= q.nbytes + 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [2, 4, 64, 256, 512])

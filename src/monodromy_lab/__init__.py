@@ -11,11 +11,9 @@ from .symplectic import (
     UnsupportedSpectrumError,
     build_quadratic_hamiltonian,
     classify_spectrum,
-    polar_decompose,
     random_symplectic,
     standard_form,
     symplectic_defect,
-    symplectic_log,
 )
 from .escape import (
     EscapeFunction,

@@ -167,9 +167,12 @@ def cmd_contract(args) -> int:
         raise ConfigError("h_values must be positive and at most hbar_tilde")
     grid = _grid_from(doc.get("grid"), 16.0, 512, hbar_tilde)
     gap_grid = _grid_from(doc.get("gap_grid"), 48.0, 512, hbar_tilde)
-    rows = contraction_sweep(h_values, lam=float(doc.get("lam", 1.0)),
-                             s=float(doc.get("s", 0.3)),
-                             hbar_tilde=hbar_tilde, grid=grid, gap_grid=gap_grid)
+    try:
+        rows = contraction_sweep(h_values, lam=float(doc.get("lam", 1.0)),
+                                 s=float(doc.get("s", 0.3)), hbar_tilde=hbar_tilde,
+                                 grid=grid, gap_grid=gap_grid)
+    except GridError as exc:  # a grid too small for the microlocal subspace
+        raise ConfigError(f"grid: {exc}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "contraction.csv"

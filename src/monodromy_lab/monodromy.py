@@ -8,25 +8,33 @@ unitarity into a strict contraction on states concentrated near the
 origin; this module measures that contraction rate, and per h the gap
 min Re<(I - M)u, u> on states microlocalized in the h-calculus.  (x xi)^w
 generates dilations, so the gap is the same for every h up to grid
-resolution.  The elliptic model enters through its quantized rotation
-generator (alpha/2)(x^2 + xi^2), whose eigenvectors are the Hermite
-functions; the ladder residuals are measured against it.
+resolution.
+
+The microlocalized states are the range of the Gaussian cutoff
+A = g_x(x) g_xi(hbar D) with widths (a, b).  A A^T has the Mehler kernel
+exp(-alpha (x^2 + y^2) + 2 beta x y), beta = b^2 / (4 hbar^2),
+alpha = 1 / (2 a^2) + beta, so A has singular values sigma_0 q^(n/2),
+q = beta / (alpha + sqrt(alpha^2 - beta^2)), on the Hermite functions
+phi_n(sqrt(gamma) x) at scale gamma = 2 sqrt(alpha^2 - beta^2).  The
+range at tolerance tau is spanned by the first floor(2 ln tau / ln q) + 1
+of them; the basis is read off a thin N x n factor of sampled Hermite
+functions, never off the dense N x N cutoff.
+
+The elliptic model enters through its quantized rotation generator
+(alpha/2)(x^2 + xi^2), whose eigenvectors are the Hermite functions; the
+ladder residuals are measured against it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import (
-    PhaseGrid,
-    cutoff_range,
-    microlocal_cutoff,
-    op_exponential,
-    quantize,
-)
+from .quasimode import hermite_rows
+from .weyl import GridError, PhaseGrid, cutoff_range, op_exponential, quantize
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,29 @@ def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
                      width_xi: float | None = None,
                      sv_tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the microlocalized subspace: the numerical
-    range of the Gaussian phase-space cutoff."""
-    return cutoff_range(microlocal_cutoff(grid, width_x, width_xi), sv_tol=sv_tol)
+    range of the Gaussian cutoff g_x(x) g_xi(hbar D) with widths
+    (width_x, width_xi), at relative singular-value tolerance sv_tol.
+
+    The range is taken from the N x n Mehler factor whose column k is the
+    Hermite function phi_k(sqrt(gamma) x) scaled by q^(k/2) (see the
+    module notes for alpha, beta, q and gamma).  n = floor(2 ln sv_tol /
+    ln q) + 3 is the rank plus two spare columns; a grid with fewer than n
+    points cannot hold the subspace and is refused with GridError before
+    anything is allocated.
+    """
+    if width_xi is None:
+        width_xi = width_x
+    beta = width_xi ** 2 / (4.0 * grid.hbar ** 2)
+    alpha = 1.0 / (2.0 * width_x ** 2) + beta
+    root = math.sqrt(alpha ** 2 - beta ** 2)
+    q = beta / (alpha + root)
+    n = math.floor(2.0 * math.log(sv_tol) / math.log(q)) + 3
+    if n > grid.N:
+        raise GridError(f"the microlocal subspace needs {n} Hermite modes, "
+                        f"more than the N = {grid.N} grid points hold")
+    rows = itertools.islice(hermite_rows(math.sqrt(2.0 * root) * grid.x), n)
+    factor = np.array(list(rows)).T * q ** (0.5 * np.arange(n))
+    return cutoff_range(factor, sv_tol=sv_tol)
 
 
 def restricted_norm(image: np.ndarray) -> float:
@@ -128,35 +157,44 @@ def restricted_gap(m: np.ndarray, basis: np.ndarray) -> float:
 def conjugated_contraction(p: ModelParams) -> tuple[float, float]:
     """Weight-conjugated contraction of the hyperbolic model monodromy.
 
-    Builds M and the weight exponentials exp(+-s G^w), and applies the
-    conjugated map Mtilde = exp(-s G^w) M exp(+s G^w) factor by factor to
-    the N x r basis of the microlocalized subspace (the N x N Mtilde is
-    never formed).  Returns the restricted norm r of Mtilde there and the
-    unitarity defect of M.  r < 1 is the contraction; at s = 0 the map
-    stays unitary and r = 1.
+    Builds the N x r basis of the microlocalized subspace first, so a grid
+    that cannot hold it is refused before any factorization.  Then builds
+    M and the weight exponentials exp(+-s G^w), and applies the conjugated
+    map Mtilde = exp(-s G^w) M exp(+s G^w) factor by factor to the basis
+    (the N x N Mtilde is never formed).  Returns the restricted norm r of
+    Mtilde there and the unitarity defect of M.  r < 1 is the contraction;
+    at s = 0 the map stays unitary and r = 1.
     """
+    basis = microlocal_basis(p.grid)
     m = build_hyperbolic_monodromy(p)
     defect = unitarity_defect(m)
     gw = escape_weight(p)
     w_minus = op_exponential(gw, -p.s)
     w_plus = op_exponential(gw, +p.s)
-    basis = microlocal_basis(p.grid)
     return restricted_norm(w_minus @ (m @ (w_plus @ basis))), defect
 
 
-def unconjugated_gap(p: ModelParams, m: np.ndarray):
-    """Gap of the unconjugated monodromy M on h-microlocalized states.
+def gap_basis(p: ModelParams) -> np.ndarray:
+    """Basis of the states microlocalized in the h-calculus at p.h.
 
     States with unit phase-space concentration in the h-calculus transport
     under the zoom to position width sqrt(hbar_tilde/h) and momentum width
-    sqrt(h/hbar_tilde) on the rescaled grid; the gap is the smallest
-    restricted eigenvalue of Herm(I - M) on that subspace.  The position
-    width is capped at L/4 so the cutoff tails stay inside the window.
-    Returns (gap, subspace rank).
+    sqrt(h/hbar_tilde) on the rescaled grid.  The position width is capped
+    at L/4 so the cutoff tails stay inside the window.
     """
     wx = min(math.sqrt(p.hbar_tilde / p.h), p.grid.L / 4.0)
     wxi = 1.0 / math.sqrt(p.hbar_tilde / p.h)
-    basis = microlocal_basis(p.grid, width_x=wx, width_xi=wxi, sv_tol=1e-4)
+    return microlocal_basis(p.grid, width_x=wx, width_xi=wxi, sv_tol=1e-4)
+
+
+def unconjugated_gap(p: ModelParams, m: np.ndarray,
+                     basis: np.ndarray | None = None):
+    """Gap of the unconjugated monodromy M on h-microlocalized states: the
+    smallest restricted eigenvalue of Herm(I - M) on gap_basis(p), unless
+    a basis is given.  Returns (gap, subspace rank).
+    """
+    if basis is None:
+        basis = gap_basis(p)
     return restricted_gap(m, basis), basis.shape[1]
 
 
@@ -164,23 +202,26 @@ def contraction_sweep(h_values, lam: float, s: float, hbar_tilde: float,
                       grid: PhaseGrid, gap_grid: PhaseGrid) -> list:
     """One MonodromyResult per h: the conjugated norm and unitarity defect
     on `grid`, and the unconjugated gap and its subspace rank at that h on
-    `gap_grid`."""
-    h_values = [float(h) for h in h_values]
+    `gap_grid`.
+
+    The gap bases are built first and conjugated_contraction builds its
+    basis before it factorizes: bases are cheap, and a grid that cannot
+    hold one is refused with GridError before any N x N factorization.
+    """
+    params = [ModelParams(lam=lam, h=float(h), hbar_tilde=hbar_tilde, s=s,
+                          grid=gap_grid) for h in h_values]
+    gap_bases = [gap_basis(p) for p in params]
     # the rescaled stretch generator is the same matrix for every h (the
     # quantization parameter cancels in the model), so the conjugated norm
     # and the gap-grid monodromy are computed once
     r, defect = conjugated_contraction(
-        ModelParams(lam=lam, h=h_values[0], hbar_tilde=hbar_tilde, s=s, grid=grid)
-    )
-    m_gap = build_hyperbolic_monodromy(
-        ModelParams(lam=lam, h=h_values[0], hbar_tilde=hbar_tilde, s=s, grid=gap_grid)
-    )
+        ModelParams(lam=lam, h=params[0].h, hbar_tilde=hbar_tilde, s=s, grid=grid))
+    m_gap = build_hyperbolic_monodromy(params[0])
     results = []
-    for h in h_values:
-        p_gap = ModelParams(lam=lam, h=h, hbar_tilde=hbar_tilde, s=s, grid=gap_grid)
-        gap_val, rank = unconjugated_gap(p_gap, m_gap)
+    for p_gap, b in zip(params, gap_bases):
+        gap_val, rank = unconjugated_gap(p_gap, m_gap, b)
         results.append(MonodromyResult(
-            h=h, hbar_tilde=hbar_tilde, s=s, norm_conjugated=r,
+            h=p_gap.h, hbar_tilde=hbar_tilde, s=s, norm_conjugated=r,
             unitarity_defect=defect, gap_value=gap_val, subspace_rank=rank,
         ))
     return results

@@ -17,6 +17,7 @@ entries are certified by the residual of their quasimode on a product grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,19 +52,24 @@ class GridCapacityError(ValueError):
 # Hermite modes
 # ---------------------------------------------------------------------------
 
-def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
-    """Normalized Hermite functions phi_beta(y) = H_beta(y) e^{-y^2/2} /
-    sqrt(2^beta beta! sqrt(pi)) via the stable three-term recurrence."""
+def hermite_rows(y: np.ndarray):
+    """Yield the normalized Hermite functions phi_0(y), phi_1(y), ... with
+    phi_k(y) = H_k(y) e^{-y^2/2} / sqrt(2^k k! sqrt(pi)), by the stable
+    three-term recurrence; two rows are held at a time."""
     phi_prev = np.pi ** -0.25 * np.exp(-y ** 2 / 2.0)
-    if beta == 0:
-        return phi_prev
+    yield phi_prev
     phi = math.sqrt(2.0) * y * phi_prev
-    for k in range(1, beta):
+    for k in itertools.count(1):
+        yield phi
         phi, phi_prev = (
             math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev,
             phi,
         )
-    return phi
+
+
+def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
+    """The Hermite function phi_beta(y), row beta of hermite_rows(y)."""
+    return next(itertools.islice(hermite_rows(y), beta, None))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Symplectic linear algebra: polar factors, matrix logarithms, spectral
-classification of linearized return maps into the real factorization
-exp(-J F) exp(B), and the quadratic generators of its two factors.
+"""Symplectic linear algebra: spectral classification of linearized
+return maps into the real factorization exp(-J F) exp(B), and the
+quadratic generators of its two factors.
 
 Conventions
 -----------
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,6 @@ import numpy as np
 
 # expm is imported inside the functions that run it: scipy.linalg costs
 # 0.3 s and 27 MiB of start-up that contract, ladder and geodesic never use
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 
@@ -100,70 +97,6 @@ def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 1.0) ->
     m = rng.uniform(-1.0, 1.0, size=(dim, dim))
     gen = standard_form(dim) @ (0.5 * (m + m.T))
     return SymplecticMatrix.from_array(expm(scale * gen), tol=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# Polar decomposition and logarithm of positive-definite symplectic matrices
-# ---------------------------------------------------------------------------
-
-def polar_decompose(k: SymplecticMatrix):
-    """Factor K = Q P with Q orthogonal symplectic and P symmetric
-    positive-definite symplectic.
-
-    Parameters
-    ----------
-    k : SymplecticMatrix
-
-    Returns
-    -------
-    (Q, P) : pair of SymplecticMatrix
-        ``Q.entries @ P.entries`` reconstructs K to 1e-10.
-    """
-    a = k.entries
-    gram = a.T @ a
-    gram = 0.5 * (gram + gram.T)
-    evals, vecs = np.linalg.eigh(gram)
-    if evals.min() <= 0:
-        raise SymplecticError("K^T K is not positive definite; input badly conditioned")
-    sq = np.sqrt(evals)
-    cond = float(sq.max() / sq.min())
-    if cond > 1e12:
-        logger.warning("polar_decompose: near-singular input, cond(P) = %.3e", cond)
-    p = (vecs * sq) @ vecs.T
-    p_inv = (vecs / sq) @ vecs.T
-    q = a @ p_inv
-    q_mat = SymplecticMatrix.from_array(q, tol=1e-8)
-    p_mat = SymplecticMatrix.from_array(p, tol=1e-8)
-    resid = np.linalg.norm(q @ p - a)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(a)):
-        raise SymplecticError(f"polar reconstruction failed: residual {resid:.3e}")
-    return q_mat, p_mat
-
-
-def symplectic_log(a: SymplecticMatrix, tol: float = 1e-8) -> np.ndarray:
-    """Real symmetric logarithm of a symmetric positive-definite symplectic
-    matrix.  The result B satisfies exp(B) = A and B^T J + J B = 0; the
-    eigenvalue logs inherit the pairing log(1/mu) = -log(mu) from the
-    (mu, 1/mu) spectrum of A.
-    """
-    mat = a.entries
-    if np.linalg.norm(mat - mat.T) > tol * max(1.0, np.linalg.norm(mat)):
-        raise SymplecticError("symplectic_log requires a symmetric matrix")
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals.min() <= 0:
-        raise SymplecticError(
-            f"symplectic_log requires positive-definite input; min eigenvalue {evals.min():.3e}"
-        )
-    cond = float(evals.max() / evals.min())
-    if cond > 1e12:
-        logger.warning("symplectic_log: ill-conditioned input, cond(A) = %.3e", cond)
-    b = (vecs * np.log(evals)) @ vecs.T
-    b = 0.5 * (b + b.T)
-    j = standard_form(a.dim)
-    defect = np.linalg.norm(b.T @ j + j @ b)
-    if defect > tol * max(1.0, np.linalg.norm(b)):
-        raise SymplecticError(f"logarithm left the symplectic Lie algebra: defect {defect:.3e}")
-    return b
 
 
 # ---------------------------------------------------------------------------

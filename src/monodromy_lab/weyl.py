@@ -192,9 +192,10 @@ def op_exponential(a, t: complex) -> np.ndarray:
 
 def microlocal_cutoff(grid: PhaseGrid, width_x: float = 1.0,
                       width_xi: float | None = None) -> np.ndarray:
-    """Phase-space cutoff onto states concentrated near the origin:
-    a Gaussian envelope in position composed with its Fourier twin in
-    momentum.  Leakage outside the window is exponentially small."""
+    """Dense N x N phase-space cutoff onto states concentrated near the
+    origin: a Gaussian envelope in position composed with its Fourier twin
+    in momentum.  Runs use its closed-form range (monodromy's
+    microlocal_basis); this matrix is kept as the dense reference."""
     if width_xi is None:
         width_xi = width_x
     gx = np.exp(-grid.x ** 2 / (2.0 * width_x ** 2))
@@ -206,9 +207,10 @@ def microlocal_cutoff(grid: PhaseGrid, width_x: float = 1.0,
 
 
 def cutoff_range(cutoff: np.ndarray, sv_tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical range of a cutoff:
-    left singular vectors with sigma >= sv_tol * sigma_max."""
-    u, s, _ = np.linalg.svd(cutoff)
+    """Orthonormal basis (columns) of the numerical range of a cutoff, or
+    of any N x k factor F of it (F F^T = A A^T up to scale): left singular
+    vectors with sigma >= sv_tol * sigma_max, from one thin SVD."""
+    u, s, _ = np.linalg.svd(cutoff, full_matrices=False)
     if s[0] == 0.0:
         raise ValueError("cutoff is identically zero")
     rank = int(np.sum(s >= sv_tol * s[0]))

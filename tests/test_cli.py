@@ -284,7 +284,7 @@ def test_contract_version_in_manifest(tmp_path):
 
     cfg = write_config(tmp_path / "c.json", {
         "s": 0.0, "h_values": [0.01],
-        "grid": {"L": 16.0, "N": 64}, "gap_grid": {"L": 24.0, "N": 64},
+        "grid": {"L": 16.0, "N": 128}, "gap_grid": {"L": 24.0, "N": 128},
     })
     out = tmp_path / "out"
     assert run(["contract", "--config", cfg, "--out", out]) == 0
@@ -331,6 +331,22 @@ def test_contract_bad_config_exits_config(tmp_path, doc):
     # refused before any N x N allocation and before the output exists
     assert time.perf_counter() - started < 1.0
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"h_values": [0.1], "grid": {"N": 2}},
+    {"h_values": [0.001], "hbar_tilde": 0.001, "grid": {"N": 128},
+     "gap_grid": {"N": 128}},
+], ids=["two_point_grid", "small_hbar_tilde"])
+def test_contract_refuses_grid_smaller_than_subspace(tmp_path, doc, capsys):
+    # the default 72-mode subspace does not fit on 2 points, and at
+    # hbar_tilde = 1e-3 each subspace needs thousands of Hermite modes
+    cfg = write_config(tmp_path / "c.json", doc)
+    started = time.perf_counter()
+    assert run(["contract", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "o").exists()
+    assert "Hermite modes" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,13 @@ KEEP = {
         "perfbench/workloads.py writes the normal-forms matrices with it",
     ("geodesic", "geodesic_rhs"):
         "array form of _accel; the flow and metric tests go through it",
+    ("weyl", "microlocal_cutoff"):
+        "perfbench/worker.py's probe times it; the dense oracle of microlocal_basis",
 }
 
 # reached only by their own tests; each group goes in a later change
 # together with its tests (ROADMAP item 6)
 STAGED = {
-    "symplectic": ("polar_decompose", "symplectic_log"),
     "escape": ("EscapeDimensionError", "EscapeFunction", "hamiltonian_action",
                "EscapeNormalForm", "UnsupportedShapeError",
                "diagonal_normal_form"),
@@ -203,8 +204,8 @@ def config(name, doc):
 
 cold = [
     ["contract", "--config", config("contract", {
-        "h_values": [0.01], "grid": {"L": 16.0, "N": 64},
-        "gap_grid": {"L": 24.0, "N": 64}})],
+        "h_values": [0.01], "grid": {"L": 16.0, "N": 128},
+        "gap_grid": {"L": 24.0, "N": 128}})],
     ["ladder", "--config", config("ladder", {
         "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
         "grid": {"L": 1.5, "N": 64}})],

@@ -9,14 +9,23 @@ from monodromy_lab.monodromy import (
     conjugated_contraction,
     contraction_sweep,
     escape_weight,
+    gap_basis,
     microlocal_basis,
+    restricted_gap,
     restricted_norm,
     rotation_generator,
     unconjugated_gap,
     unitarity_defect,
 )
-from monodromy_lab.quasimode import hermite_mode
-from monodromy_lab.weyl import PhaseGrid, op_exponential, quantize
+from monodromy_lab.quasimode import hermite_mode, hermite_rows, hermite_values
+from monodromy_lab.weyl import (
+    GridError,
+    PhaseGrid,
+    cutoff_range,
+    microlocal_cutoff,
+    op_exponential,
+    quantize,
+)
 
 HT = 0.2
 GRID = PhaseGrid(L=16.0, N=512, hbar=HT)
@@ -192,6 +201,94 @@ def test_contraction_sweep_constant_rate_and_gap_fit():
     assert max(rs) - min(rs) <= 1e-12
     assert [row.h for row in rows] == hs
     assert all(row.gap_value > 0 and row.subspace_rank > 0 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# closed-form (Mehler) microlocal basis against the dense cutoff
+# ---------------------------------------------------------------------------
+
+GAP_GRID = PhaseGrid(L=48.0, N=512, hbar=HT)
+
+
+def mehler_rank(hbar, width_x, width_xi, tol):
+    """floor(2 ln tol / ln q) + 1 from the Mehler kernel of the cutoff."""
+    beta = width_xi ** 2 / (4.0 * hbar ** 2)
+    alpha = 1.0 / (2.0 * width_x ** 2) + beta
+    q = beta / (alpha + math.sqrt(alpha ** 2 - beta ** 2))
+    return math.floor(2.0 * math.log(tol) / math.log(q)) + 1
+
+
+def principal_cosine_defect(a, b):
+    """1 - the smallest principal cosine between two orthonormal bases."""
+    return 1.0 - np.linalg.svd(a.conj().T @ b, compute_uv=False)[-1]
+
+
+def test_mehler_basis_matches_dense_cutoff_range():
+    dense = cutoff_range(microlocal_cutoff(GRID), sv_tol=1e-6)
+    basis = microlocal_basis(GRID)
+    assert basis.shape == dense.shape == (GRID.N, 70)
+    assert principal_cosine_defect(dense, basis) <= 1e-12
+    p = model()
+    gw = escape_weight(p)
+    m_tilde = op_exponential(gw, -p.s) @ build_hyperbolic_monodromy(p) @ op_exponential(gw, p.s)
+    r, _ = conjugated_contraction(p)
+    assert r == pytest.approx(restricted_norm(m_tilde @ basis), rel=1e-13)
+    assert r == pytest.approx(restricted_norm(m_tilde @ dense), rel=1e-13)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+def test_mehler_gap_basis_matches_dense_cutoff_range(h):
+    p = ModelParams(lam=1.0, h=h, hbar_tilde=HT, s=0.3, grid=GAP_GRID)
+    wx, wxi = math.sqrt(HT / h), math.sqrt(h / HT)
+    dense = cutoff_range(microlocal_cutoff(GAP_GRID, wx, wxi), sv_tol=1e-4)
+    basis = gap_basis(p)
+    assert basis.shape == dense.shape == (GAP_GRID.N, 47)
+    assert principal_cosine_defect(dense, basis) <= 1e-12
+    m = build_hyperbolic_monodromy(p)
+    assert restricted_gap(m, basis) == pytest.approx(restricted_gap(m, dense),
+                                                     rel=1e-13)
+
+
+@pytest.mark.parametrize("hbar, width_x, width_xi, tol", [
+    (0.2, 1.0, 1.0, 1e-6), (0.2, 2.0, 0.5, 1e-4), (0.4, 1.0, 1.0, 1e-6),
+    (0.1, 1.0, 1.0, 1e-3), (0.3, 1.0, 0.5, 1e-8)])
+def test_mehler_mode_count_is_rank_plus_two(hbar, width_x, width_xi, tol):
+    # each case is resolved on the 512-point grid: the dense cutoff has
+    # the same rank there
+    rank = mehler_rank(hbar, width_x, width_xi, tol)
+    grid = PhaseGrid(L=16.0, N=512, hbar=hbar)
+    assert microlocal_basis(grid, width_x, width_xi, tol).shape[1] == rank
+    # n = rank + 2 sampled modes: a grid of n points is taken, one point
+    # fewer is refused before any allocation (N is even, so step by 2)
+    n = rank + 2
+    small = PhaseGrid(L=16.0, N=n + n % 2, hbar=hbar)
+    microlocal_basis(small, width_x, width_xi, tol)
+    with pytest.raises(GridError, match=f"needs {n} Hermite modes"):
+        microlocal_basis(PhaseGrid(L=16.0, N=n - 1 - (n - 1) % 2, hbar=hbar),
+                         width_x, width_xi, tol)
+
+
+def two_row_hermite(beta, y):
+    """The two-row Hermite recurrence hermite_rows replaced."""
+    phi_prev = np.pi ** -0.25 * np.exp(-y ** 2 / 2.0)
+    if beta == 0:
+        return phi_prev
+    phi = math.sqrt(2.0) * y * phi_prev
+    for k in range(1, beta):
+        phi, phi_prev = (
+            math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev,
+            phi,
+        )
+    return phi
+
+
+def test_hermite_rows_match_two_row_recurrence_bitwise():
+    y = np.linspace(-20.0, 20.0, 801) * math.pi / 3.0
+    for beta, row in zip(range(81), hermite_rows(y)):
+        expected = two_row_hermite(beta, y)
+        assert np.array_equal(row.view(np.int64), expected.view(np.int64)), beta
+        assert np.array_equal(hermite_values(beta, y).view(np.int64),
+                              expected.view(np.int64)), beta
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from monodromy_lab.symplectic import (
     UnsupportedSpectrumError,
     build_quadratic_hamiltonian,
     classify_spectrum,
-    polar_decompose,
     random_symplectic,
     standard_form,
     symplectic_defect,
-    symplectic_log,
 )
 
 
@@ -43,77 +41,12 @@ def rotation(alpha):
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition
+# symplectic matrices
 # ---------------------------------------------------------------------------
 
-def test_polar_identity():
-    q, p = polar_decompose(SymplecticMatrix.from_array(np.eye(2)))
-    assert np.allclose(q.entries, np.eye(2), atol=1e-14)
-    assert np.allclose(p.entries, np.eye(2), atol=1e-14)
-
-
-def test_polar_already_positive():
-    k = np.diag([math.e, 1.0 / math.e])
-    q, p = polar_decompose(SymplecticMatrix.from_array(k))
-    assert np.allclose(q.entries, np.eye(2), atol=1e-12)
-    assert np.allclose(p.entries, k, atol=1e-12)
-
-
-def test_polar_random_against_svd_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        k = random_symplectic(4, rng)
-        q, p = polar_decompose(k)
-        # oracle: SVD polar factors K = (U V^T)(V S V^T)
-        u, s, vt = np.linalg.svd(k.entries)
-        q_oracle = u @ vt
-        p_oracle = vt.T @ np.diag(s) @ vt
-        assert np.linalg.norm(q.entries @ p.entries - k.entries) <= 1e-10
-        assert np.linalg.norm(q.entries - q_oracle) <= 1e-8
-        assert np.linalg.norm(p.entries - p_oracle) <= 1e-8
-        # both factors symplectic, Q orthogonal, P symmetric positive
-        assert q.defect <= 1e-9
-        assert p.defect <= 1e-9
-        assert np.linalg.norm(q.entries.T @ q.entries - np.eye(4)) <= 1e-10
-        assert np.all(np.linalg.eigvalsh(p.entries) > 0)
-
-
-def test_polar_rejects_nonsymplectic():
+def test_from_array_rejects_nonsymplectic():
     with pytest.raises(SymplecticError, match="defect"):
         SymplecticMatrix.from_array(np.diag([2.0, 2.0]))
-
-
-# ---------------------------------------------------------------------------
-# symplectic logarithm
-# ---------------------------------------------------------------------------
-
-def test_log_identity():
-    b = symplectic_log(SymplecticMatrix.from_array(np.eye(4)))
-    assert np.allclose(b, 0.0, atol=1e-14)
-
-
-def test_log_model_map():
-    a = SymplecticMatrix.from_array(np.diag([math.e, 1.0 / math.e]))
-    b = symplectic_log(a)
-    assert np.allclose(b, np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_log_random_positive_definite():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        k = random_symplectic(6, rng)
-        _, p = polar_decompose(k)
-        b = symplectic_log(p)
-        # oracle: scaling-and-squaring exponential
-        err = np.linalg.norm(expm(b) - p.entries) / np.linalg.norm(p.entries)
-        assert err <= 1e-8
-        j = standard_form(6)
-        assert np.linalg.norm(b.T @ j + j @ b) <= 1e-8 * max(1.0, np.linalg.norm(b))
-
-
-def test_log_rejects_indefinite():
-    with pytest.raises(SymplecticError, match="positive-definite"):
-        symplectic_log(SymplecticMatrix.from_array(np.diag([-2.0, -0.5])))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,7 @@ from .symplectic import (
     standard_form,
     symplectic_defect,
 )
-from .escape import (
-    EscapeFunction,
-    EscapeNormalForm,
-    PositivityReport,
-    diagonal_normal_form,
-    hamiltonian_action,
-    verify_positivity,
-)
+from .escape import PositivityReport, verify_positivity
 from .weyl import (
     GridError,
     PhaseGrid,

@@ -11,9 +11,11 @@ positivity  sampled escape-function positivity certificate
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-
 ambiguous, 3 config or usage error.  Configs are JSON documents with
 strict unknown-key rejection; positivity, the one command that draws
-random samples, requires --seed.  Identical config and seed produce
-byte-identical output.  Only the commands that classify a matrix (classify,
-and positivity from a matrix_file) load scipy.linalg, for expm.
+random samples, requires a non-negative --seed.  An --out that names a
+file, or lies under one, is refused before any work.  Identical config
+and seed produce byte-identical output.  Only the commands that classify a
+matrix (classify, and positivity from a matrix_file) load scipy.linalg,
+for expm.
 """
 
 from __future__ import annotations
@@ -109,6 +111,16 @@ def _grid_from(doc, default_l, default_n, hbar) -> PhaseGrid:
         return PhaseGrid(L=float(length), N=n, hbar=hbar)
     except GridError as exc:
         raise ConfigError(f"grid: {exc}")
+
+
+def _check_out(path) -> None:
+    """Refuse an --out that names a file or lies under one, before any work
+    runs; the directory itself is made only once there is a result."""
+    for part in (Path(path), *Path(path).parents):
+        if part.is_dir():
+            return
+        if part.exists() or part.is_symlink():
+            raise ConfigError(f"--out {path}: {part} exists and is not a directory")
 
 
 def _positive(doc, key):
@@ -373,6 +385,8 @@ def cmd_positivity(args) -> int:
     doc = _load_config(args.config, POSITIVITY_KEYS)
     if args.seed is None:
         raise ConfigError("positivity sampling requires --seed")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     _positive(doc, "samples")
     _positive(doc, "radius")
     samples = int(doc.get("samples", 100000))
@@ -454,6 +468,7 @@ def main(argv=None) -> int:
             raise
         return EXIT_CONFIG
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ConfigError, geo.StepLimitError, LadderSizeError,
             serialize.MatrixFileError) as exc:

@@ -1,6 +1,7 @@
 """Symplectic linear algebra: spectral classification of linearized
 return maps into the real factorization exp(-J F) exp(B), and the
-quadratic generators of its two factors.
+quadratic generators of its two factors.  The stretch generator is the
+one `escape.verify_positivity` certifies the escape function against.
 
 Conventions
 -----------
@@ -550,10 +551,6 @@ class QuadraticHamiltonian:
     def __post_init__(self):
         for arr in (self.hyp_coeffs, self.rot_coeffs, self.ah_coeffs):
             arr.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.dim // 2
 
 
 def build_quadratic_hamiltonian(cls: SpectralClassification) -> QuadraticHamiltonian:

@@ -105,6 +105,40 @@ def test_directory_path_exits_config(tmp_path, capsys, command):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+VALID_CONFIGS = {
+    "contract": {"h_values": [0.01], "grid": {"L": 16.0, "N": 128},
+                 "gap_grid": {"L": 24.0, "N": 128}},
+    "ladder": {"mode": "counting", "h_values": [0.01]},
+    "geodesic": {"t_final": 0.01, "step": 1e-3, "classify_orbits": False},
+    # ten million samples take seconds; the refusal must come first
+    "positivity": {"rates": [1.0], "samples": 10 ** 7},
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["classify", *VALID_CONFIGS])
+def test_out_naming_a_file_exits_config_before_work(tmp_path, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    if command == "classify":
+        mfile = tmp_path / "m.json"
+        write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+        argv = ["classify", mfile, "--out", out]
+    else:
+        cfg = write_config(tmp_path / "c.json", VALID_CONFIGS[command])
+        argv = [command, "--config", cfg, "--out", out]
+        if command == "positivity":
+            argv += ["--seed", 1]
+    started = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - started < 1.0
+    assert afile.read_text() == "kept\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --out") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -571,6 +605,16 @@ def test_positivity_requires_seed(tmp_path):
         "rates": [1.0], "samples": 100, "radius": 5.0,
     })
     assert run(["positivity", "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+
+def test_positivity_negative_seed_exits_config(tmp_path, capsys):
+    cfg = write_config(tmp_path / "p.json", {"rates": [1.0], "samples": 100})
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", -1]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --seed must be >= 0, got -1\n"
 
 
 def test_positivity_from_matrix(tmp_path):

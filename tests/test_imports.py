@@ -59,13 +59,9 @@ KEEP = {
         "perfbench/worker.py's probe times it; the dense oracle of microlocal_basis",
 }
 
-# reached only by their own tests; each group goes in a later change
-# together with its tests (ROADMAP item 6)
-STAGED = {
-    "escape": ("EscapeDimensionError", "EscapeFunction", "hamiltonian_action",
-               "EscapeNormalForm", "UnsupportedShapeError",
-               "diagonal_normal_form"),
-}
+# module -> names reached only by their own tests, listed until a later
+# change deletes them together with those tests; none are left
+STAGED = {}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

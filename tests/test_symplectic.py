@@ -24,7 +24,7 @@ from monodromy_lab.symplectic import (
 def flow_matrix(q, which):
     """-J Hess(q_which): its exponential is the time-one flow of the
     stretch ("hyp") or rotation ("rot") generator."""
-    m = q.m
+    m = q.dim // 2
     hess = np.zeros((q.dim, q.dim))
     if which == "hyp":
         hess[:m, m:] = q.hyp_coeffs.T

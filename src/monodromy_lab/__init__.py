@@ -15,7 +15,7 @@ from .symplectic import (
     standard_form,
     symplectic_defect,
 )
-from .escape import PositivityReport, verify_positivity
+from .escape import EscapeFunction, PositivityReport, verify_positivity
 from .weyl import (
     GridError,
     PhaseGrid,

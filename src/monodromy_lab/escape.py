@@ -15,6 +15,7 @@ its real part has the derivative
 which is positive away from the origin for a hyperbolic generator.
 `verify_positivity` certifies this by sampling, one block of _BLOCK draws
 at a time, so its memory does not grow with the sample count.
+`EscapeFunction` evaluates G itself and its closed-form gradient.
 """
 
 from __future__ import annotations
@@ -34,6 +35,46 @@ from .symplectic import QuadraticHamiltonian
 _BLOCK = 1 << 13
 # smallest envelope the certificate divides by
 _TINY = np.finfo(float).tiny
+
+
+class EscapeDimensionError(ValueError):
+    """Vector length does not match the declared splitting."""
+
+
+@dataclass(frozen=True)
+class EscapeFunction:
+    """Phase-space weight with real part on the hyperbolic coordinates and
+    imaginary part on the elliptic ones."""
+
+    dim_hyp: int
+    dim_ell: int
+
+    @property
+    def dim(self) -> int:
+        return self.dim_hyp + self.dim_ell
+
+    def _split(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise EscapeDimensionError(
+                f"expected a vector of length {self.dim}, got shape {v.shape}"
+            )
+        return v[: self.dim_hyp], v[self.dim_hyp:]
+
+    def value(self, x, xi) -> complex:
+        xh, xe = self._split(x)
+        gh, ge = self._split(xi)
+        real = 0.5 * np.log((1.0 + xh @ xh) / (1.0 + gh @ gh))
+        imag = 0.5 * (xe @ xe - ge @ ge)
+        return complex(real, imag)
+
+    def gradient(self, x, xi):
+        """Closed-form (d/dX, d/dXi) of G; complex-valued on elliptic slots."""
+        xh, xe = self._split(x)
+        gh, ge = self._split(xi)
+        gx = np.concatenate([xh / (1.0 + xh @ xh), 1j * xe])
+        gxi = np.concatenate([-gh / (1.0 + gh @ gh), -1j * ge])
+        return gx, gxi
 
 
 @dataclass(frozen=True)

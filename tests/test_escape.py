@@ -10,6 +10,8 @@ from scipy.linalg import expm
 
 from monodromy_lab.escape import (
     _BLOCK,
+    EscapeDimensionError,
+    EscapeFunction,
     PositivityReport,
     _hyperbolic_reduction,
     verify_positivity,
@@ -38,6 +40,60 @@ def diag_generator(lams, ah=None):
         rot_coeffs=np.zeros(n),
         ah_coeffs=np.array(ah, dtype=float) if ah is not None else np.zeros(n),
     )
+
+
+# ---------------------------------------------------------------------------
+# escape function values
+# ---------------------------------------------------------------------------
+
+def test_escape_at_origin():
+    ef = EscapeFunction(dim_hyp=2, dim_ell=1)
+    assert ef.value(np.zeros(3), np.zeros(3)) == 0.0
+
+
+def test_escape_pure_hyperbolic_value():
+    ef = EscapeFunction(dim_hyp=1, dim_ell=0)
+    assert ef.value([1.0], [0.0]) == pytest.approx(0.5 * math.log(2.0))
+
+
+def test_escape_elliptic_cancellation():
+    ef = EscapeFunction(dim_hyp=0, dim_ell=1)
+    assert ef.value([1.0], [1.0]) == 0.0
+
+
+def test_escape_dimension_mismatch():
+    ef = EscapeFunction(dim_hyp=1, dim_ell=1)
+    with pytest.raises(EscapeDimensionError):
+        ef.value([1.0], [1.0, 2.0, 3.0])
+
+
+def test_escape_antisymmetry():
+    rng = np.random.default_rng(2)
+    ef = EscapeFunction(dim_hyp=2, dim_ell=2)
+    for _ in range(200):
+        x = rng.standard_normal(4) * 3.0
+        xi = rng.standard_normal(4) * 3.0
+        swapped_h = np.concatenate([xi[:2], x[2:]])
+        swapped_h_xi = np.concatenate([x[:2], xi[2:]])
+        val = ef.value(x, xi)
+        assert ef.value(swapped_h, swapped_h_xi).real == pytest.approx(-val.real, abs=1e-13)
+        swapped_e = np.concatenate([x[:2], xi[2:]])
+        swapped_e_xi = np.concatenate([xi[:2], x[2:]])
+        assert ef.value(swapped_e, swapped_e_xi).imag == pytest.approx(-val.imag, abs=1e-13)
+
+
+def test_escape_gradient_bounded():
+    # the real part has globally bounded gradient (sampled sup <= 1 + eps)
+    rng = np.random.default_rng(3)
+    ef = EscapeFunction(dim_hyp=3, dim_ell=0)
+    sup = 0.0
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-2, 3)
+        x = rng.standard_normal(3) * scale
+        xi = rng.standard_normal(3) * scale
+        gx, gxi = ef.gradient(x, xi)
+        sup = max(sup, float(np.linalg.norm(np.concatenate([gx.real, gxi.real]))))
+    assert sup <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ quasimode ladders, and a warped-product geodesic example."""
 
 from .symplectic import (
     ClassificationAmbiguousError,
-    QuadraticHamiltonian,
     SpectralClassification,
     SymplecticError,
     SymplecticMatrix,
@@ -15,7 +14,7 @@ from .symplectic import (
     standard_form,
     symplectic_defect,
 )
-from .escape import EscapeFunction, PositivityReport, verify_positivity
+from .escape import PositivityReport, verify_positivity
 from .weyl import (
     GridError,
     PhaseGrid,
@@ -32,7 +31,6 @@ from .monodromy import (
     contraction_sweep,
 )
 from .quasimode import (
-    HermiteMode,
     QuasimodeLadder,
     exact_model_ladder,
     hermite_mode,

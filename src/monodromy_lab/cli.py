@@ -399,16 +399,12 @@ def cmd_positivity(args) -> int:
         if not rates or min(rates) <= 0:
             raise ConfigError("rates must be a non-empty list of positive "
                               "numbers")
-        from .symplectic import QuadraticHamiltonian
-
-        n = len(rates)
-        q = QuadraticHamiltonian(dim=2 * n, hyp_coeffs=np.diag(rates),
-                                 rot_coeffs=np.zeros(n), ah_coeffs=np.zeros(n))
+        gen = np.diag(rates)
     else:
         mat = serialize.read_matrix(doc["matrix_file"])
-        q = build_quadratic_hamiltonian(classify_spectrum(mat))
+        gen = build_quadratic_hamiltonian(classify_spectrum(mat))
     rng = np.random.default_rng(args.seed)
-    report = verify_positivity(q, samples=samples,
+    report = verify_positivity(gen, samples=samples,
                                radius=float(doc.get("radius", 10.0)), rng=rng)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -81,8 +81,7 @@ class MonodromyResult:
 def _stretch_generator(p: ModelParams):
     """Quantized rescaled stretch symbol lambda (h/hbar_tilde) X Xi."""
     factor = p.lam * p.h / p.hbar_tilde
-    return quantize(lambda x, xi: factor * x * xi, p.grid,
-                    symbol_tag=f"stretch lam={p.lam} h={p.h}")
+    return quantize(lambda x, xi: factor * x * xi, p.grid)
 
 
 def build_hyperbolic_monodromy(p: ModelParams) -> np.ndarray:
@@ -109,7 +108,7 @@ def escape_weight(p: ModelParams) -> np.ndarray:
     def symbol(x, xi):
         return 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2))
 
-    return quantize(symbol, p.grid, symbol_tag="escape weight").matrix.real
+    return quantize(symbol, p.grid).matrix.real
 
 
 def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
@@ -234,5 +233,4 @@ def contraction_sweep(h_values, lam: float, s: float, hbar_tilde: float,
 def rotation_generator(alpha: float, grid: PhaseGrid):
     """Quantized rotation symbol (alpha/2)(x^2 + xi^2) on the h-grid: the
     (read-only) matrix of a real symbol, exactly Hermitian as quantized."""
-    return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid,
-                    symbol_tag=f"rotation alpha={alpha}").matrix
+    return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid).matrix

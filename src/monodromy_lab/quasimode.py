@@ -72,50 +72,30 @@ def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
     return next(itertools.islice(hermite_rows(y), beta, None))
 
 
-@dataclass(frozen=True)
-class HermiteMode:
-    """Product Hermite state on a transverse grid, one 1D factor per
-    transverse coordinate, each normalized to unit L2 norm."""
-
-    beta: tuple
-    h: float
-    grid: PhaseGrid
-    values: tuple  # one sample vector per transverse coordinate
-
-    def factor(self, j: int = 0) -> np.ndarray:
-        return self.values[j]
-
-
 def grid_capacity(grid: PhaseGrid, h: float) -> int:
     """Largest resolvable Hermite index: the classical turning point
     sqrt(h (2 beta + 1)) must stay inside a quarter window."""
     return int(((grid.L ** 2 / 4.0) / h - 1.0) / 2.0)
 
 
-def hermite_mode(beta, h: float, grid: PhaseGrid) -> HermiteMode:
-    """Sampled product Hermite mode v_beta with factors
-    h^(-1/4) H_b(x / sqrt(h)) e^(-x^2 / 2h), renormalized on the grid.
+def hermite_mode(beta: int, h: float, grid: PhaseGrid) -> np.ndarray:
+    """Sampled Hermite mode h^(-1/4) H_beta(x / sqrt(h)) e^(-x^2 / 2h) as a
+    complex vector, renormalized to unit L2 norm on the grid.
 
-    Refused when an index exceeds the grid capacity.
+    Refused when beta exceeds the grid capacity.
     """
-    if isinstance(beta, (int, np.integer)):
-        beta = (int(beta),)
-    beta = tuple(int(b) for b in beta)
-    if any(b < 0 for b in beta):
+    if beta < 0:
         raise ValueError("Hermite indices must be nonnegative")
     cap = grid_capacity(grid, h)
-    if max(beta) > cap:
+    if beta > cap:
         raise GridCapacityError(
-            f"Hermite index {max(beta)} exceeds grid capacity {cap} "
+            f"Hermite index {beta} exceeds grid capacity {cap} "
             f"(need h(2 beta + 1) <= L^2/4)"
         )
-    factors = []
-    for b in beta:
-        vals = hermite_values(b, grid.x / math.sqrt(h)) * h ** -0.25
-        vals = vals.astype(complex)
-        norm = math.sqrt(float(np.sum(np.abs(vals) ** 2) * grid.dx))
-        factors.append(vals / norm)
-    return HermiteMode(beta=beta, h=h, grid=grid, values=tuple(factors))
+    vals = hermite_values(beta, grid.x / math.sqrt(h)) * h ** -0.25
+    vals = vals.astype(complex)
+    norm = math.sqrt(float(np.sum(np.abs(vals) ** 2) * grid.dx))
+    return vals / norm
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +289,7 @@ def residual_certify(k: int, beta: int, z: float, alpha: float, h: float,
     """
     from .monodromy import rotation_generator
 
-    mode = hermite_mode(beta, h, grid)
-    v = mode.factor(0)
+    v = hermite_mode(beta, h, grid)
     q = rotation_generator(alpha, PhaseGrid(L=grid.L, N=grid.N, hbar=h))
     # h D_t acts on e^{i 2 pi k t} as 2 pi k h exactly, for every k, so the
     # residual reduces to the transverse factor and needs no time grid

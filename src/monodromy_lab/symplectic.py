@@ -1,7 +1,7 @@
 """Symplectic linear algebra: spectral classification of linearized
-return maps into the real factorization exp(-J F) exp(B), and the
-quadratic generators of its two factors.  The stretch generator is the
-one `escape.verify_positivity` certifies the escape function against.
+return maps into the real factorization exp(-J F) exp(B), and the stretch
+generator of exp(B) that `escape.verify_positivity` certifies the escape
+function against.
 
 Conventions
 -----------
@@ -14,6 +14,10 @@ so a matrix K is symplectic iff K^T J K = J, and the Lie algebra consists
 of B with B^T J + J B = 0.  The Hamiltonian flow matrix of a quadratic
 form q(z) = (1/2) z^T H z is -J H (Hamilton's equations
 xdot = dq/dxi, xidot = -dq/dx).
+
+The stretch generator is q = <M x, xi> on the hyperbolic modes, passed on
+as the plain matrix M.  Its Jordan chains are rescaled so that the
+symmetric part of M is positive definite (see build_quadratic_hamiltonian).
 """
 
 from __future__ import annotations
@@ -70,11 +74,10 @@ def symplectic_defect(mat: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Even-dimensional real matrix with a certified symplectic defect."""
+    """Even-dimensional real matrix whose symplectic defect passed a check."""
 
     entries: np.ndarray
     dim: int
-    defect: float
 
     @classmethod
     def from_array(cls, mat, tol: float = DEFAULT_SYMPLECTIC_TOL) -> "SymplecticMatrix":
@@ -87,7 +90,7 @@ class SymplecticMatrix:
                 f"matrix is not symplectic: defect {defect:.3e} exceeds tolerance {tol:.3e}"
             )
         mat.setflags(write=False)
-        return cls(entries=mat, dim=mat.shape[0], defect=defect)
+        return cls(entries=mat, dim=mat.shape[0])
 
 
 def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 1.0) -> SymplecticMatrix:
@@ -133,7 +136,8 @@ class SpectralClassification:
     T^{-1} dS T = exp(-J F) exp(B) with B block-diagonal in the adapted
     coordinates (hyperbolic generator) and F symmetric diagonal (rotation
     generator: pi per real-negative mode, the signed angle per elliptic
-    mode, zero elsewhere).
+    mode, zero elsewhere).  ``reconstruction_error`` is the relative error
+    of T exp(-J F) exp(B) T^{-1} against the classified matrix.
     """
 
     dim: int
@@ -141,7 +145,7 @@ class SpectralClassification:
     B: np.ndarray
     F: np.ndarray
     basis: np.ndarray
-    source: np.ndarray
+    reconstruction_error: float
 
     def __post_init__(self):
         total = sum(2 * b.x_width for b in self.blocks)
@@ -149,7 +153,7 @@ class SpectralClassification:
             raise SymplecticError(
                 f"block dimension count {total} does not match dim {self.dim}"
             )
-        for arr in (self.B, self.F, self.basis, self.source):
+        for arr in (self.B, self.F, self.basis):
             arr.setflags(write=False)
 
     @property
@@ -168,36 +172,6 @@ class SpectralClassification:
     def n_e(self) -> int:
         return sum(1 for b in self.blocks if b.kind == KIND_ELLIPTIC)
 
-    def rotation_factor(self) -> np.ndarray:
-        """exp(-J F): the unit-modulus part of the map (identity on
-        hyperbolic-positive modes, -identity on real-negative modes,
-        rotation on elliptic modes)."""
-        from scipy.linalg import expm
-
-        return expm(-standard_form(self.dim) @ self.F)
-
-    def stretch_factor(self) -> np.ndarray:
-        """exp(B): the positive-spectrum part of the map."""
-        from scipy.linalg import expm
-
-        return expm(self.B)
-
-    def reconstruct(self) -> np.ndarray:
-        """exp(-J F) exp(B), conjugated back to the original coordinates."""
-        rec = self.rotation_factor() @ self.stretch_factor()
-        return self.basis @ rec @ np.linalg.inv(self.basis)
-
-    def reconstruction_error(self) -> float:
-        """Relative error of exp(-J F) exp(B) against the classified matrix.
-
-        The arrays are read-only, so the value is computed once and kept:
-        classify_spectrum checks it and to_json reports the same number."""
-        if "_reconstruction_error" not in self.__dict__:
-            rec = self.reconstruct()
-            err = float(np.linalg.norm(rec - self.source) / np.linalg.norm(self.source))
-            object.__setattr__(self, "_reconstruction_error", err)
-        return self.__dict__["_reconstruction_error"]
-
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
@@ -215,7 +189,7 @@ class SpectralClassification:
                 for b in self.blocks
             ],
             "rotation_diagonal": [float(v) for v in np.diag(self.F)[: self.dim // 2]],
-            "reconstruction_error": self.reconstruction_error(),
+            "reconstruction_error": self.reconstruction_error,
         }, indent=2)
 
 
@@ -396,6 +370,8 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     UnsupportedSpectrumError
         Repeated elliptic eigenvalue (multiplicity > 1).
     """
+    from scipy.linalg import expm
+
     if not isinstance(ds, SymplecticMatrix):
         ds = SymplecticMatrix.from_array(ds)
     a = ds.entries
@@ -516,59 +492,40 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     big_b[m:, m:] = -big_b[:m, :m].T
     big_f[m:, m:] = big_f[:m, :m]
 
-    cls = SpectralClassification(dim=n, blocks=blocks, B=big_b, F=big_f,
-                                 basis=basis, source=np.array(a))
-    err = cls.reconstruction_error()
+    rec = expm(-j_form @ big_f) @ expm(big_b)
+    rec = basis @ rec @ np.linalg.inv(basis)
+    err = float(np.linalg.norm(rec - a) / np.linalg.norm(a))
     if err > tol_factor:
         raise SymplecticError(
             f"factorization exp(-J F) exp(B) fails to reconstruct the input: "
             f"relative error {err:.3e} > {tol_factor:.1e}"
         )
-    return cls
+    return SpectralClassification(dim=n, blocks=blocks, B=big_b, F=big_f,
+                                  basis=basis, reconstruction_error=err)
 
 
-# ---------------------------------------------------------------------------
-# Quadratic generators
-# ---------------------------------------------------------------------------
+def build_quadratic_hamiltonian(cls: SpectralClassification) -> np.ndarray:
+    """The m_h x m_h matrix M of the stretch generator <M x, xi> on the
+    hyperbolic modes of a classified map, m_h the sum of their x-widths.
 
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """Quadratic generators attached to a spectral classification, in the
-    adapted coordinates.
-
-    q_hyp = <M x, xi> generates the stretch factor exp(B), and
-    q_rot = sum_j c_j (x_j^2 + xi_j^2) generates the rotation factor
-    exp(-J F); each time-one flow is the exponential of -J Hess(q).
+    M is the x-block of B on the leading hyperbolic slots (classify_spectrum
+    orders the blocks hc, hr+, hr-, elliptic; the elliptic modes carry no
+    stretch): per complex-hyperbolic mode Re(lam)(x1 xi1 + x2 xi2)
+    - Im(lam)(x1 xi2 - x2 xi1), per real mode lam x xi, plus the unit
+    couplings of a Jordan chain.  Each chain of length k > 1 is rescaled
+    by D = diag(1, eps, ..., eps^(k-1)), eps = Re(lam)/2, with every entry
+    repeated for both coordinates of a complex mode: M -> D^-1 M D, the
+    symplectic change x -> D^-1 x, xi -> D xi.  Its couplings shrink to eps,
+    so the symmetric part of M is at least Re(lam)/2 on the chain, and
+    Re(H_q G) is positive for every hyperbolic map.
     """
-
-    dim: int
-    hyp_coeffs: np.ndarray   # m x m matrix M with q_hyp = <M x, xi>
-    rot_coeffs: np.ndarray   # per-mode coefficients c_j of (x_j^2 + xi_j^2) in q_rot, = F_jj/2
-    # nonzero exactly on the elliptic modes; it only marks them, so that
-    # escape._hyperbolic_reduction can drop them
-    ah_coeffs: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.hyp_coeffs, self.rot_coeffs, self.ah_coeffs):
-            arr.setflags(write=False)
-
-
-def build_quadratic_hamiltonian(cls: SpectralClassification) -> QuadraticHamiltonian:
-    """Quadratic generators of the two factors of a classified map.
-
-    The stretch generator is <M x, xi> with M the x-block of B: per
-    complex-hyperbolic block Re(lam)(x1 xi1 + x2 xi2) - Im(lam)(x1 xi2 - x2 xi1)
-    plus chain couplings, per real block lam x_l xi_l plus chain couplings.
-    The rotation generator is (pi/2)(x^2+xi^2) per real-negative mode and
-    (Im lam / 2)(x^2+xi^2) per elliptic mode.
-    """
-    m = cls.dim // 2
-    hyp = np.array(cls.B[:m, :m])
-    rot = np.array(np.diag(cls.F[:m, :m]) / 2.0)
-    ah = np.zeros(m)
+    m_h = sum(b.x_width for b in cls.blocks if b.kind != KIND_ELLIPTIC)
+    gen = np.array(cls.B[:m_h, :m_h])
     pos = 0
     for b in cls.blocks:
-        if b.kind == KIND_ELLIPTIC:
-            ah[pos] = 2.0
+        if b.k > 1:  # elliptic blocks are simple
+            scale = np.repeat((b.lam.real / 2.0) ** np.arange(b.k), b.x_width // b.k)
+            chain = slice(pos, pos + b.x_width)
+            gen[chain, chain] *= scale / scale[:, None]
         pos += b.x_width
-    return QuadraticHamiltonian(dim=cls.dim, hyp_coeffs=hyp, rot_coeffs=rot, ah_coeffs=ah)
+    return gen

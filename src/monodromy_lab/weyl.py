@@ -64,18 +64,12 @@ class PhaseGrid:
     def xi(self) -> np.ndarray:
         return np.pi * self.hbar * (np.arange(self.N) - self.N // 2) / self.L
 
-    @property
-    def xi_max(self) -> float:
-        return float(np.abs(self.xi).max())
-
 
 @dataclass(frozen=True)
 class WeylOperator:
     """Dense matrix realization of a quantized symbol on a PhaseGrid."""
 
-    grid: PhaseGrid
     matrix: np.ndarray
-    symbol_tag: str = ""
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -86,21 +80,9 @@ def _is_hermitian(mat: np.ndarray) -> bool:
     return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * scale)
 
 
-def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
-             xi_support: float | None = None) -> WeylOperator:
-    """Weyl-quantize a symbol a(x, xi) on the grid.
-
-    Parameters
-    ----------
-    symbol : callable
-        Vectorized function of two arrays (x, xi).
-    grid : PhaseGrid
-    symbol_tag : str
-        Provenance string stored on the operator.
-    xi_support : float, optional
-        Effective momentum support of the symbol/states; when given, the
-        grid must satisfy max |xi| >= 4 * xi_support or quantization is
-        refused with the Nyquist estimate for N.
+def quantize(symbol, grid: PhaseGrid) -> WeylOperator:
+    """Weyl-quantize a symbol a(x, xi), a vectorized function of two
+    arrays (x, xi), on the grid.
 
     Notes
     -----
@@ -112,12 +94,6 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
     linearity, Re and Im apart.
     """
     n = grid.N
-    if xi_support is not None and grid.xi_max < 4.0 * xi_support:
-        needed = int(np.ceil(4.0 * xi_support * 2.0 * grid.L / (np.pi * grid.hbar)))
-        raise GridError(
-            f"Nyquist violation: max |xi| = {grid.xi_max:.3g} < 4 * {xi_support:.3g}; "
-            f"need N >= {needed}"
-        )
     # midpoints (x_i + x_j)/2 live on the half-step grid of 2N-1 points
     mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
     xi = np.fft.ifftshift(grid.xi)[None, :]
@@ -133,7 +109,7 @@ def quantize(symbol, grid: PhaseGrid, symbol_tag: str = "",
         if np.iscomplexobj(vals):
             entries = entries + 1j * _real_kernel(vals.imag, src, conjugate)
         flat[dest] = entries
-    return WeylOperator(grid=grid, matrix=mat, symbol_tag=symbol_tag)
+    return WeylOperator(matrix=mat)
 
 
 def _real_kernel(vals: np.ndarray, src: np.ndarray,

@@ -627,6 +627,46 @@ def test_positivity_from_matrix(tmp_path):
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 2]) == 0
 
 
+def jordan_map(lam):
+    """exp(diag(N, -N^T)) with N = [[lam, 1], [0, lam]]: hyperbolic, with
+    one Jordan chain of length 2."""
+    from scipy.linalg import expm
+
+    n = np.array([[lam, 1.0], [0.0, lam]])
+    big = np.zeros((4, 4))
+    big[:2, :2], big[2:, 2:] = n, -n.T
+    return expm(big)
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.49])
+def test_positivity_jordan_chain_passes(tmp_path, lam):
+    # unrescaled, the chain's unit coupling drives the ratio negative
+    # (-0.3 at lam = 0.2); rescaled, the floor is lam - lam/4
+    mfile = tmp_path / "m.json"
+    write_matrix(mfile, jordan_map(lam))
+    cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile), "samples": 20000})
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
+    report = json.loads((out / "positivity.json").read_text())
+    assert report["min_ratio"] >= lam / 2.0
+
+
+def test_positivity_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):
+    # the generator without the chain rescale fails; its witness is printed
+    # as floats, not as numpy reprs
+    from monodromy_lab import cli
+
+    monkeypatch.setattr(cli, "build_quadratic_hamiltonian",
+                        lambda cls: np.array(cls.B[:2, :2]))
+    mfile = tmp_path / "m.json"
+    write_matrix(mfile, jordan_map(0.2))
+    cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile), "samples": 2000})
+    assert run(["positivity", "--config", cfg, "--out", tmp_path / "out", "--seed", 1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: positivity failed: min_ratio = -0.")
+    assert "np.float64" not in err
+
+
 def test_positivity_overflow_exits_numeric(tmp_path):
     # |x|^2 overflows at this radius for every ball sample; the run must
     # fail rather than certify on the 2560 sweep points alone

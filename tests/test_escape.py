@@ -8,92 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from monodromy_lab.escape import (
-    _BLOCK,
-    EscapeDimensionError,
-    EscapeFunction,
-    PositivityReport,
-    _hyperbolic_reduction,
-    verify_positivity,
-)
+from monodromy_lab.escape import _BLOCK, PositivityReport, verify_positivity
 from monodromy_lab.symplectic import (
-    QuadraticHamiltonian,
     build_quadratic_hamiltonian,
     classify_spectrum,
     standard_form,
 )
 
 
-def hyp_flow(q):
+def hyp_flow(m):
     """-J Hess(<M x, xi>): its exponential is the time-one flow of the
     stretch generator."""
-    m = q.hyp_coeffs
     hess = np.block([[np.zeros_like(m), m.T], [m, np.zeros_like(m)]])
-    return -standard_form(q.dim) @ hess
+    return -standard_form(2 * m.shape[0]) @ hess
 
 
-def diag_generator(lams, ah=None):
-    n = len(lams)
-    return QuadraticHamiltonian(
-        dim=2 * n,
-        hyp_coeffs=np.diag(np.array(lams, dtype=float)),
-        rot_coeffs=np.zeros(n),
-        ah_coeffs=np.array(ah, dtype=float) if ah is not None else np.zeros(n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# escape function values
-# ---------------------------------------------------------------------------
-
-def test_escape_at_origin():
-    ef = EscapeFunction(dim_hyp=2, dim_ell=1)
-    assert ef.value(np.zeros(3), np.zeros(3)) == 0.0
-
-
-def test_escape_pure_hyperbolic_value():
-    ef = EscapeFunction(dim_hyp=1, dim_ell=0)
-    assert ef.value([1.0], [0.0]) == pytest.approx(0.5 * math.log(2.0))
-
-
-def test_escape_elliptic_cancellation():
-    ef = EscapeFunction(dim_hyp=0, dim_ell=1)
-    assert ef.value([1.0], [1.0]) == 0.0
-
-
-def test_escape_dimension_mismatch():
-    ef = EscapeFunction(dim_hyp=1, dim_ell=1)
-    with pytest.raises(EscapeDimensionError):
-        ef.value([1.0], [1.0, 2.0, 3.0])
-
-
-def test_escape_antisymmetry():
-    rng = np.random.default_rng(2)
-    ef = EscapeFunction(dim_hyp=2, dim_ell=2)
-    for _ in range(200):
-        x = rng.standard_normal(4) * 3.0
-        xi = rng.standard_normal(4) * 3.0
-        swapped_h = np.concatenate([xi[:2], x[2:]])
-        swapped_h_xi = np.concatenate([x[:2], xi[2:]])
-        val = ef.value(x, xi)
-        assert ef.value(swapped_h, swapped_h_xi).real == pytest.approx(-val.real, abs=1e-13)
-        swapped_e = np.concatenate([x[:2], xi[2:]])
-        swapped_e_xi = np.concatenate([xi[:2], x[2:]])
-        assert ef.value(swapped_e, swapped_e_xi).imag == pytest.approx(-val.imag, abs=1e-13)
-
-
-def test_escape_gradient_bounded():
-    # the real part has globally bounded gradient (sampled sup <= 1 + eps)
-    rng = np.random.default_rng(3)
-    ef = EscapeFunction(dim_hyp=3, dim_ell=0)
-    sup = 0.0
-    for _ in range(2000):
-        scale = 10.0 ** rng.uniform(-2, 3)
-        x = rng.standard_normal(3) * scale
-        xi = rng.standard_normal(3) * scale
-        gx, gxi = ef.gradient(x, xi)
-        sup = max(sup, float(np.linalg.norm(np.concatenate([gx.real, gxi.real]))))
-    assert sup <= 1.0 + 1e-9
+def diag_generator(lams):
+    return np.diag(np.array(lams, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +54,7 @@ def test_positivity_diagonal_two_modes():
 
 def test_positivity_complex_hyperbolic_block():
     lam = 1.0 + 5.0j
-    lam2 = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-    q = QuadraticHamiltonian(dim=4, hyp_coeffs=lam2,
-                             rot_coeffs=np.zeros(2), ah_coeffs=np.zeros(2))
+    q = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     rng = np.random.default_rng(2)
     report = verify_positivity(q, samples=50000, radius=10.0, rng=rng)
     assert report.min_ratio > 0.0
@@ -150,15 +79,21 @@ def test_positivity_excludes_elliptic_modes():
     assert report.min_ratio == pytest.approx(1.0, abs=1e-9)
 
 
+def test_positivity_refuses_map_without_hyperbolic_modes():
+    rot = np.array([[math.cos(1.0), math.sin(1.0)], [-math.sin(1.0), math.cos(1.0)]])
+    q = build_quadratic_hamiltonian(classify_spectrum(rot))
+    assert q.shape == (0, 0)
+    with pytest.raises(ValueError, match="no hyperbolic modes"):
+        verify_positivity(q, samples=100, radius=10.0, rng=np.random.default_rng(0))
+
+
 def test_positivity_ratio_matches_finite_differences():
     # oracle: at the reported witness, the central difference of
     # G = (1/2) log((1 + |x|^2) / (1 + |xi|^2)) along the time-t flow
     # expm(t * hyp_flow(q)), divided by the saturating envelope
     rng = np.random.default_rng(11)
     n = 2
-    m = rng.standard_normal((n, n))
-    q = QuadraticHamiltonian(dim=2 * n, hyp_coeffs=m,
-                             rot_coeffs=np.zeros(n), ah_coeffs=np.zeros(n))
+    q = rng.standard_normal((n, n))
     report = verify_positivity(q, samples=2000, radius=10.0, rng=rng)
     z = np.concatenate(report.argmin_point)
 
@@ -180,12 +115,11 @@ def test_positivity_report_serializes():
     assert '"min_ratio"' in text and '"samples"' in text
 
 
-def one_shot_positivity(q, samples, radius, rng):
+def one_shot_positivity(m_red, samples, radius, rng):
     """Oracle: the same certificate with every sample drawn first, in the
     certificate's order (per _BLOCK rows, the normals and then the radii;
     then the sweep directions), and then scaled onto its point and
     evaluated at once, in one array."""
-    m_red = _hyperbolic_reduction(q)
     n_h = m_red.shape[0]
     if n_h == 0:
         raise ValueError("generator has no hyperbolic modes to certify")
@@ -228,9 +162,7 @@ def one_shot_positivity(q, samples, radius, rng):
 
 
 def coupled_generator():
-    m = np.array([[1.0, 0.7], [-0.4, 2.0]])
-    return QuadraticHamiltonian(dim=4, hyp_coeffs=m,
-                                rot_coeffs=np.zeros(2), ah_coeffs=np.zeros(2))
+    return np.array([[1.0, 0.7], [-0.4, 2.0]])
 
 
 GENERATORS = {

@@ -1,7 +1,7 @@
 """Tooling checks: every name a module imports at module level is used,
 every definition is reachable from the CLI, every method of a reached
-class is read somewhere in the package, and the commands that never run
-expm start without scipy.linalg."""
+class and every dataclass field is read somewhere in the package, and the
+commands that never run expm start without scipy.linalg."""
 
 import ast
 import json
@@ -61,9 +61,7 @@ KEEP = {
 
 # module -> names reached only by their own tests, listed until a later
 # change deletes them together with those tests (ROADMAP item 6)
-STAGED = {
-    "escape": ("EscapeDimensionError", "EscapeFunction"),
-}
+STAGED = {}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -130,32 +128,39 @@ def test_every_definition_is_reachable_from_cli():
     assert sorted(staged - dead) == [], "STAGED lists a name that is reached or gone"
 
 
+def attribute_reads(tree) -> set:
+    """Every attribute name the module loads, except through a module bound
+    by `import` (np.linalg.norm reads no attribute of the package)."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in imported):
+                read.add(node.attr)
+    return read
+
+
 def unread_methods(sources: dict, roots) -> set:
     """(module, class, name) of every method or property of a class that
     `unreachable` does not flag (so not of a STAGED class), whose name no
     module reads as an attribute.  Dunder methods are exempt, since the
-    language calls them; an attribute rooted at a module bound by
-    `import` (np.linalg.norm) is not a read of a method."""
+    language calls them."""
     dead = unreachable(sources, roots)
     methods, read = {}, set()
     for mod, source in sources.items():
         tree = ast.parse(source)
-        imported = {alias.asname or alias.name.split(".")[0]
-                    for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and (mod, node.name) not in dead:
                 methods[mod, node.name] = [
                     f.name for f in node.body
                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (f.name.startswith("__") and f.name.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if not (isinstance(root, ast.Name) and root.id in imported):
-                    read.add(node.attr)
+        read |= attribute_reads(tree)
     return {(mod, cls, name) for (mod, cls), names in methods.items()
             for name in names if name not in read}
 
@@ -179,6 +184,52 @@ def test_every_method_is_read_in_src():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert sorted(unread_methods(sources, roots=[("cli", "main"), *KEEP])) == [], \
         "methods no module reads; move them into the tests that use them"
+
+
+# (module, class, field) -> why a field no module reads is kept
+UNREAD_FIELDS = {
+    ("quasimode", "LadderEntry", "stages"):
+        "tests read each stage to check the h^((j+1)/m) ladder",
+}
+
+
+def unread_fields(sources: dict) -> set:
+    """(module, class, field) of every annotated field of a @dataclass
+    whose name no module reads as an attribute.  Names are matched alone,
+    so a field shares the reads of any attribute of the same name."""
+    fields, read = [], set()
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", [])]
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                fields += [(mod, node.name, f.target.id) for f in node.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        read |= attribute_reads(tree)
+    return {field for field in fields if field[2] not in read}
+
+
+def test_field_scanner():
+    sources = {
+        "a": "import numpy as np\nfrom dataclasses import dataclass\n\n"
+             "@dataclass(frozen=True)\nclass R:\n    used: int\n    spare: int\n"
+             "    shape: tuple = ()\n\n"
+             "@dataclass\nclass S:\n    tag: str\n\n"
+             "class Plain:\n    note: str\n\n"
+             "def f(r):\n    return np.shape(r.used)\n",
+    }
+    assert unread_fields(sources) == {("a", "R", "spare"), ("a", "R", "shape"),
+                                      ("a", "S", "tag")}
+
+
+def test_every_field_is_read_in_src():
+    unread = unread_fields({p.stem: p.read_text() for p in MODULES})
+    assert sorted(unread - set(UNREAD_FIELDS)) == [], \
+        "dataclass fields no module reads; delete them"
+    assert sorted(set(UNREAD_FIELDS) - unread) == [], \
+        "UNREAD_FIELDS lists a field that is read or gone"
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_elliptic_hermite_eigenrelation():
     for k, b in ((0, 0), (1, 3), (-2, 7)):
         z = 0.5 * alpha * (2 * b + 1) * h + 2.0 * math.pi * k * h
         m = np.exp(1.0j * z / h) * prop
-        v = hermite_mode(b, h, ELL_GRID).factor(0)
+        v = hermite_mode(b, h, ELL_GRID)
         phase = np.exp(1j * (z - 0.5 * alpha * (2 * b + 1) * h) / h)
         assert np.sqrt(np.sum(np.abs(m @ v - phase * v) ** 2) * ELL_GRID.dx) <= 1e-8
         # quantized z fixes the mode
@@ -320,7 +320,7 @@ def test_elliptic_hermite_eigenrelation():
 def test_elliptic_detuned_phase_closed_form():
     alpha, h = 1.0, 1e-3
     m = elliptic_propagator(alpha, h)  # M(0)
-    v = hermite_mode(0, h, ELL_GRID).factor(0)
+    v = hermite_mode(0, h, ELL_GRID)
     # ||M(0) v0 - v0|| = |e^{-i alpha/2} - 1| = 2 |sin(alpha/4)|
     resid = np.sqrt(np.sum(np.abs(m @ v - v) ** 2) * ELL_GRID.dx)
     assert resid == pytest.approx(2.0 * abs(math.sin(alpha / 4.0)), abs=1e-8)
@@ -333,7 +333,7 @@ def test_elliptic_unitarity_and_eigenphase_slope():
     # eigenphase of M(z) on v_k is linear in k with slope -alpha
     phases = []
     for b in range(4):
-        v = hermite_mode(b, h, ELL_GRID).factor(0)
+        v = hermite_mode(b, h, ELL_GRID)
         lam = (v.conj() @ (m @ v)) * ELL_GRID.dx
         phases.append(np.angle(lam))
     diffs = np.diff(np.unwrap(phases))
@@ -343,6 +343,6 @@ def test_elliptic_unitarity_and_eigenphase_slope():
 def test_rotation_generator_spectrum():
     alpha, h = 1.0, 1e-3
     q = rotation_generator(alpha, ELL_GRID)
-    v = hermite_mode(5, h, ELL_GRID).factor(0)
+    v = hermite_mode(5, h, ELL_GRID)
     val = (v.conj() @ (q @ v)).real * ELL_GRID.dx
     assert val == pytest.approx(0.5 * alpha * 11 * h, rel=1e-10)

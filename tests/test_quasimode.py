@@ -33,8 +33,7 @@ def grid_norm(grid, u) -> float:
 def test_hermite_ground_state():
     h = 0.1
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    mode = hermite_mode(0, h, g)
-    v = mode.factor(0)
+    v = hermite_mode(0, h, g)
     expected = (math.pi * h) ** -0.25 * np.exp(-g.x ** 2 / (2 * h))
     assert np.abs(v - expected).max() <= 1e-10
     assert grid_norm(g, v) == pytest.approx(1.0, abs=1e-12)
@@ -43,15 +42,15 @@ def test_hermite_ground_state():
 def test_hermite_parity_orthogonality():
     h = 0.1
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    v0 = hermite_mode(0, h, g).factor(0)
-    v1 = hermite_mode(1, h, g).factor(0)
+    v0 = hermite_mode(0, h, g)
+    v1 = hermite_mode(1, h, g)
     assert abs(np.vdot(v0, v1) * g.dx) <= 1e-12
 
 
 def test_hermite_orthonormal_family():
     h = 0.05
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    modes = [hermite_mode(b, h, g).factor(0) for b in range(12)]
+    modes = [hermite_mode(b, h, g) for b in range(12)]
     for i in range(12):
         for j in range(12):
             expected = 1.0 if i == j else 0.0
@@ -61,7 +60,7 @@ def test_hermite_orthonormal_family():
 def test_hermite_oscillator_expectation():
     h = 0.05
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    v5 = hermite_mode(5, h, g).factor(0)
+    v5 = hermite_mode(5, h, g)
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, g)
     val = (v5.conj() @ (op.matrix @ v5)).real * g.dx
     assert val == pytest.approx(11.0 * h, abs=1e-8)
@@ -72,7 +71,7 @@ def test_hermite_eigenrelation_invariant():
     g = PhaseGrid(L=6.0, N=512, hbar=h)
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, g).matrix
     for b in (0, 3, 8):
-        v = hermite_mode(b, h, g).factor(0)
+        v = hermite_mode(b, h, g)
         resid = grid_norm(g, op @ v - h * (2 * b + 1) * v)
         assert resid <= 1e-8
 

@@ -9,7 +9,6 @@ from scipy.linalg import block_diag, expm
 
 from monodromy_lab.symplectic import (
     ClassificationAmbiguousError,
-    SpectralClassification,
     SymplecticError,
     SymplecticMatrix,
     UnsupportedSpectrumError,
@@ -21,17 +20,21 @@ from monodromy_lab.symplectic import (
 )
 
 
-def flow_matrix(q, which):
-    """-J Hess(q_which): its exponential is the time-one flow of the
-    stretch ("hyp") or rotation ("rot") generator."""
-    m = q.dim // 2
-    hess = np.zeros((q.dim, q.dim))
-    if which == "hyp":
-        hess[:m, m:] = q.hyp_coeffs.T
-        hess[m:, :m] = q.hyp_coeffs
-    else:
-        hess[:m, :m] = hess[m:, m:] = np.diag(2.0 * q.rot_coeffs)
-    return -standard_form(q.dim) @ hess
+def rotation_factor(cls):
+    """exp(-J F): the unit-modulus factor of a classified map."""
+    return expm(-standard_form(cls.dim) @ cls.F)
+
+
+def stretch_factor(cls):
+    """exp(B): the positive-spectrum factor of a classified map."""
+    return expm(cls.B)
+
+
+def hyp_flow(m):
+    """-J Hess(<M x, xi>) for an m x m matrix M: its exponential is the
+    time-one flow of the stretch generator."""
+    hess = np.block([[np.zeros_like(m), m.T], [m, np.zeros_like(m)]])
+    return -standard_form(2 * m.shape[0]) @ hess
 
 
 def rotation(alpha):
@@ -57,7 +60,7 @@ def test_classify_model_map():
     cls = classify_spectrum(np.diag([math.e, 1.0 / math.e]))
     assert (cls.n_hr_plus, cls.n_hc, cls.n_hr_minus, cls.n_e) == (1, 0, 0, 0)
     assert np.allclose(cls.F, 0.0, atol=1e-14)
-    assert cls.reconstruction_error() <= 1e-10
+    assert cls.reconstruction_error <= 1e-10
     assert cls.blocks[0].lam == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,7 +70,7 @@ def test_classify_rotation():
     assert np.allclose(cls.B, 0.0, atol=1e-12)
     assert np.allclose(cls.F, np.eye(2), atol=1e-10)
     assert cls.blocks[0].lam.imag == pytest.approx(1.0, abs=1e-10)
-    assert cls.reconstruction_error() <= 1e-10
+    assert cls.reconstruction_error <= 1e-10
 
 
 def test_classify_negative_pair():
@@ -77,8 +80,8 @@ def test_classify_negative_pair():
     assert blk.lam.real == pytest.approx(math.log(2.0), abs=1e-12)
     # rotation block is pi times the identity on this mode
     assert np.allclose(cls.F, math.pi * np.eye(2), atol=1e-12)
-    assert np.allclose(cls.rotation_factor(), -np.eye(2), atol=1e-12)
-    assert cls.reconstruction_error() <= 1e-10
+    assert np.allclose(rotation_factor(cls), -np.eye(2), atol=1e-12)
+    assert cls.reconstruction_error <= 1e-10
 
 
 def test_classify_identity_is_ambiguous():
@@ -116,7 +119,7 @@ def test_classify_random_reconstruction(dim):
             cls = classify_spectrum(k)
         except ClassificationAmbiguousError:
             continue
-        assert cls.reconstruction_error() <= 1e-8
+        assert cls.reconstruction_error <= 1e-8
         # dimension count across block kinds
         total = sum(4 * b.k if b.kind == "complex-hyperbolic"
                     else 2 * b.k for b in cls.blocks)
@@ -139,21 +142,27 @@ def test_classify_branch_pairing_exact():
 
 
 def test_classify_then_to_json_reconstructs_once(monkeypatch):
-    # the checked reconstruction error is kept, so to_json reports it
-    # without two more expm and one more inverse
+    # classify_spectrum keeps the reconstruction error it checked, so
+    # to_json reports it without two more expm; the oracle rebuilds
+    # T exp(-J F) exp(B) T^-1 from the fields
+    import scipy.linalg
+
     calls = []
-    reconstruct = SpectralClassification.reconstruct
+    real_expm = scipy.linalg.expm
 
-    def spy(self):
-        calls.append(id(self))
-        return reconstruct(self)
+    def spy(a):
+        calls.append(a.shape)
+        return real_expm(a)
 
-    monkeypatch.setattr(SpectralClassification, "reconstruct", spy)
-    cls = classify_spectrum(random_symplectic(6, np.random.default_rng(3)))
+    mat = random_symplectic(6, np.random.default_rng(3)).entries
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    cls = classify_spectrum(mat)
     doc = json.loads(cls.to_json())
-    assert calls == [id(cls)]
-    assert doc["reconstruction_error"] == cls.reconstruction_error()
-    assert calls == [id(cls)]
+    assert len(calls) == 2
+    assert doc["reconstruction_error"] == cls.reconstruction_error
+    rec = cls.basis @ rotation_factor(cls) @ stretch_factor(cls) @ np.linalg.inv(cls.basis)
+    assert cls.reconstruction_error == pytest.approx(
+        np.linalg.norm(rec - mat) / np.linalg.norm(mat), rel=1e-6, abs=1e-15)
 
 
 def test_classify_jordan_block():
@@ -169,7 +178,7 @@ def test_classify_jordan_block():
     cls = classify_spectrum(mat, tol_factor=1e-6)
     assert cls.n_hr_plus == 1
     assert cls.blocks[0].k == 2
-    assert cls.reconstruction_error() <= 1e-6
+    assert cls.reconstruction_error <= 1e-6
 
 
 def _block_built_map(blocks, angles, seed, scale=0.5):
@@ -217,7 +226,7 @@ def test_classify_repeated_real_pair(kind, sign):
         cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
         assert _kinds(cls) == [(kind, 1), (kind, 1)]
         assert all(b.mu == pytest.approx(sign * mu, rel=1e-12) for b in cls.blocks)
-        assert cls.reconstruction_error() <= 1e-10
+        assert cls.reconstruction_error <= 1e-10
 
 
 @pytest.mark.parametrize("blocks,expected", [
@@ -231,7 +240,7 @@ def test_classify_repeated_and_jordan_blocks(blocks, expected):
     mat, spectrum = _block_built_map(blocks, [], seed=37, scale=0.4)
     cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
     assert _kinds(cls) == expected
-    assert cls.reconstruction_error() <= 1e-10
+    assert cls.reconstruction_error <= 1e-10
     for b in cls.blocks:
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * abs(b.mu)
 
@@ -244,7 +253,7 @@ def test_classify_random_symplectic_property(dim, seed):
         cls = classify_spectrum(mat)
     except ClassificationAmbiguousError:
         assume(False)
-    assert cls.reconstruction_error() <= 1e-8
+    assert cls.reconstruction_error <= 1e-8
     assert sum(2 * b.x_width for b in cls.blocks) == dim
     evals = np.linalg.eigvals(mat)
     for b in cls.blocks:
@@ -275,7 +284,7 @@ def test_classify_block_built_property(blocks, angles, seed):
         cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
     except ClassificationAmbiguousError:
         assume(False)
-    assert cls.reconstruction_error() <= 1e-8
+    assert cls.reconstruction_error <= 1e-8
     assert sum(2 * b.x_width for b in cls.blocks) == mat.shape[0]
     assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
                                  + [("elliptic", 1)] * len(angles))
@@ -291,22 +300,23 @@ def test_quadratic_model_case():
     cls = classify_spectrum(np.diag([math.e, 1.0 / math.e]))
     q = build_quadratic_hamiltonian(cls)
     # q = <M x, xi> = x*xi with unit coefficient
-    assert q.hyp_coeffs.shape == (1, 1)
-    assert q.hyp_coeffs[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(expm(flow_matrix(q, "hyp")), cls.stretch_factor(), atol=1e-10)
+    assert q.shape == (1, 1)
+    assert q[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(expm(hyp_flow(q)), stretch_factor(cls), atol=1e-10)
 
 
 def test_quadratic_rotation_case():
-    cls = classify_spectrum(rotation(0.8))
-    q = build_quadratic_hamiltonian(cls)
-    # rotation generator (alpha/2)(x^2 + xi^2)
-    assert q.rot_coeffs[0] == pytest.approx(0.4, abs=1e-10)
-    assert np.allclose(expm(flow_matrix(q, "rot")), cls.rotation_factor(), atol=1e-10)
+    mat = rotation(0.8)
+    cls = classify_spectrum(mat)
+    # no stretch; rotation generator (alpha/2)(x^2 + xi^2) with F = alpha
+    assert build_quadratic_hamiltonian(cls).shape == (0, 0)
+    assert cls.F[0, 0] / 2.0 == pytest.approx(0.4, abs=1e-10)
+    in_basis = np.linalg.inv(cls.basis) @ mat @ cls.basis
+    assert np.allclose(rotation_factor(cls), in_basis, atol=1e-10)
 
 
 def test_quadratic_complex_hyperbolic_flow():
     lam = 1.0 + 1.0j
-    mu = np.exp(lam)
     # build a 4x4 symplectic matrix with eigenvalues mu, conj(mu), 1/mu, 1/conj(mu)
     lam2 = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     big = np.zeros((4, 4))
@@ -315,16 +325,16 @@ def test_quadratic_complex_hyperbolic_flow():
     mat = expm(big)
     cls = classify_spectrum(mat)
     assert cls.n_hc == 1
-    q = build_quadratic_hamiltonian(cls)
+    m = build_quadratic_hamiltonian(cls)
     # real part couples x.xi diagonally, imaginary part rotates the pair
-    m = q.hyp_coeffs
     assert m[0, 0] == pytest.approx(lam.real, abs=1e-9)
     assert m[1, 1] == pytest.approx(lam.real, abs=1e-9)
     assert m[0, 1] == pytest.approx(lam.imag, abs=1e-9)
     assert m[1, 0] == pytest.approx(-lam.imag, abs=1e-9)
-    # oracle: matrix exponential of the flow matrix reproduces exp(B)
-    assert np.allclose(expm(flow_matrix(q, "hyp")), cls.stretch_factor(), atol=1e-8)
-    assert np.allclose(expm(flow_matrix(q, "rot")), cls.rotation_factor(), atol=1e-8)
+    # oracle: matrix exponential of the flow matrix reproduces exp(B), and
+    # there is no rotation factor
+    assert np.allclose(expm(hyp_flow(m)), stretch_factor(cls), atol=1e-8)
+    assert np.allclose(rotation_factor(cls), np.eye(4), atol=1e-12)
 
 
 def test_quadratic_real_for_real_inputs():
@@ -332,7 +342,53 @@ def test_quadratic_real_for_real_inputs():
     k = random_symplectic(6, rng)
     cls = classify_spectrum(k)
     q = build_quadratic_hamiltonian(cls)
-    assert q.hyp_coeffs.dtype == np.float64 and q.rot_coeffs.dtype == np.float64
+    assert q.dtype == np.float64
     # flow of the full generator stays symplectic
-    flow = expm(flow_matrix(q, "hyp"))
+    flow = expm(hyp_flow(q))
     assert symplectic_defect(flow) <= 1e-10
+
+
+def hyperbolic_width(cls):
+    return sum(b.x_width for b in cls.blocks if b.kind != "elliptic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 2 ** 32 - 1))
+def test_quadratic_is_the_leading_block_of_b(dim, seed):
+    # without Jordan chains the generator is B's x-block on the leading
+    # hyperbolic slots, bit for bit; B is zero on every elliptic slot, so
+    # nothing couples the two kinds of modes
+    try:
+        cls = classify_spectrum(random_symplectic(dim, np.random.default_rng(seed)))
+    except ClassificationAmbiguousError:
+        assume(False)
+    m, m_h = cls.dim // 2, hyperbolic_width(cls)
+    assert all(b.k == 1 for b in cls.blocks)
+    q = build_quadratic_hamiltonian(cls)
+    assert q.shape == (m_h, m_h)
+    assert np.array_equal(q, cls.B[:m_h, :m_h])
+    assert not cls.B[:m, m_h:m].any() and not cls.B[m_h:m, :m].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(HYPERBOLIC_BLOCK, min_size=1, max_size=3),
+       st.lists(st.sampled_from([0.5, 1.3, 2.2, 2.9]), unique=True, max_size=2),
+       st.integers(0, 2 ** 32 - 1))
+def test_quadratic_rescales_jordan_chains(blocks, angles, seed):
+    # D^-1 M D keeps the spectrum of the stretch block and lifts the
+    # symmetric part of every chain to at least Re(lam)/2
+    widths = [2 * k if kind == "complex-hyperbolic" else k for kind, _, _, k in blocks]
+    assume(sum(widths) + len(angles) <= 6)
+    mat, _ = _block_built_map(blocks, angles, seed)
+    try:
+        cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    except ClassificationAmbiguousError:
+        assume(False)
+    m_h = hyperbolic_width(cls)
+    q = build_quadratic_hamiltonian(cls)
+    assert q.shape == (m_h, m_h)
+    # a chain's eigenvalues come out of eig split by about sqrt(epsilon)
+    dist = np.abs(np.linalg.eigvals(q)[:, None] - np.linalg.eigvals(cls.B[:m_h, :m_h]))
+    assert dist.min(axis=0).max() <= 1e-6 and dist.min(axis=1).max() <= 1e-6
+    floor = min(b.lam.real for b in cls.blocks if b.kind != "elliptic") / 2.0
+    assert np.linalg.eigvalsh(0.5 * (q + q.T)).min() >= floor - 1e-12

@@ -111,11 +111,6 @@ def test_quantize_rejects_nan():
         quantize(bad_symbol, GRID)
 
 
-def test_quantize_nyquist_guard():
-    with pytest.raises(GridError, match="Nyquist"):
-        quantize(lambda x, xi: xi, GRID, xi_support=10.0 * GRID.xi_max)
-
-
 def test_harmonic_oscillator_spectrum():
     grid = PhaseGrid(L=10.0, N=512, hbar=0.1)
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, grid)

@@ -37,6 +37,7 @@ from .monodromy import contraction_sweep
 from .quasimode import (
     LadderSizeError,
     exact_model_ladder,
+    grid_capacity,
     perturbed_ladder,
     residual_certify,
 )
@@ -276,6 +277,11 @@ def cmd_ladder(args) -> int:
             ladder = perturbed_ladder([(lambda z, c=c: c) for c in lam0], [],
                                       h, m_exp, c0, order=order)
         if doc.get("residuals", False):
+            top = max((e.beta[0] for e in ladder.entries), default=0)
+            cap = grid_capacity(grid, h)
+            if top > cap:  # refused before any entry is certified
+                raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
+                                  f"{cap} (need h(2 beta + 1) <= L^2/4)")
             residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, h, grid)
                          for e in ladder.entries]
         else:

@@ -34,6 +34,8 @@ DOMAIN_BOUND = 10.0
 MAX_STEPS = 10 ** 7
 MAX_ROWS = 10 ** 6
 BASE_Z = (0.0, 0.5, -0.5)
+# a Floquet multiplier farther than this from the unit circle is off it
+MULTIPLIER_TOL = 1e-4
 
 VERDICT_SEMI_HYPERBOLIC = "semi-hyperbolic"
 VERDICT_HYPERBOLIC = "hyperbolic"
@@ -268,9 +270,9 @@ class PoincareReport:
         })
 
 
-def _classify_multipliers(mults, tol=1e-4):
+def _classify_multipliers(mults):
     """Verdict and the number of multiplier pairs off the unit circle."""
-    n_off = sum(1 for mu in mults if abs(abs(mu) - 1.0) > tol)
+    n_off = sum(1 for mu in mults if abs(abs(mu) - 1.0) > MULTIPLIER_TOL)
     pairs_off, pairs_on = n_off // 2, (len(mults) - n_off) // 2
     if pairs_off and pairs_on:
         return VERDICT_SEMI_HYPERBOLIC, pairs_off
@@ -279,25 +281,22 @@ def _classify_multipliers(mults, tol=1e-4):
     return VERDICT_ELLIPTIC, pairs_off
 
 
-def poincare_linearization(z0: float, vx0: float | None = None,
-                           step: float = 1e-4) -> PoincareReport:
+def poincare_linearization(z0: float, step: float = 1e-4) -> PoincareReport:
     """Transverse linearization of one of the three closed geodesics.
 
     The section is the hypersurface x = x0 (mod 1) with transverse
-    coordinates (y, z, vy, vz); on the base orbits the return time is the
-    x-period T = 1 / vx0.  The variational equations are integrated along
-    one period and the 4 x 4 transverse monodromy extracted; multipliers
-    come in symplectic pairs (mu, 1/mu).  The Hessian signature of the
+    coordinates (y, z, vy, vz).  The orbit starts at unit energy,
+    vx0 = 1 / w(0, z0), so the return time is the x-period T = 1 / vx0.
+    The variational equations are integrated along one period and the
+    4 x 4 transverse monodromy extracted; multipliers come in symplectic
+    pairs (mu, 1/mu).  The Hessian signature of the
     effective potential at (0, z0) must count one "-" per pair off the
     unit circle, or ValueError is raised.
-
-    vx0 defaults to 1 / w(0, z0), normalizing the orbit to unit energy.
     """
     if min(abs(z0 - b) for b in BASE_Z) > 1e-12:
         raise ValueError(f"base orbit must have z0 in {BASE_Z}, got {z0}")
     w0 = float(WarpedMetric.warp(0.0, z0))
-    if vx0 is None:
-        vx0 = 1.0 / w0
+    vx0 = 1.0 / w0
     period = 1.0 / vx0
     state0 = np.array([0.0, 0.0, z0, vx0, 0.0, 0.0])
     traj, tangent = integrate(state0, period, step=step, stride=10 ** 9,

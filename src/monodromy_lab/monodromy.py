@@ -186,14 +186,11 @@ def gap_basis(p: ModelParams) -> np.ndarray:
     return microlocal_basis(p.grid, width_x=wx, width_xi=wxi, sv_tol=1e-4)
 
 
-def unconjugated_gap(p: ModelParams, m: np.ndarray,
-                     basis: np.ndarray | None = None):
+def unconjugated_gap(m: np.ndarray, basis: np.ndarray):
     """Gap of the unconjugated monodromy M on h-microlocalized states: the
-    smallest restricted eigenvalue of Herm(I - M) on gap_basis(p), unless
-    a basis is given.  Returns (gap, subspace rank).
+    smallest restricted eigenvalue of Herm(I - M) on the span of `basis`
+    (gap_basis at that h).  Returns (gap, subspace rank).
     """
-    if basis is None:
-        basis = gap_basis(p)
     return restricted_gap(m, basis), basis.shape[1]
 
 
@@ -218,7 +215,7 @@ def contraction_sweep(h_values, lam: float, s: float, hbar_tilde: float,
     m_gap = build_hyperbolic_monodromy(params[0])
     results = []
     for p_gap, b in zip(params, gap_bases):
-        gap_val, rank = unconjugated_gap(p_gap, m_gap, b)
+        gap_val, rank = unconjugated_gap(m_gap, b)
         results.append(MonodromyResult(
             h=p_gap.h, hbar_tilde=hbar_tilde, s=s, norm_conjugated=r,
             unitarity_defect=defect, gap_value=gap_val, subspace_rank=rank,

@@ -12,7 +12,8 @@ by staged successive substitution; stage increments shrink like
 h^((j+1)/m).  Note the normalization: feeding the model rate
 lambda(z) = alpha/2 with no corrections makes the direct ladder exactly
 twice the solved root, z_direct = 2 * z_root, entry by entry.  Ladder
-entries are certified by the residual of their quasimode on a product grid.
+entries are certified by the residual of their quasimode on the transverse
+grid: the time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .weyl import PhaseGrid
 # lattice point stages one ladder enumeration may visit; checked before the
 # enumeration starts
 MAX_LATTICE_POINTS = 10 ** 7
+# stage-increment bound of perturbed_ladder, in units of its h-power scale
+DIVERGENCE_MARGIN = 50.0
 
 
 class LadderError(ValueError):
@@ -143,16 +145,8 @@ def _check_lattice(size) -> None:
                               f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
-def _dedup_check(entries, alpha, h):
-    """Distinctness of ladder values.  With rational alpha the values
-    (alpha/2)(2 b + 1) h + 2 pi k h collide only for equal (k, b), which is
-    certified by exact Fraction keys; otherwise values are compared at
-    1e-12 resolution."""
-    if isinstance(alpha, Fraction):
-        keys = {(Fraction(2 * e.beta[0] + 1, 1) * alpha / 2, e.k) for e in entries}
-        if len(keys) != len(entries):
-            raise LadderError("duplicate ladder entries at exact rational bookkeeping")
-        return
+def _dedup_check(entries):
+    """Distinctness of ladder values, compared at 1e-12 resolution."""
     zs = sorted(e.z for e in entries)
     for a, b in zip(zs, zs[1:]):
         if b - a < 1e-12 * max(1.0, abs(a)):
@@ -164,35 +158,34 @@ def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> Quasimo
     window |z| <= c0 h^(1/m); residuals are identically zero at continuum
     level.  Empty windows give an empty (valid) ladder; a window past
     MAX_LATTICE_POINTS is refused with LadderSizeError."""
-    if h <= 0 or float(alpha) <= 0:
+    alpha = float(alpha)
+    if h <= 0 or alpha <= 0:
         raise ValueError("alpha and h must be positive")
     zmax = c0 * h ** (1.0 / m_exponent)
-    alpha_f = float(alpha)
     kmax = k_window(h, m_exponent, c0)
     # each k admits at most 2 zmax / (alpha h) + 1 values of b
-    _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha_f * h) + 1.0))
+    _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha * h) + 1.0))
     entries = []
     for k in range(-kmax, kmax + 1):
         base = 2.0 * math.pi * k * h
         # (alpha/2)(2b+1)h in [-zmax - base, zmax - base], b >= 0
-        hi = (zmax - base) / (alpha_f * h)
+        hi = (zmax - base) / (alpha * h)
         if hi < 0.5:
             continue
-        lo = (-zmax - base) / (alpha_f * h)
+        lo = (-zmax - base) / (alpha * h)
         b_lo = max(0, int(math.ceil(lo - 0.5)))
         b_hi = int(math.floor(hi - 0.5 + 1e-15))
         for b in range(b_lo, b_hi + 1):
-            z = 0.5 * alpha_f * (2 * b + 1) * h + base
+            z = 0.5 * alpha * (2 * b + 1) * h + base
             if abs(z) <= zmax * (1.0 + 1e-15):
                 entries.append(LadderEntry(k=k, beta=(b,), z=z, residual=0.0))
-    _dedup_check(entries, alpha, h)
+    _dedup_check(entries)
     entries.sort(key=lambda e: e.z)
     return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
 
 
 def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
-                     c0: float, order: int,
-                     divergence_margin: float = 50.0) -> QuasimodeLadder:
+                     c0: float, order: int) -> QuasimodeLadder:
     """Staged solution of the section-map quantization condition.
 
     Parameters
@@ -208,9 +201,10 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
 
     Stage zero solves 2 z = h sum lambda_j(0) (2 beta_j + 1) + 2 pi k h;
     each later stage re-substitutes the current root into the right-hand
-    side.  Stage increments must obey |dz_j| <= margin * h^((j+1)/m) or a
-    divergence report is raised.  Entries are kept when the converged root
-    lies inside |z| <= c0 h^(1/m).  A lattice whose points times the
+    side.  The increment of stage j must obey |dz_j| <= DIVERGENCE_MARGIN
+    max(|z0|, h^(1/m)) h^(j/m), of order h^((j+1)/m), or
+    LadderDivergenceError is raised.  Entries are kept when the converged
+    root lies inside |z| <= c0 h^(1/m).  A lattice whose points times the
     order + 1 stages each runs exceed MAX_LATTICE_POINTS is refused with
     LadderSizeError before enumeration.
     """
@@ -249,7 +243,7 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
             for j in range(1, order + 1):
                 z_next = 0.5 * (zeta(z, beta) + 2.0 * math.pi * k * h)
                 dz = z_next - z
-                bound = divergence_margin * max(abs(z0), h ** (1.0 / m_exponent)) \
+                bound = DIVERGENCE_MARGIN * max(abs(z0), h ** (1.0 / m_exponent)) \
                     * h ** (j / m_exponent)
                 if abs(dz) > bound:
                     raise LadderDivergenceError(
@@ -274,7 +268,7 @@ def _beta_lattice(n_modes: int, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Residual certification on the product grid
+# Residual certification on the transverse grid
 # ---------------------------------------------------------------------------
 
 def residual_certify(k: int, beta: int, z: float, alpha: float, h: float,

@@ -33,6 +33,12 @@ import numpy as np
 # 0.3 s and 27 MiB of start-up that contract, ladder and geodesic never use
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
+# eigenvalues closer than this (relative) form one cluster
+CLUSTER_GAP = 1e-6
+# singular values below this fraction of the largest count as zero
+RANK_TOL = 1e-8
+# largest relative error of T exp(-J F) exp(B) T^-1 against the input
+RECONSTRUCTION_TOL = 1e-8
 
 KIND_COMPLEX_HYPERBOLIC = "complex-hyperbolic"
 KIND_REAL_POSITIVE = "real-positive"
@@ -193,15 +199,15 @@ class SpectralClassification:
         }, indent=2)
 
 
-def _cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 1e-6):
-    """Greedy clustering of eigenvalues at relative gap rel_gap.
+def _cluster_eigenvalues(evals: np.ndarray):
+    """Greedy clustering of eigenvalues at relative gap CLUSTER_GAP.
     Returns a list of (centroid, count)."""
     order = np.lexsort((evals.imag, evals.real))
     clusters = []
     for idx in order:
         ev = evals[idx]
         for c in clusters:
-            if abs(ev - c[0] / c[1]) <= rel_gap * max(1.0, abs(ev)):
+            if abs(ev - c[0] / c[1]) <= CLUSTER_GAP * max(1.0, abs(ev)):
                 c[0] += ev
                 c[1] += 1
                 break
@@ -210,24 +216,31 @@ def _cluster_eigenvalues(evals: np.ndarray, rel_gap: float = 1e-6):
     return [(c[0] / c[1], c[1]) for c in clusters]
 
 
-def _rank(mat: np.ndarray, rel_tol: float = 1e-8) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank read off descending singular values at RANK_TOL."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def _jordan_structure(a: np.ndarray, mu: complex, alg_mult: int):
-    """Jordan block sizes for eigenvalue mu via staircase rank tests on
-    powers of (A - mu I).  Returns a descending list of block sizes."""
+def _jordan_chains(a: np.ndarray, mu: complex, mult: int):
+    """Chain basis columns for the generalized eigenspace of mu, organized
+    so that A acts as the direct sum of Jordan blocks, largest first.
+    Works in mu's own arithmetic, so the chains are real for real mu.
+
+    One full SVD of each power (A - mu I)^s gives both its rank, for the
+    staircase of block sizes, and the nested nullspace N_s, spanned by
+    the right singular directions past that rank."""
     n = a.shape[0]
     shifted = a - mu * np.eye(n)
-    ranks = [n]
+    ranks, nulls = [n], []
     power = np.eye(n)
-    for _ in range(alg_mult):
+    for _ in range(mult):
         power = power @ shifted
-        ranks.append(_rank(power))
-        if ranks[-1] <= n - alg_mult:
+        _, sv, vh = np.linalg.svd(power)
+        ranks.append(_rank(sv))
+        nulls.append(vh[ranks[-1]:].conj().T)
+        if ranks[-1] <= n - mult:
             break
     # number of blocks of size >= s is rank((A-mu)^(s-1)) - rank((A-mu)^s)
     at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
@@ -235,33 +248,11 @@ def _jordan_structure(a: np.ndarray, mu: complex, alg_mult: int):
     for s in range(len(at_least), 0, -1):
         count = at_least[s - 1] - (at_least[s] if s < len(at_least) else 0)
         sizes.extend([s] * count)
-    sizes.sort(reverse=True)
-    if sum(sizes) != alg_mult:
+    if sum(sizes) != mult:
         raise UnsupportedSpectrumError(
             f"Jordan staircase for eigenvalue {mu} is numerically ambiguous "
-            f"(sizes {sizes}, algebraic multiplicity {alg_mult})"
+            f"(sizes {sizes}, algebraic multiplicity {mult})"
         )
-    return sizes
-
-
-def _jordan_chains(a: np.ndarray, mu: complex, sizes):
-    """Chain basis columns for the generalized eigenspace of mu, organized
-    so that A acts as the direct sum of Jordan blocks of the given sizes.
-    Works in mu's own arithmetic, so the chains are real for real mu."""
-    n = a.shape[0]
-    shifted = a - mu * np.eye(n)
-    depth = max(sizes)
-    mult = sum(sizes)
-    # nested nullspaces N_1 subset ... subset N_depth: orthonormal columns,
-    # the `expected` smallest right singular directions of (A - mu)^s
-    nulls = []
-    power = np.eye(n)
-    expected = 0
-    at_least = {s: sum(1 for k in sizes if k >= s) for s in range(1, depth + 1)}
-    for s in range(1, depth + 1):
-        power = power @ shifted
-        expected += at_least[s]
-        nulls.append(np.linalg.svd(power)[2][-expected:].conj().T)
     chains = []
     used = np.zeros((n, 0), dtype=shifted.dtype)
     for size in sizes:  # descending
@@ -276,7 +267,7 @@ def _jordan_chains(a: np.ndarray, mu: complex, sizes):
         candidates = top_space
         if avoid:
             u, sv, _ = np.linalg.svd(np.hstack(avoid), full_matrices=False)
-            q = u[:, sv > 1e-8 * sv[0]]
+            q = u[:, :_rank(sv)]
             candidates = top_space - q @ (q.conj().T @ top_space)
         norms = np.linalg.norm(candidates, axis=0)
         top = candidates[:, int(np.argmax(norms))]
@@ -291,8 +282,7 @@ def _jordan_chains(a: np.ndarray, mu: complex, sizes):
         chain.reverse()  # chain[0] is a true eigenvector
         chains.append(np.column_stack(chain))
         used = np.hstack([used, chains[-1]])
-    basis = np.hstack(chains)
-    if _rank(basis) < mult:
+    if _rank(np.linalg.svd(used, compute_uv=False)) < mult:
         raise UnsupportedSpectrumError(f"Jordan chain basis for {mu} is rank deficient")
     return chains
 
@@ -339,8 +329,7 @@ def _generator_block(b: SpectralBlock) -> np.ndarray:
     return blk
 
 
-def classify_spectrum(ds, tol_unit: float = 1e-6,
-                      tol_factor: float = 1e-8) -> SpectralClassification:
+def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     """Classify the spectrum of a symplectic matrix and build the real
     factorization dS = exp(-J F) exp(B) in an adapted symplectic basis.
 
@@ -348,10 +337,12 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     (|mu| > 1, Im mu != 0), real pairs mu > 1, real pairs mu < -1, and
     unit-modulus elliptic pairs.  Repeated hyperbolic eigenvalues are
     supported, with one or several Jordan chains each; their block sizes
-    are detected by staircase rank tests.  Repeated elliptic eigenvalues
-    are refused.  Elliptic angles are signed by the symplectic
-    orientation of the invariant plane, so a negatively-oriented rotation
-    carries Im(lam) < 0.
+    are detected by staircase rank tests and must agree with those of the
+    partner 1/mu.  Repeated elliptic eigenvalues are refused.  Elliptic
+    angles are signed by the symplectic orientation of the invariant
+    plane, so a negatively-oriented rotation carries Im(lam) < 0.  The
+    factorization must reconstruct the input to relative error
+    RECONSTRUCTION_TOL.
 
     Parameters
     ----------
@@ -360,15 +351,17 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
         Distance to the unit circle below which an eigenvalue counts as
         unit-modulus.  Eigenvalues with distance in (tol_unit, 10*tol_unit)
         are refused as ambiguous.
-    tol_factor : float
-        Relative tolerance for the reconstruction check.
 
     Raises
     ------
     ClassificationAmbiguousError
         Eigenvalue in the ambiguous band, or at +-1.
     UnsupportedSpectrumError
-        Repeated elliptic eigenvalue (multiplicity > 1).
+        Repeated elliptic eigenvalue (multiplicity > 1), or a Jordan
+        structure the rank tests cannot resolve.
+    SymplecticError
+        Adapted basis not symplectic, or reconstruction error past
+        RECONSTRUCTION_TOL.
     """
     from scipy.linalg import expm
 
@@ -380,10 +373,9 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     evals, evecs = np.linalg.eig(a)
 
     groups = []   # (representative mu, multiplicity, kind)
-    cluster_tol = 1e-6
     for mu, mult in _cluster_eigenvalues(evals):
         dist = abs(abs(mu) - 1.0)
-        real = abs(mu.imag) <= cluster_tol * max(1.0, abs(mu))
+        real = abs(mu.imag) <= CLUSTER_GAP * max(1.0, abs(mu))
         if dist <= tol_unit:
             if real:
                 raise ClassificationAmbiguousError(
@@ -442,9 +434,13 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
             chains = [eig_column(mu)]
             dual_space = eig_column(1.0 / mu)
         else:
-            sizes = _jordan_structure(a, mu, mult)
-            chains = _jordan_chains(a, mu, sizes)
-            dual_space = np.hstack(_jordan_chains(a, 1.0 / mu, sizes))
+            chains = _jordan_chains(a, mu, mult)
+            dual = _jordan_chains(a, 1.0 / mu, mult)
+            if [c.shape[1] for c in dual] != [c.shape[1] for c in chains]:
+                raise UnsupportedSpectrumError(
+                    f"Jordan block sizes of {mu} and of its partner 1/mu disagree"
+                )
+            dual_space = np.hstack(dual)
         chains = [_standardize_chain(c, mu) for c in chains]
         # omega-dual basis of all chains at once: omega(x_i, f_j) = -c delta_ij,
         # c = 2 for the realified complex pairs
@@ -495,10 +491,10 @@ def classify_spectrum(ds, tol_unit: float = 1e-6,
     rec = expm(-j_form @ big_f) @ expm(big_b)
     rec = basis @ rec @ np.linalg.inv(basis)
     err = float(np.linalg.norm(rec - a) / np.linalg.norm(a))
-    if err > tol_factor:
+    if err > RECONSTRUCTION_TOL:
         raise SymplecticError(
             f"factorization exp(-J F) exp(B) fails to reconstruct the input: "
-            f"relative error {err:.3e} > {tol_factor:.1e}"
+            f"relative error {err:.3e} > {RECONSTRUCTION_TOL:.1e}"
         )
     return SpectralClassification(dim=n, blocks=blocks, B=big_b, F=big_f,
                                   basis=basis, reconstruction_error=err)

@@ -468,9 +468,12 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "counting", "c0": 0.1, "h_values": [0.0]},
     {"mode": "counting", "c0": 0.1, "h_values": [1e-2, -0.1]},
     {"mode": "counting", "c0": 0.1, "h_values": []},
+    # the window reaches beta = 8, past the capacity 0 of this grid at h
+    {"mode": "exact", "h": 0.1, "c0": 1.0, "residuals": True,
+     "grid": {"L": 1.0, "N": 64}},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
-        "counting_no_h"])
+        "counting_no_h", "residual_beta_past_grid_capacity"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3

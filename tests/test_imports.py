@@ -1,10 +1,13 @@
 """Tooling checks: every name a module imports at module level is used,
 every definition is reachable from the CLI, every method of a reached
-class and every dataclass field is read somewhere in the package, and the
-commands that never run expm start without scipy.linalg."""
+class and every dataclass field is read somewhere in the package, every
+default is passed by some call in the package or the benchmark, every
+parameter is read by its function, and the commands that never run expm
+start without scipy.linalg."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,6 +233,121 @@ def test_every_field_is_read_in_src():
         "dataclass fields no module reads; delete them"
     assert sorted(set(UNREAD_FIELDS) - unread) == [], \
         "UNREAD_FIELDS lists a field that is read or gone"
+
+
+# ---------------------------------------------------------------------------
+# parameter guards: every default is turned by a caller, every parameter read
+# ---------------------------------------------------------------------------
+
+# calls from these files turn a default; tests do not count
+CALLERS = MODULES + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# (module, function, parameter) -> why a default no caller turns is kept
+KEPT_DEFAULTS = {
+    ("symplectic", "random_symplectic", "scale"):
+        "tests draw well-conditioned conjugations with a small scale",
+    ("weyl", "microlocal_cutoff", "width_x"):
+        "the dense reference of microlocal_basis; tests compare at other widths",
+    ("weyl", "microlocal_cutoff", "width_xi"):
+        "the dense reference of microlocal_basis; tests compare at other widths",
+}
+
+
+def _functions(tree):
+    """(def node, number of leading parameters a call does not pass) for
+    every def in the tree: 1 for a method's self or cls, else 0."""
+    bound = {id(f) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in f.decorator_list)}
+    return [(node, int(id(node) in bound)) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def unturned_defaults(sources: dict, callers: dict) -> set:
+    """(module, function, parameter) of every defaulted parameter of a def
+    in `sources` that no call in `callers` passes, by keyword or by
+    position.  A call matches every def of its bare name (f(...) and
+    obj.f(...) alike); one that splats *args or **kwargs passes all."""
+    passed = {}  # callee name -> (most positional arguments, keywords)
+    for source in callers.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            splat = (any(isinstance(a, ast.Starred) for a in call.args)
+                     or any(k.arg is None for k in call.keywords))
+            n_pos, keys = passed.get(name, (0, set()))
+            passed[name] = (math.inf if splat else max(n_pos, len(call.args)),
+                            keys | {k.arg for k in call.keywords})
+    flagged = set()
+    for mod, source in sources.items():
+        for fn, skip in _functions(ast.parse(source)):
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            defaulted = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+            defaulted += [(a.arg, math.inf) for a, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            n_pos, keys = passed.get(fn.name, (0, set()))
+            flagged |= {(mod, fn.name, arg) for arg, pos in defaulted
+                        if arg not in keys and pos >= n_pos}
+    return flagged
+
+
+def test_unturned_default_scanner():
+    sources = {
+        "a": "def f(x, y=1, z=2, *, w=3):\n    return x + y + z + w\n\n"
+             "def g(u=0, v=1):\n    return u + v\n\n"
+             "class C:\n    def m(self, p=1, q=2):\n        return p + q\n\n"
+             "    @staticmethod\n    def s(p=1):\n        return p\n\n"
+             "def unused(k=5):\n    return k\n",
+    }
+    callers = {
+        "a": sources["a"],
+        "b": "from a import f, g, C\n"
+             "f(0, 1)\nf(0, w=4)\ng(*[1])\nC().m(7)\nC.s()\n",
+    }
+    assert unturned_defaults(sources, callers) == {
+        ("a", "f", "z"), ("a", "m", "q"), ("a", "s", "p"), ("a", "unused", "k")}
+
+
+def test_every_default_is_turned_by_a_caller():
+    unturned = unturned_defaults({p.stem: p.read_text() for p in MODULES},
+                                 {str(p): p.read_text() for p in CALLERS})
+    assert sorted(unturned - set(KEPT_DEFAULTS)) == [], \
+        "defaults that no call in src/ or perfbench/ passes; make them constants"
+    assert sorted(set(KEPT_DEFAULTS) - unturned) == [], \
+        "KEPT_DEFAULTS lists a default that a caller turns or that is gone"
+
+
+def unread_parameters(sources: dict) -> set:
+    """(module, function, parameter) of every parameter of a def whose body,
+    nested defs and lambdas included, never loads its name."""
+    flagged = set()
+    for mod, source in sources.items():
+        for fn, _ in _functions(ast.parse(source)):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            loaded = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            flagged |= {(mod, fn.name, p.arg) for p in params if p.arg not in loaded}
+    return flagged
+
+
+def test_unread_parameter_scanner():
+    sources = {
+        "a": "def f(x, y, *rest, flag=False, **extra):\n"
+             "    g = lambda: y\n    return x, g, extra\n\n"
+             "class C:\n    def m(self, p):\n        p = 1\n        return self\n",
+    }
+    assert unread_parameters(sources) == {("a", "f", "rest"), ("a", "f", "flag"),
+                                          ("a", "m", "p")}
+
+
+def test_every_parameter_is_read():
+    assert sorted(unread_parameters({p.stem: p.read_text() for p in MODULES})) == [], \
+        "parameters their function never reads; delete them"
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_contraction_gap_matches_unconjugated_gap():
                              grid=PhaseGrid(L=16.0, N=256, hbar=HT),
                              gap_grid=gap_grid)
     p = ModelParams(lam=1.0, h=0.02, hbar_tilde=HT, s=0.3, grid=gap_grid)
-    gap, rank = unconjugated_gap(p, build_hyperbolic_monodromy(p))
+    gap, rank = unconjugated_gap(build_hyperbolic_monodromy(p), gap_basis(p))
     assert rows[1].gap_value == pytest.approx(gap, abs=1e-13)
     assert rows[1].subspace_rank == rank
 
@@ -145,7 +145,7 @@ def test_gap_is_dilation_covariant():
     for h, length in ((0.05, 32.0), (0.0125, 64.0)):
         p = ModelParams(lam=1.0, h=h, hbar_tilde=HT, s=0.3,
                         grid=PhaseGrid(L=length, N=256, hbar=HT))
-        gaps.append(unconjugated_gap(p, build_hyperbolic_monodromy(p)))
+        gaps.append(unconjugated_gap(build_hyperbolic_monodromy(p), gap_basis(p)))
     (gap_a, rank_a), (gap_b, rank_b) = gaps
     assert rank_a == rank_b
     assert gap_a > 0.0

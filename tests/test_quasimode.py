@@ -210,7 +210,7 @@ def test_perturbed_divergence_reported():
     # a violently growing correction breaks the magnitude ladder
     with pytest.raises(LadderDivergenceError, match="stage"):
         perturbed_ladder([lambda z: 1.0], [lambda iv: 1e6 * float(iv.sum())],
-                         1e-3, 2.0, 1.0, order=2, divergence_margin=1.0)
+                         1e-3, 2.0, 1.0, order=2)
 
 
 def test_perturbed_multi_mode_lattice():

@@ -175,10 +175,10 @@ def test_classify_jordan_block():
     rng = np.random.default_rng(3)
     t = random_symplectic(4, rng, scale=0.4)
     mat = t.entries @ expm(big) @ np.linalg.inv(t.entries)
-    cls = classify_spectrum(mat, tol_factor=1e-6)
+    cls = classify_spectrum(mat)
     assert cls.n_hr_plus == 1
     assert cls.blocks[0].k == 2
-    assert cls.reconstruction_error <= 1e-6
+    assert cls.reconstruction_error <= 1e-10
 
 
 def _block_built_map(blocks, angles, seed, scale=0.5):
@@ -243,6 +243,30 @@ def test_classify_repeated_and_jordan_blocks(blocks, expected):
     assert cls.reconstruction_error <= 1e-10
     for b in cls.blocks:
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * abs(b.mu)
+
+
+@pytest.mark.parametrize("blocks,powers", [
+    ([("real-positive", 0.7, 0.0, 2)] * 2, 2),
+    ([("complex-hyperbolic", 0.5, 0.8, 2)], 2),
+], ids=["two_real_chains", "complex_chain"])
+def test_classify_jordan_factors_each_power_once(monkeypatch, blocks, powers):
+    # one SVD of each power (A - mu)^s gives both the staircase rank and
+    # the nullspace, for mu and for its partner 1/mu; the other SVDs are
+    # of thin n x r matrices (projections and the chain-basis rank check)
+    mat, _ = _block_built_map(blocks, [], seed=37, scale=0.4)
+    n = mat.shape[0]
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    assert _kinds(cls) == sorted((kind, k) for kind, _, _, k in blocks)
+    assert shapes.count((n, n)) == 2 * powers
+    assert all(cols < n for rows, cols in shapes if (rows, cols) != (n, n))
 
 
 @settings(max_examples=40, deadline=None)

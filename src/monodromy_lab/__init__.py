@@ -24,8 +24,6 @@ from .weyl import (
     quantize,
 )
 from .monodromy import (
-    ModelParams,
-    MonodromyResult,
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,

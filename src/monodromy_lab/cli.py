@@ -178,12 +178,12 @@ def cmd_contract(args) -> int:
     h_values = [float(h) for h in doc["h_values"]]
     if not h_values or any(h <= 0 or h > hbar_tilde for h in h_values):
         raise ConfigError("h_values must be positive and at most hbar_tilde")
+    s = float(doc.get("s", 0.3))
     grid = _grid_from(doc.get("grid"), 16.0, 512, hbar_tilde)
     gap_grid = _grid_from(doc.get("gap_grid"), 48.0, 512, hbar_tilde)
     try:
-        rows = contraction_sweep(h_values, lam=float(doc.get("lam", 1.0)),
-                                 s=float(doc.get("s", 0.3)), hbar_tilde=hbar_tilde,
-                                 grid=grid, gap_grid=gap_grid)
+        r, defect, gaps = contraction_sweep(h_values, float(doc.get("lam", 1.0)),
+                                            s, grid, gap_grid)
     except GridError as exc:  # a grid too small for the microlocal subspace
         raise ConfigError(f"grid: {exc}")
     outdir = Path(args.out)
@@ -193,14 +193,13 @@ def cmd_contract(args) -> int:
         out,
         ["h", "hbar_tilde", "s", "r", "gap_value", "subspace_rank",
          "unitarity_defect"],
-        [[r.h, r.hbar_tilde, r.s, r.norm_conjugated, r.gap_value,
-          r.subspace_rank, r.unitarity_defect] for r in rows],
+        [[h, hbar_tilde, s, r, gap, rank, defect]
+         for h, (gap, rank) in zip(h_values, gaps)],
     )
     serialize.write_manifest(outdir, "contract", doc, [out], started)
-    worst = max(r.norm_conjugated for r in rows)
-    print(f"contract: wrote {out} (max r = {worst:.6f})")
-    if worst >= 1.0 and float(doc.get("s", 0.3)) != 0.0:
-        raise NumericFailure(f"contraction failed: r = {worst:.6f} >= 1")
+    print(f"contract: wrote {out} (r = {r:.6f})")
+    if r >= 1.0 and s != 0.0:
+        raise NumericFailure(f"contraction failed: r = {r:.6f} >= 1")
     return EXIT_PASS
 
 
@@ -278,11 +277,11 @@ def cmd_ladder(args) -> int:
                                       h, m_exp, c0, order=order)
         if doc.get("residuals", False):
             top = max((e.beta[0] for e in ladder.entries), default=0)
-            cap = grid_capacity(grid, h)
+            cap = grid_capacity(grid)
             if top > cap:  # refused before any entry is certified
                 raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
                                   f"{cap} (need h(2 beta + 1) <= L^2/4)")
-            residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, h, grid)
+            residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, grid)
                          for e in ladder.entries]
         else:
             residuals = [e.residual for e in ladder.entries]
@@ -327,18 +326,25 @@ def cmd_geodesic(args) -> int:
         _positive(doc, key)
     step = float(doc.get("step", 1e-4))
     stride = int(doc.get("stride", 100))
-    if "initial_state" in doc:
-        if "orbit_z" in doc:
-            raise ConfigError("give orbit_z or initial_state, not both: "
-                              "initial_state sets the whole start")
-        state0 = np.array([float(v) for v in doc["initial_state"]])
-        if state0.shape != (6,):
-            raise ConfigError("initial_state must have six components "
-                              "(x, y, z, vx, vy, vz)")
-    else:
-        z0 = float(doc.get("orbit_z", 0.0))
-        w0 = float(geo.WarpedMetric.warp(0.0, z0))
-        state0 = np.array([0.0, 0.0, z0, 1.0 / w0, 0.0, 0.0])
+    if "initial_state" in doc and "orbit_z" in doc:
+        raise ConfigError("give orbit_z or initial_state, not both: "
+                          "initial_state sets the whole start")
+    z0 = float(doc.get("orbit_z", 0.0))
+    state0 = np.array([float(v) for v in
+                       doc.get("initial_state", [0.0, 0.0, z0, 1.0, 0.0, 0.0])])
+    if state0.shape != (6,):
+        raise ConfigError("initial_state must have six components "
+                          "(x, y, z, vx, vy, vz)")
+    # checked before warp() is evaluated, which overflows far outside
+    if max(abs(state0[1]), abs(state0[2])) > geo.DOMAIN_BOUND:
+        raise ConfigError(f"start (y, z) = ({state0[1]}, {state0[2]}) lies outside "
+                          f"the domain |y|, |z| <= {geo.DOMAIN_BOUND}")
+    if "initial_state" not in doc:  # unit energy on the orbit at z0
+        state0[3] = 1.0 / float(geo.WarpedMetric.warp(0.0, z0))
+    with np.errstate(over="ignore"):
+        energy0 = float(geo.WarpedMetric.energy(state0))
+    if not math.isfinite(energy0):
+        raise ConfigError(f"start has non-finite energy {energy0}")
     t_final = float(doc.get("t_final", 1.0))
     traj, _ = geo.integrate(state0, t_final, step=step, stride=stride)
     # classify before writing anything: a step the base orbits refuse

@@ -184,9 +184,11 @@ def integrate(state0, t_final: float, step: float = 1e-4,
     refused with StepLimitError.  Returns (Trajectory, tangent_final)."""
     if step <= 0 or stride < 1:
         raise ValueError("step and stride must be positive")
-    n_steps = int(round(t_final / step))
+    ratio = t_final / step
+    # bounded as a float first: a subnormal step makes the ratio infinite
+    n_steps = int(round(ratio)) if ratio <= MAX_STEPS + 0.5 else MAX_STEPS + 1
     if n_steps > MAX_STEPS or n_steps // stride > MAX_ROWS:
-        raise StepLimitError(f"{n_steps} RK4 steps at stride {stride} exceed "
+        raise StepLimitError(f"{ratio:.6g} RK4 steps at stride {stride} exceed "
                              f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
     tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()

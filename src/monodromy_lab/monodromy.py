@@ -10,6 +10,10 @@ min Re<(I - M)u, u> on states microlocalized in the h-calculus.  (x xi)^w
 generates dilations, so the gap is the same for every h up to grid
 resolution.
 
+h cancels from M, so every operator here reads its one hbar, hbar_tilde,
+as grid.hbar; h enters only gap_basis, through the widths of the
+h-microlocalized states.
+
 The microlocalized states are the range of the Gaussian cutoff
 A = g_x(x) g_xi(hbar D) with widths (a, b).  A A^T has the Mehler kernel
 exp(-alpha (x^2 + y^2) + 2 beta x y), beta = b^2 / (4 hbar^2),
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,61 +40,10 @@ from .quasimode import hermite_rows
 from .weyl import GridError, PhaseGrid, cutoff_range, op_exponential, quantize
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Parameters of the model monodromy runs.
-
-    lam is the hyperbolic stretch rate, h the small quantization
-    parameter, hbar_tilde the fixed second parameter of the rescaled
-    calculus, s the escape-weight strength, and grid the phase-space grid
-    the rescaled operators live on.
-    """
-
-    lam: float
-    h: float
-    hbar_tilde: float
-    s: float
-    grid: PhaseGrid
-
-    def __post_init__(self):
-        if not 0.0 < self.h <= self.hbar_tilde <= 1.0:
-            raise ValueError(
-                f"parameters must satisfy 0 < h <= hbar_tilde <= 1, "
-                f"got h={self.h}, hbar_tilde={self.hbar_tilde}"
-            )
-        if abs(self.s) > 0.5:
-            raise ValueError(f"weight strength |s| must be <= 1/2, got {self.s}")
-        if self.grid.hbar != self.hbar_tilde:
-            raise ValueError("grid.hbar must equal hbar_tilde (rescaled calculus)")
-
-
-@dataclass(frozen=True)
-class MonodromyResult:
-    """Contraction and gap data for one h of a sweep."""
-
-    h: float
-    hbar_tilde: float
-    s: float
-    norm_conjugated: float
-    unitarity_defect: float
-    gap_value: float
-    subspace_rank: int
-
-
-def _stretch_generator(p: ModelParams):
-    """Quantized rescaled stretch symbol lambda (h/hbar_tilde) X Xi."""
-    factor = p.lam * p.h / p.hbar_tilde
-    return quantize(lambda x, xi: factor * x * xi, p.grid)
-
-
-def build_hyperbolic_monodromy(p: ModelParams) -> np.ndarray:
-    """Time-one map M = exp(-i Q1 / h) of the rescaled stretch generator.
-
-    The rescaling cancels h exactly in the model, so M equals
-    exp(-i lambda (X Xi)^w / hbar_tilde) for every h; unitarity holds to
-    rounding accuracy.
-    """
-    return op_exponential(_stretch_generator(p), -1.0j / p.h)
+def build_hyperbolic_monodromy(lam: float, grid: PhaseGrid) -> np.ndarray:
+    """Time-one map M = exp(-i lambda (X Xi)^w / hbar_tilde) of the stretch
+    generator, hbar_tilde = grid.hbar; unitary to rounding accuracy."""
+    return op_exponential(quantize(lambda x, xi: x * xi, grid), -1.0j * lam / grid.hbar)
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -100,7 +52,7 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(herm)).max())
 
 
-def escape_weight(p: ModelParams) -> np.ndarray:
+def escape_weight(grid: PhaseGrid) -> np.ndarray:
     """Quantization of the hyperbolic escape weight
     (1/2) log((1 + X^2)/(1 + Xi^2)) on the rescaled grid.  The symbol is
     real and even in Xi, so its Weyl kernel is real symmetric."""
@@ -108,7 +60,7 @@ def escape_weight(p: ModelParams) -> np.ndarray:
     def symbol(x, xi):
         return 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2))
 
-    return quantize(symbol, p.grid).matrix.real
+    return quantize(symbol, grid).matrix.real
 
 
 def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
@@ -131,6 +83,9 @@ def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
     alpha = 1.0 / (2.0 * width_x ** 2) + beta
     root = math.sqrt(alpha ** 2 - beta ** 2)
     q = beta / (alpha + root)
+    if not 0.0 < q < 1.0:  # a subnormal hbar or width rounds q off (0, 1)
+        raise GridError(f"the microlocal subspace has Mehler ratio q = {q!r}, "
+                        f"outside (0, 1) in floating point")
     n = math.floor(2.0 * math.log(sv_tol) / math.log(q)) + 3
     if n > grid.N:
         raise GridError(f"the microlocal subspace needs {n} Hermite modes, "
@@ -153,7 +108,7 @@ def restricted_gap(m: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def conjugated_contraction(p: ModelParams) -> tuple[float, float]:
+def conjugated_contraction(lam: float, s: float, grid: PhaseGrid) -> tuple[float, float]:
     """Weight-conjugated contraction of the hyperbolic model monodromy.
 
     Builds the N x r basis of the microlocalized subspace first, so a grid
@@ -164,26 +119,27 @@ def conjugated_contraction(p: ModelParams) -> tuple[float, float]:
     Mtilde there and the unitarity defect of M.  r < 1 is the contraction;
     at s = 0 the map stays unitary and r = 1.
     """
-    basis = microlocal_basis(p.grid)
-    m = build_hyperbolic_monodromy(p)
+    basis = microlocal_basis(grid)
+    m = build_hyperbolic_monodromy(lam, grid)
     defect = unitarity_defect(m)
-    gw = escape_weight(p)
-    w_minus = op_exponential(gw, -p.s)
-    w_plus = op_exponential(gw, +p.s)
+    gw = escape_weight(grid)
+    w_minus = op_exponential(gw, -s)
+    w_plus = op_exponential(gw, +s)
     return restricted_norm(w_minus @ (m @ (w_plus @ basis))), defect
 
 
-def gap_basis(p: ModelParams) -> np.ndarray:
-    """Basis of the states microlocalized in the h-calculus at p.h.
+def gap_basis(h: float, grid: PhaseGrid) -> np.ndarray:
+    """Basis of the states microlocalized in the h-calculus.
 
     States with unit phase-space concentration in the h-calculus transport
     under the zoom to position width sqrt(hbar_tilde/h) and momentum width
-    sqrt(h/hbar_tilde) on the rescaled grid.  The position width is capped
-    at L/4 so the cutoff tails stay inside the window.
+    sqrt(h/hbar_tilde) on the rescaled grid, hbar_tilde = grid.hbar.  The
+    position width is capped at L/4 so the cutoff tails stay inside the
+    window.
     """
-    wx = min(math.sqrt(p.hbar_tilde / p.h), p.grid.L / 4.0)
-    wxi = 1.0 / math.sqrt(p.hbar_tilde / p.h)
-    return microlocal_basis(p.grid, width_x=wx, width_xi=wxi, sv_tol=1e-4)
+    zoom = math.sqrt(grid.hbar / h)
+    return microlocal_basis(grid, width_x=min(zoom, grid.L / 4.0),
+                            width_xi=1.0 / zoom, sv_tol=1e-4)
 
 
 def unconjugated_gap(m: np.ndarray, basis: np.ndarray):
@@ -194,33 +150,20 @@ def unconjugated_gap(m: np.ndarray, basis: np.ndarray):
     return restricted_gap(m, basis), basis.shape[1]
 
 
-def contraction_sweep(h_values, lam: float, s: float, hbar_tilde: float,
-                      grid: PhaseGrid, gap_grid: PhaseGrid) -> list:
-    """One MonodromyResult per h: the conjugated norm and unitarity defect
-    on `grid`, and the unconjugated gap and its subspace rank at that h on
-    `gap_grid`.
+def contraction_sweep(h_values, lam: float, s: float, grid: PhaseGrid,
+                      gap_grid: PhaseGrid) -> tuple:
+    """(r, defect, [(gap, rank) per h]): the conjugated norm and unitarity
+    defect on `grid`, which no h changes, and per h the unconjugated gap
+    and its subspace rank on `gap_grid`.
 
     The gap bases are built first and conjugated_contraction builds its
     basis before it factorizes: bases are cheap, and a grid that cannot
     hold one is refused with GridError before any N x N factorization.
     """
-    params = [ModelParams(lam=lam, h=float(h), hbar_tilde=hbar_tilde, s=s,
-                          grid=gap_grid) for h in h_values]
-    gap_bases = [gap_basis(p) for p in params]
-    # the rescaled stretch generator is the same matrix for every h (the
-    # quantization parameter cancels in the model), so the conjugated norm
-    # and the gap-grid monodromy are computed once
-    r, defect = conjugated_contraction(
-        ModelParams(lam=lam, h=params[0].h, hbar_tilde=hbar_tilde, s=s, grid=grid))
-    m_gap = build_hyperbolic_monodromy(params[0])
-    results = []
-    for p_gap, b in zip(params, gap_bases):
-        gap_val, rank = unconjugated_gap(m_gap, b)
-        results.append(MonodromyResult(
-            h=p_gap.h, hbar_tilde=hbar_tilde, s=s, norm_conjugated=r,
-            unitarity_defect=defect, gap_value=gap_val, subspace_rank=rank,
-        ))
-    return results
+    gap_bases = [gap_basis(h, gap_grid) for h in h_values]
+    r, defect = conjugated_contraction(lam, s, grid)
+    m_gap = build_hyperbolic_monodromy(lam, gap_grid)
+    return r, defect, [unconjugated_gap(m_gap, b) for b in gap_bases]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ h^((j+1)/m).  Note the normalization: feeding the model rate
 lambda(z) = alpha/2 with no corrections makes the direct ladder exactly
 twice the solved root, z_direct = 2 * z_root, entry by entry.  Ladder
 entries are certified by the residual of their quasimode on the transverse
-grid: the time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.
+grid, whose hbar is h: the time factor e^{i 2 pi k t} is an exact
+eigenfunction of h D_t.
 """
 
 from __future__ import annotations
@@ -74,21 +75,23 @@ def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
     return next(itertools.islice(hermite_rows(y), beta, None))
 
 
-def grid_capacity(grid: PhaseGrid, h: float) -> int:
-    """Largest resolvable Hermite index: the classical turning point
-    sqrt(h (2 beta + 1)) must stay inside a quarter window."""
-    return int(((grid.L ** 2 / 4.0) / h - 1.0) / 2.0)
+def grid_capacity(grid: PhaseGrid) -> int:
+    """Largest resolvable Hermite index at h = grid.hbar: the classical
+    turning point sqrt(h (2 beta + 1)) must stay inside a quarter window."""
+    return int(((grid.L ** 2 / 4.0) / grid.hbar - 1.0) / 2.0)
 
 
-def hermite_mode(beta: int, h: float, grid: PhaseGrid) -> np.ndarray:
-    """Sampled Hermite mode h^(-1/4) H_beta(x / sqrt(h)) e^(-x^2 / 2h) as a
-    complex vector, renormalized to unit L2 norm on the grid.
+def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
+    """Sampled Hermite mode h^(-1/4) H_beta(x / sqrt(h)) e^(-x^2 / 2h) at
+    h = grid.hbar as a complex vector, renormalized to unit L2 norm on the
+    grid.
 
     Refused when beta exceeds the grid capacity.
     """
     if beta < 0:
         raise ValueError("Hermite indices must be nonnegative")
-    cap = grid_capacity(grid, h)
+    h = grid.hbar
+    cap = grid_capacity(grid)
     if beta > cap:
         raise GridCapacityError(
             f"Hermite index {beta} exceeds grid capacity {cap} "
@@ -228,7 +231,10 @@ def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
         return val
 
     # enumerate the beta lattice per mode from the stage-zero window
-    b_cap = int(max(0.0, (2.0 * zmax / (h * lam0.min()) - 1.0) / 2.0)) + 1
+    with np.errstate(over="ignore", divide="ignore"):
+        b_span = max(0.0, (2.0 * zmax / (h * lam0.min()) - 1.0) / 2.0)
+    _check_lattice(b_span)  # as a float first: a subnormal rate makes it inf
+    b_cap = int(b_span) + 1
     _check_lattice((2 * kmax + 1) * (b_cap + 1) ** n_modes * (order + 1))
     entries = []
     betas = _beta_lattice(n_modes, b_cap)
@@ -271,11 +277,11 @@ def _beta_lattice(n_modes: int, cap: int):
 # Residual certification on the transverse grid
 # ---------------------------------------------------------------------------
 
-def residual_certify(k: int, beta: int, z: float, alpha: float, h: float,
+def residual_certify(k: int, beta: int, z: float, alpha: float,
                      grid: PhaseGrid) -> float:
     """Residual of the lattice-mode quasimode u(t, x) = e^{i 2 pi k t}
     v_beta(x) under the model operator h D_t + Q - z on the period-one
-    time circle times the transverse grid.
+    time circle times the transverse grid, at h = grid.hbar.
 
     For ladder-quantized z the residual sits at discretization level; a
     detuned z + delta reports |delta| exactly, a useful diagnostic rather
@@ -283,10 +289,10 @@ def residual_certify(k: int, beta: int, z: float, alpha: float, h: float,
     """
     from .monodromy import rotation_generator
 
-    v = hermite_mode(beta, h, grid)
-    q = rotation_generator(alpha, PhaseGrid(L=grid.L, N=grid.N, hbar=h))
+    v = hermite_mode(beta, grid)
+    q = rotation_generator(alpha, grid)
     # h D_t acts on e^{i 2 pi k t} as 2 pi k h exactly, for every k, so the
     # residual reduces to the transverse factor and needs no time grid
-    t_phase = 2.0 * math.pi * k * h
+    t_phase = 2.0 * math.pi * k * grid.hbar
     resid_vec = (q @ v) + (t_phase - z) * v
     return float(np.sqrt(np.sum(np.abs(resid_vec) ** 2) * grid.dx))

@@ -356,8 +356,13 @@ def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
     {"h_values": [0.01], "lam": True},
     {"h_values": [0.01], "grid": {"N": 1048576}},
     {"h_values": [0.01], "hbar_tilde": 1.5},
+    {"h_values": [0.3]},  # h past the default hbar_tilde = 0.2
+    {"h_values": [0.01], "s": 0.6},
+    # q underflows to 0 in the h = 1e-320 gap basis, which is built first
+    {"h_values": [1e-320]},
 ], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N",
-        "hbar_tilde_above_one"])
+        "hbar_tilde_above_one", "h_above_hbar_tilde", "weight_above_half",
+        "subnormal_h"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
     started = time.perf_counter()
@@ -471,9 +476,11 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     # the window reaches beta = 8, past the capacity 0 of this grid at h
     {"mode": "exact", "h": 0.1, "c0": 1.0, "residuals": True,
      "grid": {"L": 1.0, "N": 64}},
+    # the beta window of a subnormal rate is infinite
+    {"mode": "perturbed", "h": 1e-3, "lambda0": [1e-320]},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
-        "counting_no_h", "residual_beta_past_grid_capacity"])
+        "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -568,13 +575,21 @@ def test_geodesic_blowup_exit(tmp_path):
     {"t_final": 1e12},
     {"t_final": 1e-6, "step": 1e-9, "classify_orbits": True},
     # initial_state sets the whole start, so orbit_z would go unread
-    {"initial_state": [0.0, 0.0, 0.5, 1.0, 0.0, 0.0]},
+    {"orbit_z": 0.0, "initial_state": [0.0, 0.0, 0.5, 1.0, 0.0, 0.0]},
+    # a subnormal step makes the step count infinite
+    {"step": 1e-320},
+    # starts outside |y|, |z| <= DOMAIN_BOUND, or with infinite energy
+    {"orbit_z": 1e100},
+    {"orbit_z": 20.0},
+    {"initial_state": [0.0, 0.0, 1e100, 1.0, 0.0, 0.0]},
+    {"initial_state": [0.0, 5.0, 0.0, 1e300, 0.0, 0.0]},
 ], ids=["zero_stride", "negative_stride", "huge_t_final", "tiny_orbit_step",
-        "orbit_z_and_initial_state"])
+        "orbit_z_and_initial_state", "subnormal_step", "orbit_z_overflow",
+        "orbit_z_outside_domain", "initial_state_outside_domain",
+        "initial_state_infinite_energy"])
 def test_geodesic_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "g.json", {
-        "orbit_z": 0.0, "t_final": 0.01, "step": 1e-3, "stride": 1,
-        "classify_orbits": False, **doc,
+        "t_final": 0.01, "step": 1e-3, "stride": 1, "classify_orbits": False, **doc,
     })
     started = time.perf_counter()
     assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 3

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from monodromy_lab.monodromy import (
-    ModelParams,
     build_hyperbolic_monodromy,
     conjugated_contraction,
     contraction_sweep,
@@ -36,30 +35,22 @@ def grid_norm(grid, u) -> float:
     return float(np.sqrt(np.sum(np.abs(np.asarray(u)) ** 2) * grid.dx))
 
 
-def model(h=0.01, s=0.3, lam=1.0):
-    return ModelParams(lam=lam, h=h, hbar_tilde=HT, s=s, grid=GRID)
-
-
-# ---------------------------------------------------------------------------
-# parameters
-# ---------------------------------------------------------------------------
-
-def test_params_validate_ordering():
-    with pytest.raises(ValueError, match="h <= hbar_tilde"):
-        model(h=0.5)
-    with pytest.raises(ValueError, match="weight"):
-        model(s=0.9)
-    # h == hbar_tilde is allowed (trivial zoom)
-    model(h=HT)
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic model
 # ---------------------------------------------------------------------------
 
 def test_hyperbolic_monodromy_unitary():
-    m = build_hyperbolic_monodromy(model(h=0.1))
+    m = build_hyperbolic_monodromy(1.0, GRID)
     assert unitarity_defect(m) <= 1e-9
+
+
+def test_hyperbolic_monodromy_is_hbar_free():
+    # the momentum grid scales with hbar, so (X Xi)^w / hbar is the same
+    # matrix at every hbar: M = exp(-i lam (X Xi)^w / hbar) does not move
+    ms = [build_hyperbolic_monodromy(1.0, PhaseGrid(L=16.0, N=256, hbar=hbar))
+          for hbar in (0.2, 0.05, 1.0)]
+    for m in ms[1:]:
+        assert np.abs(m - ms[0]).max() <= 1e-12
 
 
 def test_unitarity_defect_is_spectral_norm():
@@ -71,8 +62,7 @@ def test_unitarity_defect_is_spectral_norm():
 
 
 def test_escape_weight_is_real_symmetric_quantization():
-    p = model()
-    gw = escape_weight(p)
+    gw = escape_weight(GRID)
     assert gw.dtype == np.float64
     assert np.array_equal(gw, gw.T)
     full = quantize(lambda x, xi: 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2)),
@@ -81,15 +71,14 @@ def test_escape_weight_is_real_symmetric_quantization():
 
 
 def test_hyperbolic_monodromy_zero_rate_is_identity():
-    m = build_hyperbolic_monodromy(model(lam=0.0, h=0.1))
+    m = build_hyperbolic_monodromy(0.0, GRID)
     assert np.abs(m - np.eye(GRID.N)).max() <= 1e-12
 
 
 def test_hyperbolic_variance_growth():
     # the time-one map spreads the ground Gaussian along the unstable
-    # direction: position variance grows by e^(2 lam) (lam=1, h=hbar_tilde)
-    p = ModelParams(lam=1.0, h=HT, hbar_tilde=HT, s=0.3, grid=GRID)
-    m = build_hyperbolic_monodromy(p)
+    # direction: position variance grows by e^(2 lam) (lam=1)
+    m = build_hyperbolic_monodromy(1.0, GRID)
     u = np.exp(-GRID.x ** 2 / (2.0 * HT)).astype(complex)
     u /= grid_norm(GRID, u)
     v = m @ u
@@ -99,13 +88,11 @@ def test_hyperbolic_variance_growth():
 
 
 def test_group_law():
-    p = model(h=0.1)
-    q1 = build_hyperbolic_monodromy(p)  # time-one map
+    q1 = build_hyperbolic_monodromy(1.0, GRID)  # time-one map
     # fractional times via the same generator
-    from monodromy_lab.monodromy import _stretch_generator
-    gen = _stretch_generator(p).matrix
+    gen = quantize(lambda x, xi: x * xi, GRID).matrix
     gen = 0.5 * (gen + gen.conj().T)
-    m_t = lambda t: op_exponential(gen, -1.0j * t / p.h)
+    m_t = lambda t: op_exponential(gen, -1.0j * t / HT)
     lhs = m_t(0.4) @ m_t(0.6)
     assert np.linalg.norm(lhs - q1, 2) <= 1e-8
 
@@ -115,12 +102,12 @@ def test_group_law():
 # ---------------------------------------------------------------------------
 
 def test_contraction_no_weight_is_unitary():
-    r, _ = conjugated_contraction(model(s=0.0))
+    r, _ = conjugated_contraction(1.0, 0.0, GRID)
     assert r == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contraction_strict_for_positive_weight():
-    r, defect = conjugated_contraction(model(s=0.3))
+    r, defect = conjugated_contraction(1.0, 0.3, GRID)
     assert r < 1.0
     assert defect <= 1e-9
 
@@ -128,13 +115,12 @@ def test_contraction_strict_for_positive_weight():
 def test_contraction_gap_matches_unconjugated_gap():
     # a sweep row carries the gap and rank unconjugated_gap gives at its h
     gap_grid = PhaseGrid(L=32.0, N=256, hbar=HT)
-    rows = contraction_sweep([0.05, 0.02], lam=1.0, s=0.3, hbar_tilde=HT,
-                             grid=PhaseGrid(L=16.0, N=256, hbar=HT),
-                             gap_grid=gap_grid)
-    p = ModelParams(lam=1.0, h=0.02, hbar_tilde=HT, s=0.3, grid=gap_grid)
-    gap, rank = unconjugated_gap(build_hyperbolic_monodromy(p), gap_basis(p))
-    assert rows[1].gap_value == pytest.approx(gap, abs=1e-13)
-    assert rows[1].subspace_rank == rank
+    _, _, gaps = contraction_sweep([0.05, 0.02], 1.0, 0.3,
+                                   PhaseGrid(L=16.0, N=256, hbar=HT), gap_grid)
+    gap, rank = unconjugated_gap(build_hyperbolic_monodromy(1.0, gap_grid),
+                                 gap_basis(0.02, gap_grid))
+    assert gaps[1][0] == pytest.approx(gap, abs=1e-13)
+    assert gaps[1][1] == rank
 
 
 def test_gap_is_dilation_covariant():
@@ -143,9 +129,9 @@ def test_gap_is_dilation_covariant():
     # the same monodromy matrix, hence the same gap and rank
     gaps = []
     for h, length in ((0.05, 32.0), (0.0125, 64.0)):
-        p = ModelParams(lam=1.0, h=h, hbar_tilde=HT, s=0.3,
-                        grid=PhaseGrid(L=length, N=256, hbar=HT))
-        gaps.append(unconjugated_gap(build_hyperbolic_monodromy(p), gap_basis(p)))
+        grid = PhaseGrid(L=length, N=256, hbar=HT)
+        gaps.append(unconjugated_gap(build_hyperbolic_monodromy(1.0, grid),
+                                     gap_basis(h, grid)))
     (gap_a, rank_a), (gap_b, rank_b) = gaps
     assert rank_a == rank_b
     assert gap_a > 0.0
@@ -155,7 +141,7 @@ def test_gap_is_dilation_covariant():
 def test_contraction_monotone_in_weight():
     rs = []
     for s in (0.0, 0.125, 0.25, 0.375, 0.5):
-        rs.append(conjugated_contraction(model(s=s))[0])
+        rs.append(conjugated_contraction(1.0, s, GRID)[0])
     assert all(b < a + 1e-12 for a, b in zip(rs, rs[1:]))
     assert rs[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -163,10 +149,9 @@ def test_contraction_monotone_in_weight():
 def test_contraction_sign_flip_expands():
     # with the opposite weight sign the restricted map expands: smallest
     # singular value on the subspace stays above 1/r of the contracted run
-    p_plus = model(s=0.3)
-    r_plus, _ = conjugated_contraction(p_plus)
-    m = build_hyperbolic_monodromy(p_plus)
-    gw = escape_weight(p_plus)
+    r_plus, _ = conjugated_contraction(1.0, 0.3, GRID)
+    m = build_hyperbolic_monodromy(1.0, GRID)
+    gw = escape_weight(GRID)
     m_minus = op_exponential(gw, +0.3) @ m @ op_exponential(gw, -0.3)
     basis = microlocal_basis(GRID)
     smin = np.linalg.svd(m_minus @ basis, compute_uv=False)[-1]
@@ -175,11 +160,10 @@ def test_contraction_sign_flip_expands():
 
 
 def test_contraction_gap_inequality_random_states():
-    p = model(s=0.3)
-    r, _ = conjugated_contraction(p)
-    m = build_hyperbolic_monodromy(p)
-    gw = escape_weight(p)
-    m_tilde = op_exponential(gw, -p.s) @ m @ op_exponential(gw, p.s)
+    r, _ = conjugated_contraction(1.0, 0.3, GRID)
+    m = build_hyperbolic_monodromy(1.0, GRID)
+    gw = escape_weight(GRID)
+    m_tilde = op_exponential(gw, -0.3) @ m @ op_exponential(gw, 0.3)
     basis = microlocal_basis(GRID)
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -193,14 +177,14 @@ def test_contraction_gap_inequality_random_states():
 def test_contraction_sweep_constant_rate_and_gap_fit():
     hs = [1 / 100, 1 / 200]
     small_gap_grid = PhaseGrid(L=32.0, N=256, hbar=HT)
-    rows = contraction_sweep(hs, lam=1.0, s=0.3, hbar_tilde=HT,
-                             grid=PhaseGrid(L=16.0, N=256, hbar=HT),
-                             gap_grid=small_gap_grid)
-    rs = [row.norm_conjugated for row in rows]
-    assert max(rs) < 1.0
-    assert max(rs) - min(rs) <= 1e-12
-    assert [row.h for row in rows] == hs
-    assert all(row.gap_value > 0 and row.subspace_rank > 0 for row in rows)
+    # one r and one defect serve every h: no h enters the conjugated map
+    r, defect, gaps = contraction_sweep(hs, 1.0, 0.3,
+                                        PhaseGrid(L=16.0, N=256, hbar=HT),
+                                        small_gap_grid)
+    assert r < 1.0
+    assert defect <= 1e-9
+    assert len(gaps) == len(hs)
+    assert all(gap > 0 and rank > 0 for gap, rank in gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +212,22 @@ def test_mehler_basis_matches_dense_cutoff_range():
     basis = microlocal_basis(GRID)
     assert basis.shape == dense.shape == (GRID.N, 70)
     assert principal_cosine_defect(dense, basis) <= 1e-12
-    p = model()
-    gw = escape_weight(p)
-    m_tilde = op_exponential(gw, -p.s) @ build_hyperbolic_monodromy(p) @ op_exponential(gw, p.s)
-    r, _ = conjugated_contraction(p)
+    gw = escape_weight(GRID)
+    m_tilde = (op_exponential(gw, -0.3) @ build_hyperbolic_monodromy(1.0, GRID)
+               @ op_exponential(gw, 0.3))
+    r, _ = conjugated_contraction(1.0, 0.3, GRID)
     assert r == pytest.approx(restricted_norm(m_tilde @ basis), rel=1e-13)
     assert r == pytest.approx(restricted_norm(m_tilde @ dense), rel=1e-13)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
 def test_mehler_gap_basis_matches_dense_cutoff_range(h):
-    p = ModelParams(lam=1.0, h=h, hbar_tilde=HT, s=0.3, grid=GAP_GRID)
     wx, wxi = math.sqrt(HT / h), math.sqrt(h / HT)
     dense = cutoff_range(microlocal_cutoff(GAP_GRID, wx, wxi), sv_tol=1e-4)
-    basis = gap_basis(p)
+    basis = gap_basis(h, GAP_GRID)
     assert basis.shape == dense.shape == (GAP_GRID.N, 47)
     assert principal_cosine_defect(dense, basis) <= 1e-12
-    m = build_hyperbolic_monodromy(p)
+    m = build_hyperbolic_monodromy(1.0, GAP_GRID)
     assert restricted_gap(m, basis) == pytest.approx(restricted_gap(m, dense),
                                                      rel=1e-13)
 
@@ -310,7 +293,7 @@ def test_elliptic_hermite_eigenrelation():
     for k, b in ((0, 0), (1, 3), (-2, 7)):
         z = 0.5 * alpha * (2 * b + 1) * h + 2.0 * math.pi * k * h
         m = np.exp(1.0j * z / h) * prop
-        v = hermite_mode(b, h, ELL_GRID)
+        v = hermite_mode(b, ELL_GRID)
         phase = np.exp(1j * (z - 0.5 * alpha * (2 * b + 1) * h) / h)
         assert np.sqrt(np.sum(np.abs(m @ v - phase * v) ** 2) * ELL_GRID.dx) <= 1e-8
         # quantized z fixes the mode
@@ -320,7 +303,7 @@ def test_elliptic_hermite_eigenrelation():
 def test_elliptic_detuned_phase_closed_form():
     alpha, h = 1.0, 1e-3
     m = elliptic_propagator(alpha, h)  # M(0)
-    v = hermite_mode(0, h, ELL_GRID)
+    v = hermite_mode(0, ELL_GRID)
     # ||M(0) v0 - v0|| = |e^{-i alpha/2} - 1| = 2 |sin(alpha/4)|
     resid = np.sqrt(np.sum(np.abs(m @ v - v) ** 2) * ELL_GRID.dx)
     assert resid == pytest.approx(2.0 * abs(math.sin(alpha / 4.0)), abs=1e-8)
@@ -333,7 +316,7 @@ def test_elliptic_unitarity_and_eigenphase_slope():
     # eigenphase of M(z) on v_k is linear in k with slope -alpha
     phases = []
     for b in range(4):
-        v = hermite_mode(b, h, ELL_GRID)
+        v = hermite_mode(b, ELL_GRID)
         lam = (v.conj() @ (m @ v)) * ELL_GRID.dx
         phases.append(np.angle(lam))
     diffs = np.diff(np.unwrap(phases))
@@ -343,6 +326,6 @@ def test_elliptic_unitarity_and_eigenphase_slope():
 def test_rotation_generator_spectrum():
     alpha, h = 1.0, 1e-3
     q = rotation_generator(alpha, ELL_GRID)
-    v = hermite_mode(5, h, ELL_GRID)
+    v = hermite_mode(5, ELL_GRID)
     val = (v.conj() @ (q @ v)).real * ELL_GRID.dx
     assert val == pytest.approx(0.5 * alpha * 11 * h, rel=1e-10)

@@ -33,7 +33,7 @@ def grid_norm(grid, u) -> float:
 def test_hermite_ground_state():
     h = 0.1
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    v = hermite_mode(0, h, g)
+    v = hermite_mode(0, g)
     expected = (math.pi * h) ** -0.25 * np.exp(-g.x ** 2 / (2 * h))
     assert np.abs(v - expected).max() <= 1e-10
     assert grid_norm(g, v) == pytest.approx(1.0, abs=1e-12)
@@ -42,15 +42,15 @@ def test_hermite_ground_state():
 def test_hermite_parity_orthogonality():
     h = 0.1
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    v0 = hermite_mode(0, h, g)
-    v1 = hermite_mode(1, h, g)
+    v0 = hermite_mode(0, g)
+    v1 = hermite_mode(1, g)
     assert abs(np.vdot(v0, v1) * g.dx) <= 1e-12
 
 
 def test_hermite_orthonormal_family():
     h = 0.05
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    modes = [hermite_mode(b, h, g) for b in range(12)]
+    modes = [hermite_mode(b, g) for b in range(12)]
     for i in range(12):
         for j in range(12):
             expected = 1.0 if i == j else 0.0
@@ -60,7 +60,7 @@ def test_hermite_orthonormal_family():
 def test_hermite_oscillator_expectation():
     h = 0.05
     g = PhaseGrid(L=6.0, N=512, hbar=h)
-    v5 = hermite_mode(5, h, g)
+    v5 = hermite_mode(5, g)
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, g)
     val = (v5.conj() @ (op.matrix @ v5)).real * g.dx
     assert val == pytest.approx(11.0 * h, abs=1e-8)
@@ -71,7 +71,7 @@ def test_hermite_eigenrelation_invariant():
     g = PhaseGrid(L=6.0, N=512, hbar=h)
     op = quantize(lambda x, xi: x ** 2 + xi ** 2, g).matrix
     for b in (0, 3, 8):
-        v = hermite_mode(b, h, g)
+        v = hermite_mode(b, g)
         resid = grid_norm(g, op @ v - h * (2 * b + 1) * v)
         assert resid <= 1e-8
 
@@ -79,9 +79,9 @@ def test_hermite_eigenrelation_invariant():
 def test_hermite_capacity_refused():
     h = 0.1
     g = PhaseGrid(L=2.0, N=256, hbar=h)
-    cap = grid_capacity(g, h)
+    cap = grid_capacity(g)
     with pytest.raises(GridCapacityError, match="capacity"):
-        hermite_mode(cap + 1, h, g)
+        hermite_mode(cap + 1, g)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_oversized_lattices_refused():
 
 def test_residual_quantized_entry():
     alpha, h = 1.0, 1e-3
-    r = residual_certify(0, 0, 0.5 * alpha * h, alpha, h, GRID)
+    r = residual_certify(0, 0, 0.5 * alpha * h, alpha, GRID)
     assert r <= 1e-8
 
 
@@ -247,7 +247,7 @@ def test_residual_detuned():
     alpha, h = 1.0, 1e-3
     z0 = 0.5 * alpha * 3 * h + 2.0 * math.pi * h  # k=1, beta=1
     for delta in (1e-6, 1e-4, 1e-2):
-        r = residual_certify(1, 1, z0 + delta, alpha, h, GRID)
+        r = residual_certify(1, 1, z0 + delta, alpha, GRID)
         assert r == pytest.approx(delta, rel=1e-8)
 
 
@@ -256,8 +256,8 @@ def test_residual_needs_no_time_grid():
     # fixed time grid certifies like k = 0
     alpha, h = 100.0, 1e-3
     z = 0.5 * alpha * 3 * h + 2.0 * math.pi * (-33) * h  # k=-33, beta=1
-    assert residual_certify(-33, 1, z, alpha, h, GRID) <= 1e-8
-    assert residual_certify(-33, 1, z + 1e-4, alpha, h, GRID) == pytest.approx(
+    assert residual_certify(-33, 1, z, alpha, GRID) <= 1e-8
+    assert residual_certify(-33, 1, z + 1e-4, alpha, GRID) == pytest.approx(
         1e-4, rel=1e-8)
 
 
@@ -265,4 +265,4 @@ def test_residual_capacity_refused():
     alpha, h = 1.0, 1e-3
     small = PhaseGrid(L=0.1, N=128, hbar=h)
     with pytest.raises(GridCapacityError):
-        residual_certify(0, 50, 0.5 * alpha * 101 * h, alpha, h, small)
+        residual_certify(0, 50, 0.5 * alpha * 101 * h, alpha, small)

@@ -13,9 +13,8 @@ ambiguous, 3 config or usage error.  Configs are JSON documents with
 strict unknown-key rejection; positivity, the one command that draws
 random samples, requires a non-negative --seed.  An --out that names a
 file, or lies under one, is refused before any work.  Identical config
-and seed produce byte-identical output.  Only the commands that classify a
-matrix (classify, and positivity from a matrix_file) load scipy.linalg,
-for expm.
+and seed produce byte-identical output.  No command loads scipy.linalg:
+classify takes its few small matrix exponentials in numpy.
 """
 
 from __future__ import annotations

@@ -138,8 +138,10 @@ class QuasimodeLadder:
 
 def k_window(h: float, m_exponent: float, c0: float) -> int:
     """Integer window |k| <= c0 h^(1/m - 1) / pi, sized so the k-term stays
-    within twice the z-window."""
-    return int(math.floor(c0 * h ** (1.0 / m_exponent - 1.0) / math.pi))
+    within twice the z-window; past MAX_LATTICE_POINTS, LadderSizeError."""
+    window = c0 * h ** (1.0 / m_exponent - 1.0) / math.pi
+    _check_lattice(window)  # as a float first: an infinite window cannot be floored
+    return math.floor(window)
 
 
 def _check_lattice(size) -> None:

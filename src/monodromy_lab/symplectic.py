@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# expm is imported inside the functions that run it: scipy.linalg costs
-# 0.3 s and 27 MiB of start-up that contract, ladder and geodesic never use
+# coefficients C(13, k) / (26!/(26-k)!) of the degree-13 Pade approximant of
+# exp, and the 1-norm up to which it is accurate to double precision (Higham 2005)
+_PADE13 = tuple(math.comb(13, k) / math.perm(26, k) for k in range(14))
+_THETA13 = 5.371920351148152
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 # eigenvalues closer than this (relative) form one cluster
@@ -99,14 +101,32 @@ class SymplecticMatrix:
         return cls(entries=mat, dim=mat.shape[0])
 
 
-def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 1.0) -> SymplecticMatrix:
-    """exp of a random Lie-algebra element J S, S symmetric with entries
-    uniform in [-1, 1]; symplectic to exponential accuracy."""
-    from scipy.linalg import expm
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring the degree-13 Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): numpy's
+    matmul and solve, so the package never imports scipy.linalg."""
+    s = max(0, math.frexp(np.linalg.norm(a, 1) / _THETA13)[1])
+    a = a / 2.0 ** s
+    b, eye = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
+
+def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 1.0) -> SymplecticMatrix:
+    """_expm of a random Lie-algebra element J S, S symmetric with entries
+    uniform in [-1, 1]; symplectic to exponential accuracy."""
     m = rng.uniform(-1.0, 1.0, size=(dim, dim))
     gen = standard_form(dim) @ (0.5 * (m + m.T))
-    return SymplecticMatrix.from_array(expm(scale * gen), tol=1e-8)
+    return SymplecticMatrix.from_array(_expm(scale * gen), tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +337,12 @@ def _real_basis_from_complex(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
+def _rotation_factor(f: np.ndarray) -> np.ndarray:
+    """exp(-J diag(f, f)) in closed form: a rotation by f_i per mode."""
+    cos, sin = np.cos(f), np.sin(f)
+    return np.diag(np.concatenate([cos, cos])) + np.diag(sin, f.size) - np.diag(sin, -f.size)
+
+
 def _generator_block(b: SpectralBlock) -> np.ndarray:
     """Real x-block of B for a hyperbolic block: lam I + N for a real
     eigenvalue; for a complex one, 2x2 rotations-plus-stretch on the
@@ -363,8 +389,6 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
         Adapted basis not symplectic, or reconstruction error past
         RECONSTRUCTION_TOL.
     """
-    from scipy.linalg import expm
-
     if not isinstance(ds, SymplecticMatrix):
         ds = SymplecticMatrix.from_array(ds)
     a = ds.entries
@@ -488,10 +512,12 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     big_b[m:, m:] = -big_b[:m, :m].T
     big_f[m:, m:] = big_f[:m, :m]
 
-    rec = expm(-j_form @ big_f) @ expm(big_b)
+    rec = _rotation_factor(np.diag(big_f)[:m]) @ _expm(big_b)
     rec = basis @ rec @ np.linalg.inv(basis)
-    err = float(np.linalg.norm(rec - a) / np.linalg.norm(a))
-    if err > RECONSTRUCTION_TOL:
+    # both norms scaled by max|a|, so a huge entry does not overflow them
+    top = np.max(np.abs(a))
+    err = float(np.linalg.norm((rec - a) / top) / np.linalg.norm(a / top))
+    if not err <= RECONSTRUCTION_TOL:  # a NaN error is refused too
         raise SymplecticError(
             f"factorization exp(-J F) exp(B) fails to reconstruct the input: "
             f"relative error {err:.3e} > {RECONSTRUCTION_TOL:.1e}"

@@ -188,6 +188,17 @@ def test_classify_negative_pair_reports_pi(tmp_path):
     assert report["rotation_diagonal"] == [math.pi]
 
 
+def test_classify_nan_reconstruction_exits_numeric(tmp_path, monkeypatch):
+    # a NaN error compares False against the tolerance; it must not pass
+    from monodromy_lab import symplectic
+
+    monkeypatch.setattr(symplectic, "_expm", lambda a: np.full_like(a, np.nan))
+    mfile = tmp_path / "model.json"
+    write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+    assert run(["classify", mfile, "--out", tmp_path / "out"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_classify_missing_file(tmp_path):
     assert run(["classify", tmp_path / "nope.json", "--out", tmp_path]) == 3
 
@@ -478,9 +489,15 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
      "grid": {"L": 1.0, "N": 64}},
     # the beta window of a subnormal rate is infinite
     {"mode": "perturbed", "h": 1e-3, "lambda0": [1e-320]},
+    # the k window c0 h^(1/m - 1) / pi overflows to inf in every mode
+    {"mode": "exact", "h": 1e-3, "c0": 1e308},
+    {"mode": "perturbed", "h": 1e-3, "c0": 1e308, "lambda0": [0.5]},
+    {"mode": "counting", "c0": 1e308, "h_values": [1e-3]},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
-        "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0"])
+        "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0",
+        "infinite_k_window_exact", "infinite_k_window_perturbed",
+        "infinite_k_window_counting"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3

@@ -2,8 +2,8 @@
 every definition is reachable from the CLI, every method of a reached
 class and every dataclass field is read somewhere in the package, every
 default is passed by some call in the package or the benchmark, every
-parameter is read by its function, and the commands that never run expm
-start without scipy.linalg."""
+parameter is read by its function, and no module imports scipy.linalg,
+which no command then loads."""
 
 import ast
 import json
@@ -351,7 +351,43 @@ def test_every_parameter_is_read():
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy.linalg loads only on the paths that run expm
+# no scipy.linalg: importing it costs a process more start-up time and
+# memory than the package's few small exponentials, which run in numpy
+# ---------------------------------------------------------------------------
+
+def scipy_linalg_imports(source: str) -> list:
+    """Line of every import of scipy.linalg or a name in it, at any depth:
+    `import scipy.linalg`, `from scipy.linalg import ...` and
+    `from scipy import linalg`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_linalg_scanner():
+    src = ("import scipy\nimport scipy.linalg\nfrom scipy import optimize\n"
+           "from scipy.linalg import expm\nfrom .linalg import x\n"
+           "def f():\n    from scipy import linalg as la\n    return la\n"
+           "import scipy.linalgebra\nfrom scipy import linalgebra\n")
+    assert scipy_linalg_imports(src) == [2, 4, 7]
+
+
+def test_no_module_imports_scipy_linalg():
+    package = Path(monodromy_lab.__file__).parent
+    found = {p.name: scipy_linalg_imports(p.read_text()) for p in package.rglob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# ---------------------------------------------------------------------------
+# cold start: no command loads scipy.linalg
 # ---------------------------------------------------------------------------
 
 COLD_RUNS = """
@@ -385,6 +421,9 @@ codes = [cli.main([*argv, "--out", str(tmp / argv[0])]) for argv in cold]
 cold_loaded = "scipy.linalg" in sys.modules
 serialize.write_matrix(tmp / "m.json", [[2.0, 0.0], [0.0, 0.5]])
 codes.append(cli.main(["classify", str(tmp / "m.json"), "--out", str(tmp / "c")]))
+codes.append(cli.main(["positivity", "--config", config("from_matrix", {
+    "matrix_file": str(tmp / "m.json"), "samples": 1000}), "--seed", "1",
+    "--out", str(tmp / "p")]))
 print(json.dumps({"codes": codes, "cold": cold_loaded,
                   "classify": "scipy.linalg" in sys.modules}))
 """
@@ -398,6 +437,6 @@ def test_cold_commands_leave_scipy_linalg_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0, 0, 0], "cold": False, "classify": True}
+    assert report == {"codes": [0, 0, 0, 0, 0, 0], "cold": False, "classify": False}
     # the ladder certified a residual on the grid, so the weyl path ran
     assert len((tmp_path / "ladder" / "ladder_exact.csv").read_text().splitlines()) > 1

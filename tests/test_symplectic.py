@@ -1,12 +1,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
+from monodromy_lab import symplectic
 from monodromy_lab.symplectic import (
     ClassificationAmbiguousError,
     SymplecticError,
@@ -50,6 +52,52 @@ def rotation(alpha):
 def test_from_array_rejects_nonsymplectic():
     with pytest.raises(SymplecticError, match="defect"):
         SymplecticMatrix.from_array(np.diag([2.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# matrix exponentials
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.floats(0.01, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_expm_matches_scipy(dim, scale, seed):
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(dim, dim))
+    gen = scale * standard_form(dim) @ (0.5 * (m + m.T))
+    exact = expm(gen)
+    assert np.abs(symplectic._expm(gen) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("lam", [-2.0, 0.0, 0.7, 3.5])
+def test_expm_jordan_generator(lam):
+    # exp(lam I + N) = e^lam (I + N + N^2/2) for the size-3 nilpotent N
+    gen = lam * np.eye(3) + np.eye(3, k=1)
+    exact = math.exp(lam) * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    assert np.abs(symplectic._expm(gen) - exact).max() <= 1e-14 * math.exp(lam)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_expm_of_zero_is_identity(dim):
+    assert np.array_equal(symplectic._expm(np.zeros((dim, dim))), np.eye(dim))
+
+
+@pytest.mark.parametrize("blocks,angles", [
+    ([], [0.5]),
+    ([("real-negative", 0.7, 0.0, 1)], []),
+    ([("real-negative", 0.4, 0.0, 2), ("real-positive", 0.7, 0.0, 1)], [1.3, 2.9]),
+    ([("complex-hyperbolic", 0.5, 0.8, 1), ("real-negative", 1.1, 0.0, 1)], [2.2]),
+], ids=["elliptic", "negative", "negative_chain_elliptic", "mixed"])
+def test_rotation_factor_matches_scipy(blocks, angles):
+    # scipy's expm(-J F) is itself off by up to 2.3e-15 at the angle 2.9,
+    # so the closed form is also held to one ulp of cos and sin in mpmath
+    mat, _ = _block_built_map(blocks, angles, seed=11, scale=0.4)
+    cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    f = np.diag(cls.F)[: cls.dim // 2]
+    closed = symplectic._rotation_factor(f)
+    assert np.abs(closed - rotation_factor(cls)).max() <= 4e-15
+    cos = np.diag([float(mpmath.cos(v)) for v in f])
+    sin = np.diag([float(mpmath.sin(v)) for v in f])
+    assert np.abs(closed - np.block([[cos, sin], [-sin, cos]])).max() <= 2.3e-16
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +191,34 @@ def test_classify_branch_pairing_exact():
 
 def test_classify_then_to_json_reconstructs_once(monkeypatch):
     # classify_spectrum keeps the reconstruction error it checked, so
-    # to_json reports it without two more expm; the oracle rebuilds
+    # to_json reports it without another exponential; the oracle rebuilds
     # T exp(-J F) exp(B) T^-1 from the fields
-    import scipy.linalg
-
     calls = []
-    real_expm = scipy.linalg.expm
+    real_expm = symplectic._expm
 
     def spy(a):
         calls.append(a.shape)
         return real_expm(a)
 
     mat = random_symplectic(6, np.random.default_rng(3)).entries
-    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    monkeypatch.setattr(symplectic, "_expm", spy)
     cls = classify_spectrum(mat)
+    assert len(calls) == 1  # exp(B); exp(-J F) is a closed-form rotation
     doc = json.loads(cls.to_json())
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert doc["reconstruction_error"] == cls.reconstruction_error
     rec = cls.basis @ rotation_factor(cls) @ stretch_factor(cls) @ np.linalg.inv(cls.basis)
     assert cls.reconstruction_error == pytest.approx(
         np.linalg.norm(rec - mat) / np.linalg.norm(mat), rel=1e-6, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_classify_huge_entries_reconstruct(scale):
+    # the unscaled norms overflowed, inf/inf gave a NaN error, and a NaN
+    # passed the reconstruction check
+    cls = classify_spectrum(np.diag([scale, 1.0 / scale]))
+    assert math.isfinite(cls.reconstruction_error)
+    assert cls.reconstruction_error <= 1e-12
 
 
 def test_classify_jordan_block():

@@ -219,7 +219,9 @@ LADDER_KEYS = {
     "lambda0": (list,),
 }
 # what each mode reads besides mode, alpha, m_exponent and c0; any other
-# key is refused, since the mode would ignore it
+# key is refused, since the mode would ignore it.  One key is accepted but
+# not read: perturbed's order, which the closed-form root has no use for;
+# existing configs, the benchmark's among them, still pass it (checked >= 0)
 LADDER_MODE_KEYS = {
     "exact": {"h", "residuals", "grid"},
     "perturbed": {"h", "lambda0", "order"},
@@ -269,11 +271,9 @@ def cmd_ladder(args) -> int:
             if not lam0 or min(lam0) <= 0:
                 raise ConfigError("lambda0 must be a non-empty list of "
                                   "positive numbers")
-            order = doc.get("order", 0)
-            if order < 0:
-                raise ConfigError(f"order must be >= 0, got {order}")
-            ladder = perturbed_ladder([(lambda z, c=c: c) for c in lam0], [],
-                                      h, m_exp, c0, order=order)
+            if doc.get("order", 0) < 0:
+                raise ConfigError(f"order must be >= 0, got {doc['order']}")
+            ladder = perturbed_ladder(lam0, h, m_exp, c0)
         if doc.get("residuals", False):
             top = max((e.beta[0] for e in ladder.entries), default=0)
             cap = grid_capacity(grid)
@@ -284,7 +284,7 @@ def cmd_ladder(args) -> int:
                          for e in ladder.entries]
         else:
             residuals = [e.residual for e in ladder.entries]
-        n_beta = len(ladder.entries[0].beta) if ladder.entries else 1
+        n_beta = len(lam0) if mode == "perturbed" else 1
         name = f"ladder_{mode}.csv"
         header = ["k"] + [f"beta_{j + 1}" for j in range(n_beta)] + ["z", "residual"]
         rows = [[e.k, *e.beta, e.z, r] for e, r in zip(ladder.entries, residuals)]

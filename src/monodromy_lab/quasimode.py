@@ -1,20 +1,20 @@
 """Hermite quasimodes and eigenvalue ladders for the elliptic model.
 
 The exact ladder enumerates z = (alpha/2)(2 beta + 1) h + 2 pi k h inside
-the window |z| <= c0 h^(1/m).  The perturbed ladder solves the section-map
+the window |z| <= c0 h^(1/m).  The perturbed ladder takes the section-map
 quantization condition
 
-    2 z - zeta_beta(z) = 2 pi k h,
-    zeta_beta(z) = h sum_j lambda_j(z) (2 beta_j + 1)
-                   + sum_{l>=1} z^l Q_l(h (2 beta + 1)),
+    2 z - zeta_beta = 2 pi k h,    zeta_beta = h sum_j lambda_j (2 beta_j + 1),
 
-by staged successive substitution; stage increments shrink like
-h^((j+1)/m).  Note the normalization: feeding the model rate
-lambda(z) = alpha/2 with no corrections makes the direct ladder exactly
-twice the solved root, z_direct = 2 * z_root, entry by entry.  Ladder
-entries are certified by the residual of their quasimode on the transverse
-grid, whose hbar is h: the time factor e^{i 2 pi k t} is an exact
-eigenfunction of h D_t.
+at constant rates lambda_j, whose root is the closed form
+z = (zeta_beta + 2 pi k h) / 2.  Note the normalization: at the model rate
+lambda = alpha/2 the direct ladder is exactly twice the root,
+2 z_root = z_direct, entry by entry.  Known defect: the perturbed beta
+lattice is capped from the window at k = 0 alone, so for k < 0 it drops
+window points past the cap (ROADMAP item 1 moves the benchmark pin with
+the fix).  Ladder entries are certified by the residual of their quasimode
+on the transverse grid, whose hbar is h: the time factor e^{i 2 pi k t} is
+an exact eigenfunction of h D_t.
 """
 
 from __future__ import annotations
@@ -27,24 +27,17 @@ import numpy as np
 
 from .weyl import PhaseGrid
 
-# lattice point stages one ladder enumeration may visit; checked before the
+# lattice points one ladder enumeration may visit; checked before the
 # enumeration starts
 MAX_LATTICE_POINTS = 10 ** 7
-# stage-increment bound of perturbed_ladder, in units of its h-power scale
-DIVERGENCE_MARGIN = 50.0
 
 
 class LadderError(ValueError):
     pass
 
 
-class LadderDivergenceError(LadderError):
-    """A stage increment violated the h^((j+1)/m) magnitude ladder."""
-
-
 class LadderSizeError(LadderError):
-    """The (k, beta) lattice points times the stages each runs exceed
-    MAX_LATTICE_POINTS."""
+    """The (k, beta) lattice points exceed MAX_LATTICE_POINTS."""
 
 
 class GridCapacityError(ValueError):
@@ -113,7 +106,6 @@ class LadderEntry:
     beta: tuple
     z: float
     residual: float
-    stages: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ def k_window(h: float, m_exponent: float, c0: float) -> int:
 
 def _check_lattice(size) -> None:
     if size > MAX_LATTICE_POINTS:
-        raise LadderSizeError(f"ladder work of {size:.3g} lattice point stages "
+        raise LadderSizeError(f"ladder work of {size:.3g} lattice points "
                               f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
@@ -189,90 +181,34 @@ def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> Quasimo
     return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
 
 
-def perturbed_ladder(lambda_fns, q_corrections, h: float, m_exponent: float,
-                     c0: float, order: int) -> QuasimodeLadder:
-    """Staged solution of the section-map quantization condition.
+def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
+    """Closed-form roots z = (zeta + 2 pi k h) / 2 of the section-map
+    quantization condition at constant rates lam0, one per transverse mode,
+    with zeta = h sum_j lam0[j] (2 beta_j + 1).
 
-    Parameters
-    ----------
-    lambda_fns : sequence of callables
-        Smooth rates lambda_j(z), one per transverse mode.
-    q_corrections : sequence of callables
-        Coefficients Q_l(I) of the z-power expansion of the transverse
-        eigenvalue, l = 1, 2, ...; each maps the action vector
-        I = h (2 beta + 1) to a scalar and must vanish at I = 0.
-    order : int
-        Number of correction stages beyond stage zero.
-
-    Stage zero solves 2 z = h sum lambda_j(0) (2 beta_j + 1) + 2 pi k h;
-    each later stage re-substitutes the current root into the right-hand
-    side.  The increment of stage j must obey |dz_j| <= DIVERGENCE_MARGIN
-    max(|z0|, h^(1/m)) h^(j/m), of order h^((j+1)/m), or
-    LadderDivergenceError is raised.  Entries are kept when the converged
-    root lies inside |z| <= c0 h^(1/m).  A lattice whose points times the
-    order + 1 stages each runs exceed MAX_LATTICE_POINTS is refused with
-    LadderSizeError before enumeration.
+    Each beta_j runs up to floor((2 zmax / (h min lam0) - 1) / 2) + 1 for
+    every k; a lattice past MAX_LATTICE_POINTS is refused with
+    LadderSizeError before enumeration.  Entries are kept when
+    |z| <= c0 h^(1/m) and carry the residual |2 z - zeta - 2 pi k h|.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    n_modes = len(lambda_fns)
-    for l, q in enumerate(q_corrections, start=1):
-        at_zero = float(q(np.zeros(n_modes)))
-        if abs(at_zero) > 1e-12:
-            raise LadderError(f"correction Q_{l} must vanish at I = 0, got {at_zero!r}")
     zmax = c0 * h ** (1.0 / m_exponent)
     kmax = k_window(h, m_exponent, c0)
-    lam0 = np.array([float(f(0.0)) for f in lambda_fns])
-
-    def zeta(z, action):
-        val = h * float(sum(f(z) * (2 * b + 1)
-                            for f, b in zip(lambda_fns, action)))
-        iv = h * (2 * np.asarray(action, dtype=float) + 1.0)
-        for l, q in enumerate(q_corrections, start=1):
-            val += z ** l * float(q(iv))
-        return val
-
-    # enumerate the beta lattice per mode from the stage-zero window
-    with np.errstate(over="ignore", divide="ignore"):
-        b_span = max(0.0, (2.0 * zmax / (h * lam0.min()) - 1.0) / 2.0)
+    lam_h = h * min(lam0)
+    b_span = max(0.0, (2.0 * zmax / lam_h - 1.0) / 2.0) if lam_h > 0 else math.inf
     _check_lattice(b_span)  # as a float first: a subnormal rate makes it inf
     b_cap = int(b_span) + 1
-    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** n_modes * (order + 1))
+    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** len(lam0))
     entries = []
-    betas = _beta_lattice(n_modes, b_cap)
     for k in range(-kmax, kmax + 1):
-        for beta in betas:
-            z0 = 0.5 * (h * float(lam0 @ (2 * np.asarray(beta) + 1.0))
-                        + 2.0 * math.pi * k * h)
-            if abs(z0) > 2.0 * zmax:
-                continue
-            stages = [z0]
-            z = z0
-            for j in range(1, order + 1):
-                z_next = 0.5 * (zeta(z, beta) + 2.0 * math.pi * k * h)
-                dz = z_next - z
-                bound = DIVERGENCE_MARGIN * max(abs(z0), h ** (1.0 / m_exponent)) \
-                    * h ** (j / m_exponent)
-                if abs(dz) > bound:
-                    raise LadderDivergenceError(
-                        f"stage {j} increment {dz!r} exceeds "
-                        f"{bound!r} at (k={k}, beta={beta})"
-                    )
-                stages.append(dz)
-                z = z_next
+        base = 2.0 * math.pi * k * h
+        for beta in itertools.product(range(b_cap + 1), repeat=len(lam0)):
+            zeta = h * sum(lam * (2 * b + 1) for lam, b in zip(lam0, beta))
+            z = 0.5 * (zeta + base)
             if abs(z) <= zmax:
-                residual = abs(2.0 * z - zeta(z, beta) - 2.0 * math.pi * k * h)
-                entries.append(LadderEntry(k=k, beta=tuple(beta), z=z,
-                                           residual=residual, stages=tuple(stages)))
+                entries.append(LadderEntry(k=k, beta=beta, z=z,
+                                           residual=abs(2.0 * z - zeta - base)))
     entries.sort(key=lambda e: e.z)
     return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
-
-
-def _beta_lattice(n_modes: int, cap: int):
-    if n_modes == 1:
-        return [(b,) for b in range(cap + 1)]
-    smaller = _beta_lattice(n_modes - 1, cap)
-    return [(b,) + rest for b in range(cap + 1) for rest in smaller]
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,7 @@ def test_every_method_is_read_in_src():
 
 
 # (module, class, field) -> why a field no module reads is kept
-UNREAD_FIELDS = {
-    ("quasimode", "LadderEntry", "stages"):
-        "tests read each stage to check the h^((j+1)/m) ladder",
-}
+UNREAD_FIELDS = {}
 
 
 def unread_fields(sources: dict) -> set:

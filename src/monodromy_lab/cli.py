@@ -35,6 +35,7 @@ from .escape import verify_positivity
 from .monodromy import contraction_sweep
 from .quasimode import (
     LadderSizeError,
+    exact_ladder_count,
     exact_model_ladder,
     grid_capacity,
     perturbed_ladder,
@@ -253,7 +254,7 @@ def cmd_ladder(args) -> int:
         rows = []
         slopes = []
         for h in h_values:
-            count = exact_model_ladder(alpha, h, m_exp, c0).count
+            count = exact_ladder_count(alpha, h, m_exp, c0)
             slope = math.log(count) / math.log(1.0 / h) if count else float("nan")
             rows.append([h, count, slope])
             slopes.append(slope)

@@ -55,12 +55,8 @@ def unitarity_defect(m: np.ndarray) -> float:
 def escape_weight(grid: PhaseGrid) -> np.ndarray:
     """Quantization of the hyperbolic escape weight
     (1/2) log((1 + X^2)/(1 + Xi^2)) on the rescaled grid.  The symbol is
-    real and even in Xi, so its Weyl kernel is real symmetric."""
-
-    def symbol(x, xi):
-        return 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2))
-
-    return quantize(symbol, grid).matrix.real
+    real and even in Xi, so its Weyl kernel is real symmetric float64."""
+    return quantize(lambda x, xi: 0.5 * (np.log1p(x ** 2) - np.log1p(xi ** 2)), grid).matrix
 
 
 def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
@@ -172,5 +168,5 @@ def contraction_sweep(h_values, lam: float, s: float, grid: PhaseGrid,
 
 def rotation_generator(alpha: float, grid: PhaseGrid):
     """Quantized rotation symbol (alpha/2)(x^2 + xi^2) on the h-grid: the
-    (read-only) matrix of a real symbol, exactly Hermitian as quantized."""
+    (read-only) float64 matrix of a real symbol even in xi, real symmetric."""
     return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid).matrix

@@ -76,8 +76,8 @@ def grid_capacity(grid: PhaseGrid) -> int:
 
 def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
     """Sampled Hermite mode h^(-1/4) H_beta(x / sqrt(h)) e^(-x^2 / 2h) at
-    h = grid.hbar as a complex vector, renormalized to unit L2 norm on the
-    grid.
+    h = grid.hbar as a real float64 vector, renormalized to unit L2 norm on
+    the grid.
 
     Refused when beta exceeds the grid capacity.
     """
@@ -91,8 +91,7 @@ def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
             f"(need h(2 beta + 1) <= L^2/4)"
         )
     vals = hermite_values(beta, grid.x / math.sqrt(h)) * h ** -0.25
-    vals = vals.astype(complex)
-    norm = math.sqrt(float(np.sum(np.abs(vals) ** 2) * grid.dx))
+    norm = math.sqrt(float(np.sum(vals ** 2) * grid.dx))
     return vals / norm
 
 
@@ -142,19 +141,9 @@ def _check_lattice(size) -> None:
                               f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
-def _dedup_check(entries):
-    """Distinctness of ladder values, compared at 1e-12 resolution."""
-    zs = sorted(e.z for e in entries)
-    for a, b in zip(zs, zs[1:]):
-        if b - a < 1e-12 * max(1.0, abs(a)):
-            raise LadderError(f"ladder values {a!r} and {b!r} collide at 1e-12 resolution")
-
-
-def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
-    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
-    window |z| <= c0 h^(1/m); residuals are identically zero at continuum
-    level.  Empty windows give an empty (valid) ladder; a window past
-    MAX_LATTICE_POINTS is refused with LadderSizeError."""
+def _exact_window(alpha, h: float, m_exponent: float, c0: float) -> list:
+    """[(k, b, z)] with arrays b, z of the window points of exact_model_ladder;
+    values that collide at 1e-12 resolution are refused with LadderError."""
     alpha = float(alpha)
     if h <= 0 or alpha <= 0:
         raise ValueError("alpha and h must be positive")
@@ -162,7 +151,7 @@ def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> Quasimo
     kmax = k_window(h, m_exponent, c0)
     # each k admits at most 2 zmax / (alpha h) + 1 values of b
     _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha * h) + 1.0))
-    entries = []
+    rows = []
     for k in range(-kmax, kmax + 1):
         base = 2.0 * math.pi * k * h
         # (alpha/2)(2b+1)h in [-zmax - base, zmax - base], b >= 0
@@ -170,15 +159,33 @@ def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> Quasimo
         if hi < 0.5:
             continue
         lo = (-zmax - base) / (alpha * h)
-        b_lo = max(0, int(math.ceil(lo - 0.5)))
-        b_hi = int(math.floor(hi - 0.5 + 1e-15))
-        for b in range(b_lo, b_hi + 1):
-            z = 0.5 * alpha * (2 * b + 1) * h + base
-            if abs(z) <= zmax * (1.0 + 1e-15):
-                entries.append(LadderEntry(k=k, beta=(b,), z=z, residual=0.0))
-    _dedup_check(entries)
+        b = np.arange(max(0, int(math.ceil(lo - 0.5))), int(math.floor(hi - 0.5 + 1e-15)) + 1)
+        z = 0.5 * alpha * (2 * b + 1) * h + base
+        keep = np.abs(z) <= zmax * (1.0 + 1e-15)
+        rows.append((k, b[keep], z[keep]))
+    zs = np.sort(np.concatenate([z for _, _, z in rows] or [np.empty(0)]))
+    collide = np.diff(zs) < 1e-12 * np.maximum(1.0, np.abs(zs[:-1]))
+    if collide.any():
+        a, b = map(float, zs[np.argmax(collide):][:2])
+        raise LadderError(f"ladder values {a!r} and {b!r} collide at 1e-12 resolution")
+    return rows
+
+
+def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
+    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
+    window |z| <= c0 h^(1/m); residuals are identically zero at continuum
+    level.  Empty windows give an empty (valid) ladder; a window past
+    MAX_LATTICE_POINTS is refused with LadderSizeError."""
+    entries = [LadderEntry(k=k, beta=(int(b),), z=float(z), residual=0.0)
+               for k, bs, zs in _exact_window(alpha, h, m_exponent, c0)
+               for b, z in zip(bs, zs)]
     entries.sort(key=lambda e: e.z)
     return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
+
+
+def exact_ladder_count(alpha, h: float, m_exponent: float, c0: float) -> int:
+    """exact_model_ladder(...).count, with no entry built per point."""
+    return sum(z.size for _, _, z in _exact_window(alpha, h, m_exponent, c0))
 
 
 def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
@@ -233,4 +240,4 @@ def residual_certify(k: int, beta: int, z: float, alpha: float,
     # residual reduces to the transverse factor and needs no time grid
     t_phase = 2.0 * math.pi * k * grid.hbar
     resid_vec = (q @ v) + (t_phase - z) * v
-    return float(np.sqrt(np.sum(np.abs(resid_vec) ** 2) * grid.dx))
+    return float(np.sqrt(np.sum(resid_vec ** 2) * grid.dx))

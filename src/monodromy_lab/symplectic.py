@@ -35,8 +35,10 @@ _PADE13 = tuple(math.comb(13, k) / math.perm(26, k) for k in range(14))
 _THETA13 = 5.371920351148152
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
-# eigenvalues closer than this (relative) form one cluster
+# imaginary parts below this (relative) count as zero
 CLUSTER_GAP = 1e-6
+# eig splits a k-fold eigenvalue by about JORDAN_SPLIT^(1/k), relative
+JORDAN_SPLIT = 1e-12
 # singular values below this fraction of the largest count as zero
 RANK_TOL = 1e-8
 # largest relative error of T exp(-J F) exp(B) T^-1 against the input
@@ -220,20 +222,24 @@ class SpectralClassification:
 
 
 def _cluster_eigenvalues(evals: np.ndarray):
-    """Greedy clustering of eigenvalues at relative gap CLUSTER_GAP.
-    Returns a list of (centroid, count)."""
-    order = np.lexsort((evals.imag, evals.real))
-    clusters = []
-    for idx in order:
-        ev = evals[idx]
-        for c in clusters:
-            if abs(ev - c[0] / c[1]) <= CLUSTER_GAP * max(1.0, abs(ev)):
-                c[0] += ev
-                c[1] += 1
-                break
-        else:
-            clusters.append([ev, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]
+    """(mean, count) per cluster: for k = n .. 2, a single-linkage component
+    of k unclustered eigenvalues at relative gap JORDAN_SPLIT^(1/k) is one
+    cluster.  Clusters and their sums run in lexsort order."""
+    ev = evals[np.lexsort((evals.imag, evals.real))]
+    n, ks = ev.size, np.arange(ev.size, 1, -1)
+    gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
+    link = gap <= JORDAN_SPLIT ** (1.0 / ks)[:, None, None]  # one level per k
+    if np.count_nonzero(link[0]) == n:  # no two eigenvalues within the widest gap
+        return [(e, 1) for e in ev]
+    comp, low = None, np.tile(np.arange(n), (n - 1, 1))  # lowest index in each component
+    while not np.array_equal(comp, low):
+        comp, low = low, np.minimum(low, np.where(link, low[:, None, :], n).min(axis=2))
+    # components only merge as the gap widens, so each eigenvalue joins the
+    # widest level at which its component has exactly k members
+    hit = (comp[:, :, None] == comp[:, None, :]).sum(axis=2) == ks[:, None]
+    first = np.where(hit.any(axis=0), comp[hit.argmax(axis=0), np.arange(n)], np.arange(n))
+    clusters = [ev[first == f] for f in range(n) if first[f] == f]
+    return [(sum(c) / c.size, c.size) for c in clusters]
 
 
 def _rank(sv: np.ndarray) -> int:

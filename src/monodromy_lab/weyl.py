@@ -1,18 +1,17 @@
 """Discrete Weyl quantization on a periodic position grid.
 
-A symbol a(x, xi) becomes a dense complex matrix through the symmetrized
-kernel
+A symbol a(x, xi) becomes a dense matrix through the symmetrized kernel
 
     K(x_i, x_j) = (2 pi hbar)^-1 sum_l a((x_i+x_j)/2, xi_l)
                   exp(i (x_i - x_j) xi_l / hbar) dxi dx,
 
 evaluated by one real FFT over the frequency index for every midpoint.
 The midpoint rows are streamed in blocks, each evaluated, transformed and
-scattered into the result, so no N x N temporary is built beside it.
-Real symbols give exactly Hermitian matrices, complex ones go through by
-linearity; symbols independent of xi give diagonal multiplication
-operators.  States are sample vectors u(x_k); inner products carry the
-quadrature weight dx.
+scattered into the result by cached int32 tables, so no N x N temporary
+is built beside it.  Real symbols give exactly Hermitian matrices, float64
+real symmetric ones when even in xi; complex ones go through by linearity;
+symbols independent of xi give diagonal multiplication operators.  States
+are sample vectors u(x_k); inner products carry the quadrature weight dx.
 """
 
 from __future__ import annotations
@@ -91,24 +90,32 @@ def quantize(symbol, grid: PhaseGrid) -> WeylOperator:
     checked, transformed, and their entries gathered into the preallocated
     result, so memory beyond the result stays O(N * _BLOCK_ROWS).  Real
     symbols give exactly Hermitian matrices; complex symbols go through by
-    linearity, Re and Im apart.
+    linearity, Re and Im apart.  The result is float64 when every midpoint
+    row of the symbol is real and even in xi, else complex128.
     """
     n = grid.N
     # midpoints (x_i + x_j)/2 live on the half-step grid of 2N-1 points
     mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
     xi = np.fft.ifftshift(grid.xi)[None, :]
-    mat = np.empty((n, n), dtype=complex)
-    flat = mat.reshape(-1)
+    mat = None
+    # a block's int32 indices, widened to the intp that numpy gathers fastest
+    wide = np.empty(n * _BLOCK_ROWS, dtype=np.intp)
     for s0, s1, dest, src, conjugate in _block_gather(n):
         vals = np.asarray(symbol(mid[s0:s1, None], xi))
         if vals.shape != (s1 - s0, n):
             vals = np.broadcast_to(vals, (s1 - s0, n))
         if not np.all(np.isfinite(vals)):
             raise GridError("symbol evaluated to a non-finite value on the grid")
-        entries = _real_kernel(vals.real, src, conjugate)
+        np.copyto(idx := wide[:src.size], src)
+        entries = _real_kernel(vals.real, idx, conjugate)
         if np.iscomplexobj(vals):
-            entries = entries + 1j * _real_kernel(vals.imag, src, conjugate)
-        flat[dest] = entries
+            entries = entries + 1j * _real_kernel(vals.imag, idx, conjugate)
+        # float64 until a row odd in xi, or an imaginary part, widens it
+        mat = (np.empty((n, n), entries.dtype) if mat is None
+               else mat.astype(np.result_type(mat, entries), copy=False))
+        np.copyto(idx, dest)
+        mat.reshape(-1)[idx] = entries
+        del vals, entries  # before the next block is evaluated
     return WeylOperator(matrix=mat)
 
 
@@ -117,8 +124,15 @@ def _real_kernel(vals: np.ndarray, src: np.ndarray,
     """Entries K[i, j] = (1/N) sum_p vals[i + j - s0, p] e^{2 pi i (i - j) p / N}
     of one block of real midpoint rows, frequencies in FFT order (xi_p =
     pi hbar p / L mod the grid): the Weyl sum, since dxi dx / (2 pi hbar) =
-    1/N and no parity twist is left."""
+    1/N and no parity twist is left.  Rows even in xi (column p equal to
+    N - p) drop the rounding-level imaginary part of their real spectrum."""
     half = np.fft.rfft(vals, axis=1, norm="forward")
+    n = vals.shape[1]
+    even = (vals[:, 1:n // 2] == vals[:, :n // 2:-1]).all(axis=1)
+    if even.all():
+        half = half.real.copy()  # frees the complex half before the gather
+        return np.take(half, src)
+    half.imag[even] = 0.0
     entries = np.take(half, src)
     np.conjugate(entries, out=entries, where=conjugate)
     return entries
@@ -130,12 +144,13 @@ def _block_gather(n: int) -> tuple:
     i N + j in K (ascending), the flat sources in the block's
     (s1 - s0) x (N/2+1) half spectrum, row i + j - s0 and column
     min(r, N - r) with r = (i - j) mod N, and where to conjugate (r <= N/2);
-    columns 0 and N/2 are real, so K is exactly Hermitian."""
-    i = np.arange(n)[:, None]
+    columns 0 and N/2 are real, so K is exactly Hermitian.  Indices are
+    int32, as N^2 <= MAX_GRID_N^2 < 2^31."""
+    i = np.arange(n, dtype=np.int32)[:, None]
     blocks = []
     for s0 in range(0, 2 * n - 1, _BLOCK_ROWS):
         s1 = min(s0 + _BLOCK_ROWS, 2 * n - 1)
-        j = np.arange(s0, s1)[None, :] - i
+        j = np.arange(s0, s1, dtype=np.int32)[None, :] - i
         inside = (j >= 0) & (j < n)
         ii, jj = np.broadcast_to(i, j.shape)[inside], j[inside]
         r = (ii - jj) % n

@@ -445,6 +445,16 @@ def test_ladder_counting_slopes(tmp_path):
     assert all(0.75 <= s <= 2.25 for s in summary["slopes"])
 
 
+def test_ladder_counting_collision_exits_numeric(tmp_path, capsys):
+    # at alpha = 4 pi the values z(k, b) and z(k + 2, b - 1) coincide
+    cfg = write_config(tmp_path / "l.json", {"mode": "counting", "alpha": 4.0 * math.pi})
+    out = tmp_path / "out"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: ladder values 0.0 and 0.0 collide at 1e-12 resolution\n"
+
+
 def test_ladder_bad_mode(tmp_path):
     cfg = write_config(tmp_path / "l.json", {"mode": "sideways"})
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -685,14 +695,14 @@ def test_positivity_from_matrix(tmp_path):
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 2]) == 0
 
 
-def jordan_map(lam):
-    """exp(diag(N, -N^T)) with N = [[lam, 1], [0, lam]]: hyperbolic, with
-    one Jordan chain of length 2."""
+def jordan_map(lam, k=2):
+    """exp(diag(N, -N^T)) with N = lam I + the unit superdiagonal, k x k:
+    hyperbolic, with one Jordan chain of length k."""
     from scipy.linalg import expm
 
-    n = np.array([[lam, 1.0], [0.0, lam]])
-    big = np.zeros((4, 4))
-    big[:2, :2], big[2:, 2:] = n, -n.T
+    n = lam * np.eye(k) + np.eye(k, k=1)
+    big = np.zeros((2 * k, 2 * k))
+    big[:k, :k], big[k:, k:] = n, -n.T
     return expm(big)
 
 
@@ -707,6 +717,23 @@ def test_positivity_jordan_chain_passes(tmp_path, lam):
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
     report = json.loads((out / "positivity.json").read_text())
     assert report["min_ratio"] >= lam / 2.0
+
+
+def test_positivity_jordan_chain_of_length_three(tmp_path):
+    # rescaled, the chain's symmetric part is lam I + (lam/4)(N + N^T), whose
+    # smallest eigenvalue is lam (1 - cos(pi/4) / 2); the conjugation makes
+    # eig split the triple eigenvalue by about (1e-16)^(1/3)
+    from monodromy_lab.symplectic import random_symplectic
+
+    lam = 0.3
+    t = random_symplectic(6, np.random.default_rng(37), scale=0.1).entries
+    mfile = tmp_path / "m.json"
+    write_matrix(mfile, t @ jordan_map(lam, k=3) @ np.linalg.inv(t))
+    cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile), "samples": 20000})
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
+    report = json.loads((out / "positivity.json").read_text())
+    assert report["min_ratio"] >= lam * (1.0 - 0.5 * math.cos(math.pi / 4.0)) - 1e-12
 
 
 def test_positivity_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):

@@ -187,6 +187,22 @@ def test_contraction_sweep_constant_rate_and_gap_fit():
     assert all(gap > 0 and rank > 0 for gap, rank in gaps)
 
 
+# the gap (x xi)^w has at every h, read off the resolved rows h <= 0.05
+CONVERGED_GAP = 0.0683280237
+
+
+@pytest.mark.xfail(strict=True, reason="under-resolved: on the default gap "
+                   "grid the h = 0.2 and h = 0.1 subspaces (ranks 41 and 47) "
+                   "give 0.0720266 and 0.0683272; a grid-free gap (ROADMAP "
+                   "items 1 and 2) resolves them")
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_contraction_sweep_gap_resolved_at_coarse_h(h):
+    # the contract command's default grids
+    _, _, [(gap, _)] = contraction_sweep([h], 1.0, 0.3, GRID,
+                                         PhaseGrid(L=48.0, N=512, hbar=HT))
+    assert gap == pytest.approx(CONVERGED_GAP, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # closed-form (Mehler) microlocal basis against the dense cutoff
 # ---------------------------------------------------------------------------

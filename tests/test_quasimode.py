@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from monodromy_lab.quasimode import (
     GridCapacityError,
+    LadderError,
     LadderSizeError,
+    exact_ladder_count,
     exact_model_ladder,
     grid_capacity,
     hermite_mode,
@@ -137,6 +140,29 @@ def test_exact_ladder_distinct_rational_alpha():
     ladder = exact_model_ladder(Fraction(1), 1e-3, 2.0, 1.0)
     zs = np.array([e.z for e in ladder.entries])
     assert np.unique(zs).size == zs.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 3.0), log_h=st.floats(-4.0, -1.0),
+       c0=st.floats(0.1, 1.0), m_exp=st.sampled_from([1.5, 2.0, 3.0]))
+def test_exact_ladder_count_matches_the_ladder(alpha, log_h, c0, m_exp):
+    # the count is read off the window arrays, with no entry built
+    h = 10.0 ** log_h
+    try:
+        count = exact_model_ladder(alpha, h, m_exp, c0).count
+    except LadderError:  # a resonant alpha: the count refuses it too
+        with pytest.raises(LadderError, match="collide"):
+            exact_ladder_count(alpha, h, m_exp, c0)
+        return
+    assert exact_ladder_count(alpha, h, m_exp, c0) == count
+
+
+def test_exact_ladder_count_refuses_collisions():
+    # alpha = 4 pi puts z(k, b) = 2 pi h (2 b + 1 + k) on a lattice that
+    # (k, b) and (k + 2, b - 1) share
+    for count in (exact_ladder_count, lambda *a: exact_model_ladder(*a).count):
+        with pytest.raises(LadderError, match="collide at 1e-12 resolution"):
+            count(4.0 * math.pi, 1e-3, 2.0, 1.0)
 
 
 def test_counting_slope_bracket():
@@ -283,3 +309,48 @@ def test_residual_capacity_refused():
     small = PhaseGrid(L=0.1, N=128, hbar=h)
     with pytest.raises(GridCapacityError):
         residual_certify(0, 50, 0.5 * alpha * 101 * h, alpha, small)
+
+
+def complex_rotation_generator(alpha, grid):
+    """The rotation generator as a complex kernel: every midpoint row keeps
+    its full complex half spectrum, rounding-level imaginary part and all,
+    as quantize gave it before real kernels."""
+    n = grid.N
+    mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
+    xi = np.fft.ifftshift(grid.xi)[None, :]
+    vals = 0.5 * alpha * (mid[:, None] ** 2 + xi ** 2)
+    half = np.fft.rfft(vals, axis=1, norm="forward")
+    i, j = np.ogrid[:n, :n]
+    r = (i - j) % n
+    mat = np.take(half, (i + j) * (n // 2 + 1) + np.minimum(r, n - r))
+    np.conjugate(mat, out=mat, where=r <= n // 2)
+    return mat
+
+
+def test_residuals_real_path_match_complex_operator():
+    # the benchmark's exact ladder: every residual from the float64
+    # operator and mode against the complex operator and complex mode
+    alpha, h = 1.0, 1e-3
+    ladder = exact_model_ladder(alpha, h, 2.0, 0.5)
+    assert ladder.count == 174
+    q = complex_rotation_generator(alpha, GRID)
+    assert 0.0 < np.abs(q.imag).max() <= 1e-16 * np.abs(q).max()
+    for e in ladder.entries:
+        v = hermite_mode(e.beta[0], GRID).astype(complex)
+        resid = q @ v + (2.0 * math.pi * e.k * h - e.z) * v
+        want = float(np.sqrt(np.sum(np.abs(resid) ** 2) * GRID.dx))
+        got = residual_certify(e.k, e.beta[0], e.z, alpha, GRID)
+        assert abs(got - want) <= 1e-15
+
+
+def test_residual_certify_allocates_no_complex_operator():
+    # a float64 operator is 2 MiB on this grid, a complex one 4 MiB; the
+    # warm-up call builds the cached gather indices
+    residual_certify(0, 3, 0.0035, 1.0, GRID)
+    tracemalloc.start()
+    try:
+        residual_certify(0, 3, 0.0035, 1.0, GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20

@@ -372,6 +372,101 @@ def test_classify_block_built_property(blocks, angles, seed):
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * max(1.0, abs(b.mu))
 
 
+# the maps the greedy 1e-6 clustering split: eig separates the eigenvalues
+# of a size-k chain by about (1e-12)^(1/k), past 1e-6 for k >= 3
+LONG_CHAIN_MAPS = [
+    ([("real-positive", 0.7, 0.0, 3)], [], 37, 0.1),
+    ([("real-positive", 0.7, 0.0, 3)], [], 5, 0.3),
+    ([("real-negative", 0.7, 0.0, 3)], [1.3], 11, 0.2),
+    ([("complex-hyperbolic", 0.5, 0.8, 3)], [], 3, 0.1),
+    ([("real-positive", 0.7, 0.0, 4)], [], 3, 0.1),
+    ([("real-positive", 0.7, 0.0, 3), ("real-negative", 0.4, 0.0, 1)], [2.2], 8, 0.3),
+]
+
+
+@pytest.mark.parametrize("blocks,angles,seed,scale", LONG_CHAIN_MAPS, ids=[
+    "positive_3_seed37", "positive_3_seed5", "negative_3_elliptic",
+    "complex_3", "positive_4", "positive_3_simple_elliptic"])
+def test_classify_long_jordan_chains(blocks, angles, seed, scale):
+    mat, spectrum = _block_built_map(blocks, angles, seed=seed, scale=scale)
+    cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
+                                 + [("elliptic", 1)] * len(angles))
+    assert cls.reconstruction_error <= 1e-12
+    for b in cls.blocks:
+        assert np.abs(spectrum - b.mu).min() <= 1e-8 * abs(b.mu)
+
+
+LONG_CHAIN_BLOCK = st.tuples(
+    st.sampled_from(["real-positive", "real-negative", "complex-hyperbolic"]),
+    st.sampled_from([0.4, 0.7, 1.1]),       # log |mu|
+    st.sampled_from([0.5, 1.3, 2.2, 2.9]),  # arg mu of a complex quadruple
+    st.integers(1, 4),                      # Jordan size
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LONG_CHAIN_BLOCK, min_size=1, max_size=3, unique_by=lambda b: b[:2]),
+       st.lists(st.sampled_from([0.5, 1.3, 2.2, 2.9]), unique=True, max_size=2),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.3))
+def test_classify_jordan_chains_up_to_size_four(blocks, angles, seed, scale):
+    # one chain per eigenvalue: blocks share no (kind, log |mu|).  A size-4
+    # chain at scale 0.3 reconstructs to about 1.4e-12 (5.8e-13 even from
+    # the exact eigenvalue), so the bound here is 1e-11
+    widths = [2 * k if kind == "complex-hyperbolic" else k for kind, _, _, k in blocks]
+    assume(sum(widths) + len(angles) <= 6)
+    mat, _ = _block_built_map(blocks, angles, seed, scale=scale)
+    try:
+        cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
+    except ClassificationAmbiguousError:
+        assume(False)
+    assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
+                                 + [("elliptic", 1)] * len(angles))
+    assert cls.reconstruction_error <= 1e-11
+
+
+def loop_clusters(evals):
+    """Reference clustering: for k = n .. 2, breadth-first search for the
+    single-linkage components of the eigenvalues not yet clustered, at
+    relative gap JORDAN_SPLIT^(1/k); a component of exactly k is a cluster."""
+    ev = evals[np.lexsort((evals.imag, evals.real))]
+    free, clusters = set(range(ev.size)), []
+    for k in range(ev.size, 1, -1):
+        gap = symplectic.JORDAN_SPLIT ** (1.0 / k)
+        seen = set()
+        for i in sorted(free):
+            if i in seen:
+                continue
+            comp, todo = {i}, [i]
+            while todo:
+                a = todo.pop()
+                for b in free - comp:
+                    if abs(ev[a] - ev[b]) / max(1.0, abs(ev[a]), abs(ev[b])) <= gap:
+                        comp.add(b)
+                        todo.append(b)
+            seen |= comp
+            if len(comp) == k:
+                clusters.append(sorted(comp))
+        free -= {i for c in clusters for i in c}
+    clusters = sorted(clusters + [[i] for i in free])
+    return [(sum(ev[c]) / len(c), len(c)) for c in clusters]
+
+
+SPLIT_GROUP = st.tuples(
+    st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.5, -1.2]),  # centre
+    st.integers(1, 4), st.floats(-14.0, -1.0),                # size, log10 split
+    st.floats(0.0, 1.0))                                      # phase
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SPLIT_GROUP, min_size=1, max_size=4))
+def test_cluster_eigenvalues_matches_loop_reference(groups):
+    evals = np.array([complex(re, im) + 10.0 ** split * np.exp(2j * np.pi * (j / k + phase))
+                      for re, im, k, split, phase in groups for j in range(k)])
+    assume(evals.size >= 2)
+    assert symplectic._cluster_eigenvalues(evals) == loop_clusters(evals)
+
+
 # ---------------------------------------------------------------------------
 # quadratic generators
 # ---------------------------------------------------------------------------

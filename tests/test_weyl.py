@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant, eigvalsh, expm
 
-from monodromy_lab.monodromy import rotation_generator
+from monodromy_lab import weyl
+from monodromy_lab.monodromy import escape_weight, rotation_generator
 from monodromy_lab.weyl import (
     MAX_GRID_N,
     GridError,
@@ -292,39 +293,48 @@ def test_quantize_matches_meshgrid_kernel(n):
         assert np.abs(mat - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def one_shot_kernel(symbol, grid: PhaseGrid) -> np.ndarray:
+def one_shot_kernel(symbol, grid: PhaseGrid, even_rows_real=True) -> np.ndarray:
     """quantize's kernel before it streamed the midpoint rows: all 2N-1 rows
     evaluated and transformed at once, then one gather of the N^2 entries
-    from the whole half spectrum; reference for the blocked kernel."""
+    from the whole half spectrum; reference for the blocked kernel.  With
+    even_rows_real, the rows even in xi keep only the real part of their
+    spectrum, and a part whose rows are all even gives a float64 kernel;
+    without it, every row keeps its full complex spectrum."""
     n = grid.N
     mid = (-2.0 * grid.L + grid.dx * np.arange(2 * n - 1)) / 2.0
     vals = np.asarray(symbol(mid[:, None], np.fft.ifftshift(grid.xi)[None, :]))
     if vals.shape != (2 * n - 1, n):
         vals = np.broadcast_to(vals, (2 * n - 1, n))
-    mat = one_shot_real_kernel(vals.real)
+    mat = one_shot_real_kernel(vals.real, even_rows_real)
     if np.iscomplexobj(vals):
-        mat = mat + 1j * one_shot_real_kernel(vals.imag)
+        mat = mat + 1j * one_shot_real_kernel(vals.imag, even_rows_real)
     return mat
 
 
-def one_shot_real_kernel(vals: np.ndarray) -> np.ndarray:
+def one_shot_real_kernel(vals: np.ndarray, even_rows_real: bool) -> np.ndarray:
     n = vals.shape[1]
     half = np.fft.rfft(vals, axis=1, norm="forward")
+    # a row is even in xi when a(xi_p) = a(xi_(-p mod N)) for every p
+    even = (vals == np.roll(vals[:, ::-1], 1, axis=1)).all(axis=1)
+    if even_rows_real:
+        half.imag[even] = 0.0
     i, j = np.ogrid[:n, :n]
     r = (i - j) % n
     mat = np.take(half, (i + j) * (n // 2 + 1) + np.minimum(r, n - r))
     np.conjugate(mat, out=mat, where=r <= n // 2)
-    return mat
+    return mat.real.copy() if even_rows_real and even.all() else mat
 
 
 @pytest.mark.parametrize("n", [2, 4, 64, 66, 512])
 def test_quantize_matches_one_shot_kernel_bitwise(n):
     # 2N-1 is never a multiple of the block size here, so the last block
-    # is short; every row gets the same FFT, gather and conjugation
+    # is short; every row gets the same FFT, gather and conjugation, and
+    # the same choice of a real or a complex spectrum
     grid = PhaseGrid(L=3.0, N=n, hbar=0.07)
     for symbol in REAL_SYMBOLS + COMPLEX_SYMBOLS:
         mat = quantize(symbol, grid).matrix
         ref = one_shot_kernel(symbol, grid)
+        assert mat.dtype == ref.dtype
         assert np.array_equal(mat.view(np.float64), ref.view(np.float64))
 
 
@@ -352,7 +362,7 @@ def test_quantize_allocates_little_beyond_its_result():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert q.nbytes == 4 * 2 ** 20
+    assert q.nbytes == 2 * 2 ** 20
     assert peak <= q.nbytes + 2 * 2 ** 20
 
 
@@ -376,6 +386,64 @@ def test_rotation_generator_exactly_hermitian():
     for alpha, h in ((1.0, 1e-3), (0.7, 0.05)):
         q = rotation_generator(alpha, PhaseGrid(L=1.5, N=256, hbar=h))
         assert np.array_equal(q, q.conj().T)
+
+
+def test_quantize_dtype_follows_parity_in_xi():
+    # real symbols even in xi give float64 kernels; odd or mixed parity in
+    # xi, or a nonzero imaginary part, gives complex128
+    grid = PhaseGrid(L=3.0, N=64, hbar=0.07)
+    for mat in (rotation_generator(1.0, grid), escape_weight(grid),
+                quantize(lambda x, xi: 2.5, grid).matrix):
+        assert mat.dtype == np.float64
+    for symbol in REAL_SYMBOLS[:2] + COMPLEX_SYMBOLS:
+        assert quantize(symbol, grid).matrix.dtype == np.complex128
+
+
+def mixed_parity(x, xi):
+    """Even in xi for x < 0, odd in xi for x > 0."""
+    return np.where(x < 0.0, (1.0 + x ** 2) * np.cos(xi), x * np.sin(xi))
+
+
+def test_quantize_mixed_parity_does_not_depend_on_block_rows(monkeypatch):
+    # at 16 rows the leading blocks are all even and the result is widened
+    # to complex at the first odd row; at 1023 rows one block holds them all
+    grid = PhaseGrid(L=3.0, N=512, hbar=0.07)
+    mats = []
+    try:
+        for rows in (16, 1023):
+            monkeypatch.setattr(weyl, "_BLOCK_ROWS", rows)
+            weyl._block_gather.cache_clear()
+            mats.append(quantize(mixed_parity, grid).matrix)
+    finally:
+        weyl._block_gather.cache_clear()
+    ref = one_shot_kernel(mixed_parity, grid)
+    for mat in mats:
+        assert mat.dtype == np.complex128
+        assert np.array_equal(mat.view(np.float64), ref.view(np.float64))
+
+
+# the grids of the ladder residuals and of the contraction's escape weight
+LADDER_GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
+CONTRACT_GRID = PhaseGrid(L=16.0, N=512, hbar=0.2)
+
+
+def test_quantize_drops_only_rounding_level_imaginary_parts():
+    # an even row's spectrum is real; the complex FFT leaves rounding noise
+    # in its imaginary part, which the real kernel drops
+    cases = [
+        (rotation_generator(1.0, LADDER_GRID),
+         lambda x, xi: 0.5 * 1.0 * (x ** 2 + xi ** 2), LADDER_GRID),
+        (escape_weight(CONTRACT_GRID), REAL_SYMBOLS[2], CONTRACT_GRID),
+    ]
+    for mat, symbol, grid in cases:
+        ref = one_shot_kernel(symbol, grid, even_rows_real=False)
+        assert np.array_equal(mat, ref.real)
+        assert np.abs(ref.imag).max() <= 1e-16 * np.abs(ref).max()
+
+
+def test_gather_tables_are_int32():
+    for _, _, dest, src, _ in weyl._block_gather(512):
+        assert dest.dtype == src.dtype == np.int32
 
 
 coefficients = st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9)

@@ -221,25 +221,47 @@ class SpectralClassification:
         }, indent=2)
 
 
-def _cluster_eigenvalues(evals: np.ndarray):
-    """(mean, count) per cluster: for k = n .. 2, a single-linkage component
-    of k unclustered eigenvalues at relative gap JORDAN_SPLIT^(1/k) is one
-    cluster.  Clusters and their sums run in lexsort order."""
+def _cluster_eigenvalues(evals: np.ndarray, staircase):
+    """(mean, count) per cluster, in lexsort order, summed in that order.
+    For k = n .. 2, a single-linkage component of k unclustered eigenvalues
+    at relative gap JORDAN_SPLIT^(1/k) is one cluster if staircase(mean, k)
+    confirms a k-fold eigenvalue there; the rest join, greedily, the first
+    centroid within CLUSTER_GAP."""
     ev = evals[np.lexsort((evals.imag, evals.real))]
-    n, ks = ev.size, np.arange(ev.size, 1, -1)
+    n = ev.size
     gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
-    link = gap <= JORDAN_SPLIT ** (1.0 / ks)[:, None, None]  # one level per k
-    if np.count_nonzero(link[0]) == n:  # no two eigenvalues within the widest gap
-        return [(e, 1) for e in ev]
-    comp, low = None, np.tile(np.arange(n), (n - 1, 1))  # lowest index in each component
-    while not np.array_equal(comp, low):
-        comp, low = low, np.minimum(low, np.where(link, low[:, None, :], n).min(axis=2))
-    # components only merge as the gap widens, so each eigenvalue joins the
-    # widest level at which its component has exactly k members
-    hit = (comp[:, :, None] == comp[:, None, :]).sum(axis=2) == ks[:, None]
-    first = np.where(hit.any(axis=0), comp[hit.argmax(axis=0), np.arange(n)], np.arange(n))
-    clusters = [ev[first == f] for f in range(n) if first[f] == f]
-    return [(sum(c) / c.size, c.size) for c in clusters]
+    nearest = (gap + np.diag(np.full(n, np.inf))).min(axis=1)  # to another eigenvalue
+    # a k-member component needs k eigenvalues with a neighbour inside its gap
+    ks = np.arange(n, 1, -1)
+    levels = ks[(nearest <= JORDAN_SPLIT ** (1.0 / ks)[:, None]).sum(axis=1) >= ks]
+    free, clusters = np.ones(n, dtype=bool), []  # clusters: [sum, members]
+    for k in levels:
+        link = (gap <= JORDAN_SPLIT ** (1.0 / k)) & free & free[:, None]
+        seen = link.sum(axis=1) < 2  # clustered, or with no free neighbour
+        for i in np.flatnonzero(~seen):
+            if seen[i]:
+                continue
+            comp, front = link[i].copy(), link[i].copy()  # breadth-first
+            while front.any():
+                front = link[front].any(axis=0) & ~comp
+                comp |= front
+            seen |= comp
+            members = list(np.flatnonzero(comp))
+            total = sum(ev[members[1:]], ev[members[0]])
+            if len(members) == k and staircase(total / k, k) is not None:
+                clusters.append([total, members])
+                free[members] = False
+    loose = []
+    for i in np.flatnonzero(free):
+        for c in loose:
+            if abs(ev[i] - c[0] / len(c[1])) <= CLUSTER_GAP * max(1.0, abs(ev[i])):
+                c[0] += ev[i]
+                c[1].append(i)
+                break
+        else:
+            loose.append([ev[i], [i]])
+    return [(total / len(members), len(members))
+            for total, members in sorted(clusters + loose, key=lambda c: c[1][0])]
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -249,36 +271,45 @@ def _rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def _jordan_chains(a: np.ndarray, mu: complex, mult: int):
-    """Chain basis columns for the generalized eigenspace of mu, organized
-    so that A acts as the direct sum of Jordan blocks, largest first.
-    Works in mu's own arithmetic, so the chains are real for real mu.
-
-    One full SVD of each power (A - mu I)^s gives both its rank, for the
-    staircase of block sizes, and the nested nullspace N_s, spanned by
-    the right singular directions past that rank."""
+def _jordan_staircase(a: np.ndarray, mu, mult: int):
+    """Jordan block sizes of mu, largest first, and the nested nullspaces
+    N_s of (A - mu)^s; None unless the ranks fall by mult in all, no step
+    by more than the one before.  One full SVD of each power gives both its
+    rank, read at RANK_TOL ||A - mu||^s, and N_s, the right singular
+    directions past that rank."""
     n = a.shape[0]
     shifted = a - mu * np.eye(n)
     ranks, nulls = [n], []
     power = np.eye(n)
-    for _ in range(mult):
+    for s in range(1, mult + 1):
         power = power @ shifted
         _, sv, vh = np.linalg.svd(power)
-        ranks.append(_rank(sv))
+        norm = sv[0] if s == 1 else norm
+        ranks.append(int(np.sum(sv > RANK_TOL * norm ** s)))
         nulls.append(vh[ranks[-1]:].conj().T)
-        if ranks[-1] <= n - mult:
+        drop = ranks[-2] - ranks[-1]
+        if ranks[-1] <= n - mult or drop == 0 or (s > 1 and drop > ranks[-3] - ranks[-2]):
             break
     # number of blocks of size >= s is rank((A-mu)^(s-1)) - rank((A-mu)^s)
-    at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
-    sizes = []
-    for s in range(len(at_least), 0, -1):
-        count = at_least[s - 1] - (at_least[s] if s < len(at_least) else 0)
-        sizes.extend([s] * count)
-    if sum(sizes) != mult:
+    at_least = -np.diff(ranks)
+    counts = at_least - np.append(at_least[1:], 0)  # blocks of size exactly s
+    if ranks[-1] != n - mult or counts.min() < 0:
+        return None
+    return [s for s in range(len(counts), 0, -1) for _ in range(counts[s - 1])], nulls
+
+
+def _jordan_chains(a: np.ndarray, mu, stair):
+    """Chain basis columns for the generalized eigenspace of mu, from its
+    _jordan_staircase, so that A acts as the direct sum of Jordan blocks,
+    largest first.  Works in mu's own arithmetic: real chains for real mu."""
+    if stair is None:
         raise UnsupportedSpectrumError(
-            f"Jordan staircase for eigenvalue {mu} is numerically ambiguous "
-            f"(sizes {sizes}, algebraic multiplicity {mult})"
+            f"Jordan staircase for eigenvalue {mu} is numerically ambiguous"
         )
+    sizes, nulls = stair
+    n = a.shape[0]
+    shifted = a - mu * np.eye(n)
+    mult = sum(sizes)
     chains = []
     used = np.zeros((n, 0), dtype=shifted.dtype)
     for size in sizes:  # descending
@@ -402,10 +433,26 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     m = n // 2
     evals, evecs = np.linalg.eig(a)
 
+    def point(mu):  # a real cluster is factored in real arithmetic
+        return mu.real if abs(mu.imag) <= CLUSTER_GAP * max(1.0, abs(mu)) else mu
+
+    stairs = {}
+
+    def staircase(mu, mult):
+        # A is real, so a conjugate point reuses the conjugate nullspaces
+        mu = point(mu)
+        if (mu, mult) not in stairs and (mu.conjugate(), mult) in stairs:
+            stair = stairs[mu.conjugate(), mult]
+            stairs[mu, mult] = stair and (stair[0], [v.conj() for v in stair[1]])
+        if (mu, mult) not in stairs:
+            stairs[mu, mult] = _jordan_staircase(a, mu, mult)
+        return stairs[mu, mult]
+
+    clusters = _cluster_eigenvalues(evals, staircase)
     groups = []   # (representative mu, multiplicity, kind)
-    for mu, mult in _cluster_eigenvalues(evals):
+    for mu, mult in clusters:
         dist = abs(abs(mu) - 1.0)
-        real = abs(mu.imag) <= CLUSTER_GAP * max(1.0, abs(mu))
+        real = np.isrealobj(point(mu))
         if dist <= tol_unit:
             if real:
                 raise ClassificationAmbiguousError(
@@ -464,8 +511,10 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
             chains = [eig_column(mu)]
             dual_space = eig_column(1.0 / mu)
         else:
-            chains = _jordan_chains(a, mu, mult)
-            dual = _jordan_chains(a, 1.0 / mu, mult)
+            # the partner cluster's mean, where its staircase was taken
+            partner, count = min(clusters, key=lambda c: abs(c[0] - 1.0 / mu))
+            chains = _jordan_chains(a, mu, staircase(mu, mult))
+            dual = _jordan_chains(a, point(partner), staircase(partner, count))
             if [c.shape[1] for c in dual] != [c.shape[1] for c in chains]:
                 raise UnsupportedSpectrumError(
                     f"Jordan block sizes of {mu} and of its partner 1/mu disagree"

@@ -373,21 +373,32 @@ def test_classify_block_built_property(blocks, angles, seed):
 
 
 # the maps the greedy 1e-6 clustering split: eig separates the eigenvalues
-# of a size-k chain by about (1e-12)^(1/k), past 1e-6 for k >= 3
-LONG_CHAIN_MAPS = [
+# of a size-k chain by about (1e-12)^(1/k), past 1e-6 for k >= 3; and
+# distinct eigenvalues that share a single-linkage component at some
+# JORDAN_SPLIT^(1/k) level, which the rank staircase keeps apart
+CLOSE_EIGENVALUE_MAPS = [
     ([("real-positive", 0.7, 0.0, 3)], [], 37, 0.1),
     ([("real-positive", 0.7, 0.0, 3)], [], 5, 0.3),
     ([("real-negative", 0.7, 0.0, 3)], [1.3], 11, 0.2),
     ([("complex-hyperbolic", 0.5, 0.8, 3)], [], 3, 0.1),
     ([("real-positive", 0.7, 0.0, 4)], [], 3, 0.1),
     ([("real-positive", 0.7, 0.0, 3), ("real-negative", 0.4, 0.0, 1)], [2.2], 8, 0.3),
+    ([], [1e-4, 3e-4], 3, 0.1),  # all four eigenvalues within 1e-3 of 1
+    ([], [1e-4, 3e-4], 37, 0.3),
+    ([], [0.5, 0.50005, 0.5001], 3, 0.1),  # three within 1e-4 on the circle
+    ([], [0.5, 0.50005, 0.5001], 37, 0.3),
+    ([("real-positive", lam, 0.0, 1) for lam in (0.7, 0.70005, 0.7001)], [], 3, 0.1),
+    ([("real-positive", lam, 0.0, 1) for lam in (0.7, 0.70005, 0.7001)], [], 37, 0.3),
 ]
 
 
-@pytest.mark.parametrize("blocks,angles,seed,scale", LONG_CHAIN_MAPS, ids=[
+@pytest.mark.parametrize("blocks,angles,seed,scale", CLOSE_EIGENVALUE_MAPS, ids=[
     "positive_3_seed37", "positive_3_seed5", "negative_3_elliptic",
-    "complex_3", "positive_4", "positive_3_simple_elliptic"])
-def test_classify_long_jordan_chains(blocks, angles, seed, scale):
+    "complex_3", "positive_4", "positive_3_simple_elliptic",
+    "distinct_elliptic_near_one_seed3", "distinct_elliptic_near_one_seed37",
+    "distinct_elliptic_triple_seed3", "distinct_elliptic_triple_seed37",
+    "distinct_real_triple_seed3", "distinct_real_triple_seed37"])
+def test_classify_close_eigenvalues(blocks, angles, seed, scale):
     mat, spectrum = _block_built_map(blocks, angles, seed=seed, scale=scale)
     cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
     assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
@@ -425,46 +436,40 @@ def test_classify_jordan_chains_up_to_size_four(blocks, angles, seed, scale):
     assert cls.reconstruction_error <= 1e-11
 
 
-def loop_clusters(evals):
-    """Reference clustering: for k = n .. 2, breadth-first search for the
-    single-linkage components of the eigenvalues not yet clustered, at
-    relative gap JORDAN_SPLIT^(1/k); a component of exactly k is a cluster."""
-    ev = evals[np.lexsort((evals.imag, evals.real))]
-    free, clusters = set(range(ev.size)), []
-    for k in range(ev.size, 1, -1):
-        gap = symplectic.JORDAN_SPLIT ** (1.0 / k)
-        seen = set()
-        for i in sorted(free):
-            if i in seen:
-                continue
-            comp, todo = {i}, [i]
-            while todo:
-                a = todo.pop()
-                for b in free - comp:
-                    if abs(ev[a] - ev[b]) / max(1.0, abs(ev[a]), abs(ev[b])) <= gap:
-                        comp.add(b)
-                        todo.append(b)
-            seen |= comp
-            if len(comp) == k:
-                clusters.append(sorted(comp))
-        free -= {i for c in clusters for i in c}
-    clusters = sorted(clusters + [[i] for i in free])
-    return [(sum(ev[c]) / len(c), len(c)) for c in clusters]
-
-
-SPLIT_GROUP = st.tuples(
-    st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.5, -1.2]),  # centre
-    st.integers(1, 4), st.floats(-14.0, -1.0),                # size, log10 split
-    st.floats(0.0, 1.0))                                      # phase
+GROUP = st.tuples(
+    st.sampled_from([-2.5, -0.6, 0.4, 1.7, 3.0]),  # centre
+    st.integers(1, 4),                              # size
+    st.booleans(),                                  # one Jordan chain, or distinct
+    st.floats(-5.0, -2.0))                          # log10 spacing when distinct
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(SPLIT_GROUP, min_size=1, max_size=4))
-def test_cluster_eigenvalues_matches_loop_reference(groups):
-    evals = np.array([complex(re, im) + 10.0 ** split * np.exp(2j * np.pi * (j / k + phase))
-                      for re, im, k, split, phase in groups for j in range(k)])
-    assume(evals.size >= 2)
-    assert symplectic._cluster_eigenvalues(evals) == loop_clusters(evals)
+@given(st.lists(GROUP, min_size=1, max_size=4, unique_by=lambda g: g[0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cluster_eigenvalues_finds_generated_groups(groups, seed):
+    """A chain of size k is one cluster of k at its centre; k distinct
+    eigenvalues spaced 10^-5 .. 10^-2 apart stay k clusters, though the
+    tighter ones share a component at the JORDAN_SPLIT^(1/k) level."""
+    blocks, expected = [], []
+    for centre, k, chain, spacing in groups:
+        if chain:
+            blocks.append(centre * np.eye(k) + np.eye(k, k=1))
+            expected.append((centre, k))
+        else:
+            values = centre + 10.0 ** spacing * (np.arange(k) - (k - 1) / 2)
+            blocks.append(np.diag(values))
+            expected += [(v, 1) for v in values]
+    rng = np.random.default_rng(seed)
+    n = sum(b.shape[0] for b in blocks)
+    t = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+    a = t @ block_diag(*blocks) @ np.linalg.inv(t)
+    clusters = symplectic._cluster_eigenvalues(
+        np.linalg.eigvals(a), lambda mu, k: symplectic._jordan_staircase(a, mu, k))
+    assert sorted(count for _, count in clusters) == sorted(k for _, k in expected)
+    for centre, k in expected:
+        mean, count = min(clusters, key=lambda c: abs(c[0] - centre))
+        assert count == k
+        assert abs(mean - centre) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import standard_form
+from .symplectic import symplectic_defect
 
 DOMAIN_BOUND = 10.0
 # work and storage one integrate call may take; larger runs are refused
@@ -313,8 +313,7 @@ def poincare_linearization(z0: float, step: float = 1e-4) -> PoincareReport:
     mults = np.linalg.eigvals(mono)
     order = np.argsort(-np.abs(mults))
     mults = mults[order]
-    j = standard_form(4)
-    defect = float(np.linalg.norm(mono.T @ j @ mono - j))
+    defect = symplectic_defect(mono)
     verdict, pairs_off = _classify_multipliers(mults)
     # the base orbits sit at y = 0, where the potential gradient vanishes
     # exactly, so (0, z0) is the critical point to read the signature at

@@ -225,8 +225,8 @@ def _cluster_eigenvalues(evals: np.ndarray, staircase):
     """(mean, count) per cluster, in lexsort order, summed in that order.
     For k = n .. 2, a single-linkage component of k unclustered eigenvalues
     at relative gap JORDAN_SPLIT^(1/k) is one cluster if staircase(mean, k)
-    confirms a k-fold eigenvalue there; the rest join, greedily, the first
-    centroid within CLUSTER_GAP."""
+    confirms a k-fold eigenvalue there; every other eigenvalue is a cluster
+    of one."""
     ev = evals[np.lexsort((evals.imag, evals.real))]
     n = ev.size
     gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
@@ -251,17 +251,9 @@ def _cluster_eigenvalues(evals: np.ndarray, staircase):
             if len(members) == k and staircase(total / k, k) is not None:
                 clusters.append([total, members])
                 free[members] = False
-    loose = []
-    for i in np.flatnonzero(free):
-        for c in loose:
-            if abs(ev[i] - c[0] / len(c[1])) <= CLUSTER_GAP * max(1.0, abs(ev[i])):
-                c[0] += ev[i]
-                c[1].append(i)
-                break
-        else:
-            loose.append([ev[i], [i]])
+    clusters += [[ev[i], [i]] for i in np.flatnonzero(free)]
     return [(total / len(members), len(members))
-            for total, members in sorted(clusters + loose, key=lambda c: c[1][0])]
+            for total, members in sorted(clusters, key=lambda c: c[1][0])]
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -300,27 +292,31 @@ def _jordan_staircase(a: np.ndarray, mu, mult: int):
 
 def _jordan_chains(a: np.ndarray, mu, stair):
     """Chain basis columns for the generalized eigenspace of mu, from its
-    _jordan_staircase, so that A acts as the direct sum of Jordan blocks,
-    largest first.  Works in mu's own arithmetic: real chains for real mu."""
+    _jordan_staircase, largest chain first, so that A acts on each chain as
+    mu exp(N), N the unit-superdiagonal nilpotent: each chain is built with
+    L = log(A / mu), not with A - mu.  Works in mu's own arithmetic: real
+    chains for real mu."""
     if stair is None:
         raise UnsupportedSpectrumError(
             f"Jordan staircase for eigenvalue {mu} is numerically ambiguous"
         )
     sizes, nulls = stair
     n = a.shape[0]
-    shifted = a - mu * np.eye(n)
-    mult = sum(sizes)
+    # log(I + (A - mu)/mu) as a finite series: its terms from the largest
+    # chain size on vanish on the generalized eigenspace
+    nil = (a - mu * np.eye(n)) / mu
+    log_a, term = np.zeros_like(nil), np.eye(n, dtype=nil.dtype)
+    for j in range(1, sizes[0]):
+        term = term @ nil
+        log_a += ((-1) ** (j + 1) / j) * term
     chains = []
-    used = np.zeros((n, 0), dtype=shifted.dtype)
     for size in sizes:  # descending
         top_space = nulls[size - 1]
-        # project away the lower nullspace and the chains already taken; the
-        # two overlap, so the basis of their span must be rank-revealing (a QR
-        # basis adds a stray direction, and the projected top vector then
-        # leaves the nullspace)
-        avoid = [used] if used.shape[1] else []
-        if size >= 2:
-            avoid.append(nulls[size - 2])
+        # project away N_(size-1) and the first `size` columns of each chain
+        # already taken; all lie in N_size, so the projected top vector stays
+        # there.  They overlap, so the basis of their span must be
+        # rank-revealing (a QR basis adds a stray direction)
+        avoid = [c[:, :size] for c in chains] + ([nulls[size - 2]] if size >= 2 else [])
         candidates = top_space
         if avoid:
             u, sv, _ = np.linalg.svd(np.hstack(avoid), full_matrices=False)
@@ -332,37 +328,13 @@ def _jordan_chains(a: np.ndarray, mu, stair):
             raise UnsupportedSpectrumError(
                 f"failed to extract a Jordan chain of size {size} for eigenvalue {mu}"
             )
-        top = top / np.linalg.norm(top)
-        chain = [top]
+        chain = [top / np.linalg.norm(top)]
         for _ in range(size - 1):
-            chain.append(shifted @ chain[-1])
-        chain.reverse()  # chain[0] is a true eigenvector
-        chains.append(np.column_stack(chain))
-        used = np.hstack([used, chains[-1]])
-    if _rank(np.linalg.svd(used, compute_uv=False)) < mult:
+            chain.append(log_a @ chain[-1])
+        chains.append(np.column_stack(chain[::-1]))  # column 0 is an eigenvector
+    if _rank(np.linalg.svd(np.hstack(chains), compute_uv=False)) < sum(sizes):
         raise UnsupportedSpectrumError(f"Jordan chain basis for {mu} is rank deficient")
     return chains
-
-
-def _standardize_chain(chain: np.ndarray, mu) -> np.ndarray:
-    """Rebase a Jordan chain of eigenvalue mu (A acts on it as the block
-    J_k(mu)) so the restriction of A becomes mu exp(N) with N the
-    unit-superdiagonal nilpotent: exp(lam I + N) for mu = e^lam, and
-    -exp(lam I + N) for mu = -e^lam.  Works in mu's own arithmetic, so
-    the columns stay real for real mu."""
-    k = chain.shape[1]
-    if k == 1:
-        return chain
-    # nilpotent part of log(J_k(mu)) via the finite series log(I + N/mu)
-    nil = np.diag(np.full(k - 1, 1.0 / mu), 1)
-    lognil = np.zeros_like(nil)
-    term = np.eye(k, dtype=nil.dtype)
-    for j in range(1, k):
-        term = term @ nil
-        lognil += ((-1) ** (j + 1) / j) * term
-    # chain basis of the nilpotent lognil: columns lognil^(k-1) e_k .. e_k
-    cols = [np.linalg.matrix_power(lognil, j)[:, -1] for j in range(k - 1, -1, -1)]
-    return chain @ np.column_stack(cols)
 
 
 def _real_basis_from_complex(cols: np.ndarray) -> np.ndarray:
@@ -400,12 +372,11 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     (|mu| > 1, Im mu != 0), real pairs mu > 1, real pairs mu < -1, and
     unit-modulus elliptic pairs.  Repeated hyperbolic eigenvalues are
     supported, with one or several Jordan chains each; their block sizes
-    are detected by staircase rank tests and must agree with those of the
-    partner 1/mu.  Repeated elliptic eigenvalues are refused.  Elliptic
-    angles are signed by the symplectic orientation of the invariant
-    plane, so a negatively-oriented rotation carries Im(lam) < 0.  The
-    factorization must reconstruct the input to relative error
-    RECONSTRUCTION_TOL.
+    are detected by staircase rank tests.  Repeated elliptic eigenvalues
+    are refused.  Elliptic angles are signed by the symplectic orientation
+    of the invariant plane, so a negatively-oriented rotation carries
+    Im(lam) < 0.  The factorization must reconstruct the input to relative
+    error RECONSTRUCTION_TOL.
 
     Parameters
     ----------
@@ -511,16 +482,16 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
             chains = [eig_column(mu)]
             dual_space = eig_column(1.0 / mu)
         else:
-            # the partner cluster's mean, where its staircase was taken
-            partner, count = min(clusters, key=lambda c: abs(c[0] - 1.0 / mu))
             chains = _jordan_chains(a, mu, staircase(mu, mult))
-            dual = _jordan_chains(a, point(partner), staircase(partner, count))
-            if [c.shape[1] for c in dual] != [c.shape[1] for c in chains]:
+            # the partner cluster's mean, where its staircase was taken; its
+            # last nullspace spans the generalized eigenspace of 1/mu
+            partner, count = min(clusters, key=lambda c: abs(c[0] - 1.0 / mu))
+            dual = staircase(partner, count)
+            if dual is None or count != mult:
                 raise UnsupportedSpectrumError(
-                    f"Jordan block sizes of {mu} and of its partner 1/mu disagree"
+                    f"generalized eigenspace of the partner 1/mu of {mu} is ambiguous"
                 )
-            dual_space = np.hstack(dual)
-        chains = [_standardize_chain(c, mu) for c in chains]
+            dual_space = dual[1][-1]
         # omega-dual basis of all chains at once: omega(x_i, f_j) = -c delta_ij,
         # c = 2 for the realified complex pairs
         gram = np.hstack(chains).T @ j_form @ dual_space

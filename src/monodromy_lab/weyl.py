@@ -138,7 +138,7 @@ def _real_kernel(vals: np.ndarray, src: np.ndarray,
     return entries
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _block_gather(n: int) -> tuple:
     """Per block of midpoint rows s0 <= i + j < s1: the flat destinations
     i N + j in K (ascending), the flat sources in the block's

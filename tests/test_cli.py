@@ -736,6 +736,28 @@ def test_positivity_jordan_chain_of_length_three(tmp_path):
     assert report["min_ratio"] >= lam * (1.0 - 0.5 * math.cos(math.pi / 4.0)) - 1e-12
 
 
+def test_unequal_chains_on_one_eigenvalue_classify_and_pass_positivity(tmp_path):
+    # chains of sizes 1 and 3 on the eigenvalue e^lam; the size-3 chain sets
+    # the floor lam (1 - cos(pi/4) / 2) of the rescaled stretch matrix
+    from scipy.linalg import block_diag, expm
+
+    from monodromy_lab.symplectic import random_symplectic
+
+    lam = 0.4
+    n = block_diag(lam * np.eye(1), lam * np.eye(3) + np.eye(3, k=1))
+    t = random_symplectic(8, np.random.default_rng(0), scale=0.25).entries
+    mfile = tmp_path / "m.json"
+    write_matrix(mfile, t @ expm(block_diag(n, -n.T)) @ np.linalg.inv(t))
+    assert run(["classify", mfile, "--out", tmp_path / "c"]) == 0
+    report = json.loads((tmp_path / "c" / "classification.json").read_text())
+    assert [b["multiplicity"] for b in report["blocks"]] == [3, 1]
+    cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile)})
+    out = tmp_path / "p"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
+    report = json.loads((out / "positivity.json").read_text())
+    assert report["min_ratio"] >= lam * (1.0 - 0.5 * math.cos(math.pi / 4.0)) - 1e-12
+
+
 def test_positivity_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):
     # the generator without the chain rescale fails; its witness is printed
     # as floats, not as numpy reprs

@@ -301,14 +301,16 @@ def test_classify_repeated_and_jordan_blocks(blocks, expected):
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * abs(b.mu)
 
 
-@pytest.mark.parametrize("blocks,powers", [
-    ([("real-positive", 0.7, 0.0, 2)] * 2, 2),
-    ([("complex-hyperbolic", 0.5, 0.8, 2)], 2),
+@pytest.mark.parametrize("blocks,powers,thin", [
+    ([("real-positive", 0.7, 0.0, 2)] * 2, 2, 3),
+    ([("complex-hyperbolic", 0.5, 0.8, 2)], 2, 2),
 ], ids=["two_real_chains", "complex_chain"])
-def test_classify_jordan_factors_each_power_once(monkeypatch, blocks, powers):
+def test_classify_jordan_factors_each_power_once(monkeypatch, blocks, powers, thin):
     # one SVD of each power (A - mu)^s gives both the staircase rank and
     # the nullspace, for mu and for its partner 1/mu; the other SVDs are
-    # of thin n x r matrices (projections and the chain-basis rank check)
+    # of thin n x r matrices, for mu's chains alone (one projection per
+    # chain, bar a first chain of size 1, and the chain-basis rank check):
+    # the partner needs only its last nullspace
     mat, _ = _block_built_map(blocks, [], seed=37, scale=0.4)
     n = mat.shape[0]
     shapes = []
@@ -323,6 +325,7 @@ def test_classify_jordan_factors_each_power_once(monkeypatch, blocks, powers):
     assert _kinds(cls) == sorted((kind, k) for kind, _, _, k in blocks)
     assert shapes.count((n, n)) == 2 * powers
     assert all(cols < n for rows, cols in shapes if (rows, cols) != (n, n))
+    assert len(shapes) - shapes.count((n, n)) == thin
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,10 +375,11 @@ def test_classify_block_built_property(blocks, angles, seed):
         assert np.abs(spectrum - b.mu).min() <= 1e-8 * max(1.0, abs(b.mu))
 
 
-# the maps the greedy 1e-6 clustering split: eig separates the eigenvalues
-# of a size-k chain by about (1e-12)^(1/k), past 1e-6 for k >= 3; and
-# distinct eigenvalues that share a single-linkage component at some
-# JORDAN_SPLIT^(1/k) level, which the rank staircase keeps apart
+# the maps a greedy 1e-6 clustering got wrong: eig separates the
+# eigenvalues of a size-k chain by about (1e-12)^(1/k), past 1e-6 for
+# k >= 3; and distinct eigenvalues that share a single-linkage component at
+# some JORDAN_SPLIT^(1/k) level, which the rank staircase keeps apart even
+# 1e-7 apart, inside CLUSTER_GAP
 CLOSE_EIGENVALUE_MAPS = [
     ([("real-positive", 0.7, 0.0, 3)], [], 37, 0.1),
     ([("real-positive", 0.7, 0.0, 3)], [], 5, 0.3),
@@ -389,6 +393,15 @@ CLOSE_EIGENVALUE_MAPS = [
     ([], [0.5, 0.50005, 0.5001], 37, 0.3),
     ([("real-positive", lam, 0.0, 1) for lam in (0.7, 0.70005, 0.7001)], [], 3, 0.1),
     ([("real-positive", lam, 0.0, 1) for lam in (0.7, 0.70005, 0.7001)], [], 37, 0.3),
+    ([], [0.5, 0.5 + 1e-7], 3, 0.1),
+    ([("real-positive", lam, 0.0, 1) for lam in (0.7, 0.7 + 1e-7)], [], 37, 0.3),
+    ([("complex-hyperbolic", 0.5, theta, 1) for theta in (0.8, 0.8 + 1e-7)], [], 3, 0.1),
+    # several chains on one eigenvalue, with sizes two or more apart: each
+    # new top vector must be projected off the first `size` columns of the
+    # longer chains, which lie in N_size, not off whole chains
+    *[([("real-positive", 0.4, 0.5, k) for k in (1, 3)], [], seed, 0.25) for seed in range(4)],
+    ([("real-negative", 0.4, 0.5, k) for k in (2, 4)], [], 0, 0.25),
+    ([("real-negative", 0.4, 0.5, k) for k in (1, 2, 3)], [], 0, 0.25),
 ]
 
 
@@ -397,7 +410,9 @@ CLOSE_EIGENVALUE_MAPS = [
     "complex_3", "positive_4", "positive_3_simple_elliptic",
     "distinct_elliptic_near_one_seed3", "distinct_elliptic_near_one_seed37",
     "distinct_elliptic_triple_seed3", "distinct_elliptic_triple_seed37",
-    "distinct_real_triple_seed3", "distinct_real_triple_seed37"])
+    "distinct_real_triple_seed3", "distinct_real_triple_seed37",
+    "distinct_elliptic_1e-7", "distinct_real_1e-7", "distinct_complex_1e-7",
+    *[f"positive_1_3_seed{seed}" for seed in range(4)], "negative_2_4", "negative_1_2_3"])
 def test_classify_close_eigenvalues(blocks, angles, seed, scale):
     mat, spectrum = _block_built_map(blocks, angles, seed=seed, scale=scale)
     cls = classify_spectrum(SymplecticMatrix.from_array(mat, tol=1e-8))
@@ -417,13 +432,13 @@ LONG_CHAIN_BLOCK = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(LONG_CHAIN_BLOCK, min_size=1, max_size=3, unique_by=lambda b: b[:2]),
+@given(st.lists(LONG_CHAIN_BLOCK, min_size=1, max_size=3),
        st.lists(st.sampled_from([0.5, 1.3, 2.2, 2.9]), unique=True, max_size=2),
        st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.3))
 def test_classify_jordan_chains_up_to_size_four(blocks, angles, seed, scale):
-    # one chain per eigenvalue: blocks share no (kind, log |mu|).  A size-4
-    # chain at scale 0.3 reconstructs to about 1.4e-12 (5.8e-13 even from
-    # the exact eigenvalue), so the bound here is 1e-11
+    # blocks that share (kind, log |mu|) are several chains on one
+    # eigenvalue.  A size-4 chain at scale 0.3 reconstructs to about 1.4e-12
+    # (5.8e-13 even from the exact eigenvalue), so the bound here is 1e-11
     widths = [2 * k if kind == "complex-hyperbolic" else k for kind, _, _, k in blocks]
     assume(sum(widths) + len(angles) <= 6)
     mat, _ = _block_built_map(blocks, angles, seed, scale=scale)
@@ -440,7 +455,7 @@ GROUP = st.tuples(
     st.sampled_from([-2.5, -0.6, 0.4, 1.7, 3.0]),  # centre
     st.integers(1, 4),                              # size
     st.booleans(),                                  # one Jordan chain, or distinct
-    st.floats(-5.0, -2.0))                          # log10 spacing when distinct
+    st.floats(-6.5, -2.0))                          # log10 spacing when distinct
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,8 +463,9 @@ GROUP = st.tuples(
        st.integers(0, 2 ** 32 - 1))
 def test_cluster_eigenvalues_finds_generated_groups(groups, seed):
     """A chain of size k is one cluster of k at its centre; k distinct
-    eigenvalues spaced 10^-5 .. 10^-2 apart stay k clusters, though the
-    tighter ones share a component at the JORDAN_SPLIT^(1/k) level."""
+    eigenvalues spaced 10^-6.5 .. 10^-2 apart stay k clusters, though the
+    tighter ones share a component at the JORDAN_SPLIT^(1/k) level.  (At
+    10^-7 the staircase itself confirms some of them as one eigenvalue.)"""
     blocks, expected = [], []
     for centre, k, chain, spacing in groups:
         if chain:

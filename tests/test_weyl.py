@@ -446,6 +446,20 @@ def test_gather_tables_are_int32():
         assert dest.dtype == src.dtype == np.int32
 
 
+def test_gather_cache_keeps_one_grid_size():
+    # the tables hold 9 N^2 bytes (two int32 indices and a flag per entry);
+    # quantizing at a new N drops the tables of the last one
+    tracemalloc.start()
+    try:
+        for n in (1024, 2048):
+            rotation_generator(1.0, PhaseGrid(L=1.0, N=n, hbar=1e-3))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        weyl._block_gather.cache_clear()
+    assert 9 * 2048 ** 2 <= current <= 9 * 2048 ** 2 + 2 ** 20
+
+
 coefficients = st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9)
 
 

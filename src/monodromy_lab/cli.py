@@ -8,13 +8,14 @@ ladder      eigenvalue ladders (exact, perturbed, or counting sweep)
 geodesic    trajectory plus return-map classification of the warped metric
 positivity  sampled escape-function positivity certificate
 
-Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-
-ambiguous, 3 config or usage error.  Configs are JSON documents with
-strict unknown-key rejection; positivity, the one command that draws
-random samples, requires a non-negative --seed.  An --out that names a
-file, or lies under one, is refused before any work.  Identical config
-and seed produce byte-identical output.  No command loads scipy.linalg:
-classify takes its few small matrix exponentials in numpy.
+Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-ambiguous,
+3 config or usage error.  Configs are JSON documents with strict unknown-key
+rejection; positivity, the one command that draws random samples, requires a
+non-negative --seed.  An --out that names a file, or lies under one, is
+refused before any work.  Identical config and seed produce byte-identical
+output in every file except manifest.json, which records the wall time.  No
+command loads scipy.linalg: classify takes its few small matrix exponentials
+in numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .escape import verify_positivity
 from .monodromy import contraction_sweep
 from .quasimode import (
     LadderSizeError,
-    exact_ladder_count,
     exact_model_ladder,
     grid_capacity,
     perturbed_ladder,
@@ -251,13 +251,10 @@ def cmd_ladder(args) -> int:
         if not h_values or not all(0.0 < h < 1.0 for h in h_values):
             raise ConfigError("h_values must be a non-empty list with every "
                               "h in (0, 1)")
-        rows = []
-        slopes = []
-        for h in h_values:
-            count = exact_ladder_count(alpha, h, m_exp, c0)
-            slope = math.log(count) / math.log(1.0 / h) if count else float("nan")
-            rows.append([h, count, slope])
-            slopes.append(slope)
+        counts = [exact_model_ladder(alpha, h, m_exp, c0).count for h in h_values]
+        slopes = [math.log(n) / math.log(1.0 / h) if n else float("nan")
+                  for h, n in zip(h_values, counts)]
+        rows = list(zip(h_values, counts, slopes))
         name, header = "counting.csv", ["h", "count", "slope"]
         summary = {"alpha": alpha, "m_exponent": m_exp, "c0": c0,
                    "h_values": h_values, "slopes": slopes}
@@ -275,20 +272,21 @@ def cmd_ladder(args) -> int:
             if doc.get("order", 0) < 0:
                 raise ConfigError(f"order must be >= 0, got {doc['order']}")
             ladder = perturbed_ladder(lam0, h, m_exp, c0)
+        # Python scalars, so write_csv formats them as it formats any number
+        ks, betas, zs, residuals = (c.tolist() for c in (
+            ladder.k, ladder.beta, ladder.z, ladder.residual))
         if doc.get("residuals", False):
-            top = max((e.beta[0] for e in ladder.entries), default=0)
+            top = int(ladder.beta[:, 0].max(initial=0))
             cap = grid_capacity(grid)
             if top > cap:  # refused before any entry is certified
                 raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
                                   f"{cap} (need h(2 beta + 1) <= L^2/4)")
-            residuals = [residual_certify(e.k, e.beta[0], e.z, alpha, grid)
-                         for e in ladder.entries]
-        else:
-            residuals = [e.residual for e in ladder.entries]
-        n_beta = len(lam0) if mode == "perturbed" else 1
+            residuals = [residual_certify(k, beta[0], z, alpha, grid)
+                         for k, beta, z in zip(ks, betas, zs)]
         name = f"ladder_{mode}.csv"
-        header = ["k"] + [f"beta_{j + 1}" for j in range(n_beta)] + ["z", "residual"]
-        rows = [[e.k, *e.beta, e.z, r] for e, r in zip(ladder.entries, residuals)]
+        header = (["k"] + [f"beta_{j + 1}" for j in range(ladder.beta.shape[1])]
+                  + ["z", "residual"])
+        rows = [[k, *beta, z, r] for k, beta, z, r in zip(ks, betas, zs, residuals)]
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
 

@@ -8,13 +8,14 @@ quantization condition
 
 at constant rates lambda_j, whose root is the closed form
 z = (zeta_beta + 2 pi k h) / 2.  Note the normalization: at the model rate
-lambda = alpha/2 the direct ladder is exactly twice the root,
-2 z_root = z_direct, entry by entry.  Known defect: the perturbed beta
-lattice is capped from the window at k = 0 alone, so for k < 0 it drops
-window points past the cap (ROADMAP item 1 moves the benchmark pin with
-the fix).  Ladder entries are certified by the residual of their quasimode
-on the transverse grid, whose hbar is h: the time factor e^{i 2 pi k t} is
-an exact eigenfunction of h D_t.
+lambda = alpha/2 the direct ladder is exactly twice the root, 2 z_root =
+z_direct, entry by entry.  A ladder is numpy columns sorted by z, built one
+k at a time from arrays; the counting sweep reads the exact ladder's count.
+Known defect: the perturbed beta lattice is capped from the window at k = 0
+alone, so for k < 0 it drops window points past the cap (ROADMAP item 1
+moves the benchmark pin with the fix).  Ladder entries are certified by the
+residual of their quasimode on the transverse grid, whose hbar is h: the
+time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.
 """
 
 from __future__ import annotations
@@ -100,31 +101,27 @@ def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LadderEntry:
-    k: int
-    beta: tuple
-    z: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class QuasimodeLadder:
+    """Ladder entries as numpy columns sorted by z; beta is count x modes."""
+
     m_exponent: float
     c0: float
     h: float
-    entries: tuple
+    k: np.ndarray
+    beta: np.ndarray
+    z: np.ndarray
+    residual: np.ndarray
 
     def __post_init__(self):
         zmax = self.c0 * self.h ** (1.0 / self.m_exponent)
-        for e in self.entries:
-            if abs(e.z) > zmax * (1.0 + 1e-12):
-                raise LadderError(
-                    f"ladder entry z={e.z!r} falls outside |z| <= {zmax!r}"
-                )
+        outside = np.abs(self.z) > zmax * (1.0 + 1e-12)
+        if outside.any():
+            raise LadderError(f"ladder entry z={float(self.z[outside.argmax()])!r} "
+                              f"falls outside |z| <= {zmax!r}")
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return self.z.size
 
 
 def k_window(h: float, m_exponent: float, c0: float) -> int:
@@ -141,9 +138,20 @@ def _check_lattice(size) -> None:
                               f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
-def _exact_window(alpha, h: float, m_exponent: float, c0: float) -> list:
-    """[(k, b, z)] with arrays b, z of the window points of exact_model_ladder;
-    values that collide at 1e-12 resolution are refused with LadderError."""
+def _by_z(chunks: list, modes: int) -> list:
+    """Per-k chunks (k, beta, z, residual) joined in k order, sorted stably by z."""
+    empty = (np.empty(0, int), np.empty((0, modes), int), np.empty(0), np.empty(0))
+    columns = [np.concatenate(c) for c in zip(empty, *chunks)]
+    order = np.argsort(columns[2], kind="stable")
+    return [c[order] for c in columns]
+
+
+def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
+    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
+    window |z| <= c0 h^(1/m), one arange of beta per k; residuals are zero
+    at continuum level.  Empty windows give an empty (valid) ladder; a window
+    past MAX_LATTICE_POINTS is refused with LadderSizeError, and values that
+    collide at 1e-12 resolution with LadderError."""
     alpha = float(alpha)
     if h <= 0 or alpha <= 0:
         raise ValueError("alpha and h must be positive")
@@ -151,7 +159,7 @@ def _exact_window(alpha, h: float, m_exponent: float, c0: float) -> list:
     kmax = k_window(h, m_exponent, c0)
     # each k admits at most 2 zmax / (alpha h) + 1 values of b
     _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha * h) + 1.0))
-    rows = []
+    chunks = []
     for k in range(-kmax, kmax + 1):
         base = 2.0 * math.pi * k * h
         # (alpha/2)(2b+1)h in [-zmax - base, zmax - base], b >= 0
@@ -162,30 +170,14 @@ def _exact_window(alpha, h: float, m_exponent: float, c0: float) -> list:
         b = np.arange(max(0, int(math.ceil(lo - 0.5))), int(math.floor(hi - 0.5 + 1e-15)) + 1)
         z = 0.5 * alpha * (2 * b + 1) * h + base
         keep = np.abs(z) <= zmax * (1.0 + 1e-15)
-        rows.append((k, b[keep], z[keep]))
-    zs = np.sort(np.concatenate([z for _, _, z in rows] or [np.empty(0)]))
-    collide = np.diff(zs) < 1e-12 * np.maximum(1.0, np.abs(zs[:-1]))
+        z = z[keep]
+        chunks.append((np.full(z.size, k), b[keep, None], z, np.zeros(z.size)))
+    k, beta, z, residual = _by_z(chunks, 1)
+    collide = np.diff(z) < 1e-12 * np.maximum(1.0, np.abs(z[:-1]))
     if collide.any():
-        a, b = map(float, zs[np.argmax(collide):][:2])
+        a, b = map(float, z[np.argmax(collide):][:2])
         raise LadderError(f"ladder values {a!r} and {b!r} collide at 1e-12 resolution")
-    return rows
-
-
-def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
-    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
-    window |z| <= c0 h^(1/m); residuals are identically zero at continuum
-    level.  Empty windows give an empty (valid) ladder; a window past
-    MAX_LATTICE_POINTS is refused with LadderSizeError."""
-    entries = [LadderEntry(k=k, beta=(int(b),), z=float(z), residual=0.0)
-               for k, bs, zs in _exact_window(alpha, h, m_exponent, c0)
-               for b, z in zip(bs, zs)]
-    entries.sort(key=lambda e: e.z)
-    return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
-
-
-def exact_ladder_count(alpha, h: float, m_exponent: float, c0: float) -> int:
-    """exact_model_ladder(...).count, with no entry built per point."""
-    return sum(z.size for _, _, z in _exact_window(alpha, h, m_exponent, c0))
+    return QuasimodeLadder(m_exponent, c0, h, k, beta, z, residual)
 
 
 def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
@@ -195,8 +187,9 @@ def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeL
 
     Each beta_j runs up to floor((2 zmax / (h min lam0) - 1) / 2) + 1 for
     every k; a lattice past MAX_LATTICE_POINTS is refused with
-    LadderSizeError before enumeration.  Entries are kept when
-    |z| <= c0 h^(1/m) and carry the residual |2 z - zeta - 2 pi k h|.
+    LadderSizeError before it is built.  The beta lattice and its zeta are
+    built once, as arrays; each k keeps the points with |z| <= c0 h^(1/m),
+    with the residual |2 z - zeta - 2 pi k h|.
     """
     zmax = c0 * h ** (1.0 / m_exponent)
     kmax = k_window(h, m_exponent, c0)
@@ -205,17 +198,22 @@ def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeL
     _check_lattice(b_span)  # as a float first: a subnormal rate makes it inf
     b_cap = int(b_span) + 1
     _check_lattice((2 * kmax + 1) * (b_cap + 1) ** len(lam0))
-    entries = []
+    # rows beta_j in itertools.product order; zeta adds the modes in turn from
+    # 0.0, so every z rounds as a scalar sum would
+    lattice = np.indices((b_cap + 1,) * len(lam0)).reshape(len(lam0), -1)
+    acc = 0.0
+    for lam, b in zip(lam0, lattice):
+        acc = acc + lam * (2 * b + 1)
+    zeta = h * acc
+    chunks = []
     for k in range(-kmax, kmax + 1):
         base = 2.0 * math.pi * k * h
-        for beta in itertools.product(range(b_cap + 1), repeat=len(lam0)):
-            zeta = h * sum(lam * (2 * b + 1) for lam, b in zip(lam0, beta))
-            z = 0.5 * (zeta + base)
-            if abs(z) <= zmax:
-                entries.append(LadderEntry(k=k, beta=beta, z=z,
-                                           residual=abs(2.0 * z - zeta - base)))
-    entries.sort(key=lambda e: e.z)
-    return QuasimodeLadder(m_exponent=m_exponent, c0=c0, h=h, entries=tuple(entries))
+        z = 0.5 * (zeta + base)
+        keep = np.abs(z) <= zmax
+        z = z[keep]
+        chunks.append((np.full(z.size, k), lattice[:, keep].T, z,
+                       np.abs(2.0 * z - zeta[keep] - base)))
+    return QuasimodeLadder(m_exponent, c0, h, *_by_z(chunks, len(lam0)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ class PhaseGrid:
             raise GridError(f"N = {self.N} exceeds MAX_GRID_N = {MAX_GRID_N}")
         if self.L <= 0 or self.hbar <= 0:
             raise GridError("L and hbar must be positive")
+        # x, xi and the Hermite capacity are computed from L * L / hbar and hbar / L
+        if not np.isfinite([self.L * self.L / self.hbar, self.hbar / self.L]).all():
+            raise GridError(f"grid span overflows: L = {self.L!r}, hbar = {self.hbar!r}")
 
     @property
     def x(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -371,9 +372,13 @@ def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
     {"h_values": [0.01], "s": 0.6},
     # q underflows to 0 in the h = 1e-320 gap basis, which is built first
     {"h_values": [1e-320]},
+    # a span whose L * L / hbar overflows: the SVD fails, or the gap basis
+    # degenerates to a wrong gap at rank 1
+    {"h_values": [0.1], "grid": {"L": 1e308, "N": 512}},
+    {"h_values": [0.1], "gap_grid": {"L": 1e200, "N": 512}},
 ], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N",
         "hbar_tilde_above_one", "h_above_hbar_tilde", "weight_above_half",
-        "subnormal_h"])
+        "subnormal_h", "overflowing_grid", "overflowing_gap_grid"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
     started = time.perf_counter()
@@ -497,6 +502,24 @@ def test_ladder_perturbed_order_does_not_change_output(tmp_path):
     assert len(tables) == 1
 
 
+@pytest.mark.parametrize("doc, table, digest", [
+    ({"mode": "exact", "h": 1e-3}, "ladder_exact.csv",
+     "fb0dc2c63a64a5755319531cdebefb89ec5c9b158f2cdadd6829fa2a6db2c10b"),
+    ({"mode": "perturbed", "h": 1e-3, "lambda0": [0.5, 0.7], "order": 3},
+     "ladder_perturbed.csv",
+     "2dee9d0819a0fee75f73e30115906eaea0dcdd6a4b32bf98e3392c1fb0077b73"),
+    ({"mode": "counting", "h_values": [1e-2, 1e-3, 1e-4, 1e-5]}, "counting.csv",
+     "cc19a3c1e07bea697fb81ac42acace63aa28ebb95868bd545eba446c1a86cf16"),
+], ids=["exact", "perturbed", "counting"])
+def test_ladder_tables_are_byte_identical(tmp_path, doc, table, digest):
+    # the benchmark's ladder configs (exact without residuals, which depend
+    # on the BLAS); the digests are those of the per-entry enumeration
+    cfg = write_config(tmp_path / "l.json",
+                       {"alpha": 1.0, "m_exponent": 2.0, "c0": 0.5, **doc})
+    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert hashlib.sha256((tmp_path / "o" / table).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("lambda0", [[0.0], [-0.5, 0.7], []],
                          ids=["zero", "negative", "empty"])
 def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
@@ -526,11 +549,15 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "exact", "h": 1e-3, "c0": 1e308},
     {"mode": "perturbed", "h": 1e-3, "c0": 1e308, "lambda0": [0.5]},
     {"mode": "counting", "c0": 1e308, "h_values": [1e-3]},
+    # the grid span overflows the Hermite capacity L^2 / 4h
+    {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e154, "N": 512}},
+    {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e200, "N": 512}},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
         "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0",
         "infinite_k_window_exact", "infinite_k_window_perturbed",
-        "infinite_k_window_counting"])
+        "infinite_k_window_counting", "overflowing_grid_capacity",
+        "overflowing_grid_square"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3

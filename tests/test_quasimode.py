@@ -11,7 +11,7 @@ from monodromy_lab.quasimode import (
     GridCapacityError,
     LadderError,
     LadderSizeError,
-    exact_ladder_count,
+    QuasimodeLadder,
     exact_model_ladder,
     grid_capacity,
     hermite_mode,
@@ -22,6 +22,11 @@ from monodromy_lab.quasimode import (
 from monodromy_lab.weyl import PhaseGrid, quantize
 
 GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
+
+
+def keys(ladder) -> list:
+    """(k, beta tuple) of every ladder entry, in ladder order."""
+    return list(zip(ladder.k.tolist(), map(tuple, ladder.beta.tolist())))
 
 
 def grid_norm(grid, u) -> float:
@@ -91,6 +96,12 @@ def test_hermite_capacity_refused():
 # exact ladder
 # ---------------------------------------------------------------------------
 
+# lattice points past which a brute-force property skips a draw; the
+# admitted lattices go up to MAX_LATTICE_POINTS, which the ladders build as
+# arrays but the pure-Python oracles would walk for seconds each
+ORACLE_LATTICE_POINTS = 2 * 10 ** 5
+
+
 def brute_force_count(alpha, h, m_exp, c0):
     zmax = c0 * h ** (1.0 / m_exp)
     kmax = k_window(h, m_exp, c0)
@@ -109,20 +120,21 @@ def test_exact_ladder_against_enumeration_oracle():
         ladder = exact_model_ladder(1.0, h, 2.0, 1.0)
         assert ladder.count == brute_force_count(1.0, h, 2.0, 1.0)
         zmax = 1.0 * h ** 0.5
-        assert all(abs(e.z) <= zmax * (1 + 1e-12) for e in ladder.entries)
-        assert all(e.residual == 0.0 for e in ladder.entries)
+        assert np.all(np.abs(ladder.z) <= zmax * (1 + 1e-12))
+        assert np.all(ladder.residual == 0.0)
 
 
 def test_exact_ladder_entries_closed_form():
     h = 1e-3
     ladder = exact_model_ladder(1.0, h, 2.0, 1.0)
-    for e in ladder.entries:
-        assert e.z == 0.5 * (2 * e.beta[0] + 1) * h + 2 * math.pi * e.k * h
+    for (k, (b,)), z in zip(keys(ladder), ladder.z.tolist()):
+        assert z == 0.5 * (2 * b + 1) * h + 2 * math.pi * k * h
 
 
 def test_exact_ladder_empty_window():
     ladder = exact_model_ladder(1.0, 1e-2, 2.0, 0.0)
     assert ladder.count == 0
+    assert ladder.beta.shape == (0, 1)
 
 
 def test_exact_ladder_monotone_in_window():
@@ -131,38 +143,47 @@ def test_exact_ladder_monotone_in_window():
               for c0 in (0.25, 0.5, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     # set inclusion: smaller window is a subset
-    small = set((e.k, e.beta) for e in exact_model_ladder(1.0, h, 2.0, 0.5).entries)
-    large = set((e.k, e.beta) for e in exact_model_ladder(1.0, h, 2.0, 1.0).entries)
+    small = set(keys(exact_model_ladder(1.0, h, 2.0, 0.5)))
+    large = set(keys(exact_model_ladder(1.0, h, 2.0, 1.0)))
     assert small <= large
 
 
 def test_exact_ladder_distinct_rational_alpha():
     ladder = exact_model_ladder(Fraction(1), 1e-3, 2.0, 1.0)
-    zs = np.array([e.z for e in ladder.entries])
-    assert np.unique(zs).size == zs.size
+    assert np.unique(ladder.z).size == ladder.z.size
 
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.3, 3.0), log_h=st.floats(-4.0, -1.0),
        c0=st.floats(0.1, 1.0), m_exp=st.sampled_from([1.5, 2.0, 3.0]))
-def test_exact_ladder_count_matches_the_ladder(alpha, log_h, c0, m_exp):
-    # the count is read off the window arrays, with no entry built
+def test_exact_ladder_count_matches_brute_force(alpha, log_h, c0, m_exp):
+    # the count the counting sweep reads, against the enumeration oracle
     h = 10.0 ** log_h
+    zmax = c0 * h ** (1.0 / m_exp)
+    lattice = (2 * k_window(h, m_exp, c0) + 1) * (3.0 * zmax / (alpha * h) + 2)
+    assume(lattice <= ORACLE_LATTICE_POINTS)
     try:
-        count = exact_model_ladder(alpha, h, m_exp, c0).count
-    except LadderError:  # a resonant alpha: the count refuses it too
-        with pytest.raises(LadderError, match="collide"):
-            exact_ladder_count(alpha, h, m_exp, c0)
+        ladder = exact_model_ladder(alpha, h, m_exp, c0)
+    except LadderError as exc:  # a resonant alpha
+        assert "collide" in str(exc)
         return
-    assert exact_ladder_count(alpha, h, m_exp, c0) == count
+    assert ladder.count == brute_force_count(alpha, h, m_exp, c0)
+    assert ladder.k.shape == ladder.z.shape == ladder.residual.shape == (ladder.count,)
+    assert ladder.beta.shape == (ladder.count, 1)
 
 
 def test_exact_ladder_count_refuses_collisions():
     # alpha = 4 pi puts z(k, b) = 2 pi h (2 b + 1 + k) on a lattice that
-    # (k, b) and (k + 2, b - 1) share
-    for count in (exact_ladder_count, lambda *a: exact_model_ladder(*a).count):
-        with pytest.raises(LadderError, match="collide at 1e-12 resolution"):
-            count(4.0 * math.pi, 1e-3, 2.0, 1.0)
+    # (k, b) and (k + 2, b - 1) share; the counting sweep reads this count
+    with pytest.raises(LadderError, match="collide at 1e-12 resolution"):
+        exact_model_ladder(4.0 * math.pi, 1e-3, 2.0, 1.0).count
+
+
+def test_ladder_refuses_entries_outside_the_window():
+    z = np.array([0.0, 0.2])
+    with pytest.raises(LadderError, match="z=0.2 falls outside"):
+        QuasimodeLadder(2.0, 1.0, 1e-2, np.zeros(2, int), np.zeros((2, 1), int),
+                        z, np.zeros(2))
 
 
 def test_counting_slope_bracket():
@@ -183,18 +204,18 @@ def test_perturbed_matches_exact_at_zero_corrections():
     # direct ladder exactly twice the solved root
     alpha, h = 1.0, 1e-3
     pert = perturbed_ladder([alpha / 2.0], h, 2.0, 1.0)
-    direct = {(e.k, e.beta): e.z for e in exact_model_ladder(alpha, h, 2.0, 2.0).entries}
+    exact = exact_model_ladder(alpha, h, 2.0, 2.0)
+    direct = dict(zip(keys(exact), exact.z.tolist()))
     assert pert.count > 0
-    for e in pert.entries:
-        z_direct = direct[(e.k, e.beta)]
-        assert 2.0 * e.z == pytest.approx(z_direct, rel=1e-14, abs=1e-18)
+    for key, z in zip(keys(pert), pert.z.tolist()):
+        assert 2.0 * z == pytest.approx(direct[key], rel=1e-14, abs=1e-18)
 
 
 def test_perturbed_multi_mode_lattice():
     h = 1e-2
     pert = perturbed_ladder([1.0, math.sqrt(2.0)], h, 2.0, 1.0)
     assert pert.count > 0
-    assert all(len(e.beta) == 2 for e in pert.entries)
+    assert pert.beta.shape == (pert.count, 2)
 
 
 def test_oversized_lattices_refused():
@@ -206,11 +227,6 @@ def test_oversized_lattices_refused():
     # modes, h = 1e-3) lattice points, stay admitted
     assert exact_model_ladder(1.0, 1e-5, 2.0, 0.5).count > 0
     assert perturbed_ladder([0.5, 0.7], 1e-3, 2.0, 0.5).count > 0
-
-
-# lattice points past which the brute-force property skips a draw; the
-# admitted lattices go up to MAX_LATTICE_POINTS, seconds of pure Python each
-ORACLE_LATTICE_POINTS = 2 * 10 ** 5
 
 
 def capped_lattice(lams, h, m_exp, c0):
@@ -257,16 +273,16 @@ def test_perturbed_matches_brute_force_lattice(lams, log_h, c0, m_exp):
     assume((2 * kmax + 1) * (cap + 1) ** len(lams) <= ORACLE_LATTICE_POINTS)
     ladder = perturbed_ladder(lams, h, m_exp, c0)
     expected = brute_force_perturbed(lams, h, m_exp, c0)
-    got = {(e.k, e.beta): e for e in ladder.entries}
+    got = dict(zip(keys(ladder), ladder.z.tolist()))
     for key in set(got) ^ set(expected):
-        z = got[key].z if key in got else expected[key]
+        z = got[key] if key in got else expected[key]
         assert abs(abs(z) - zmax) <= 1e-12 * zmax, key
     for key in set(got) & set(expected):
-        assert abs(got[key].z - expected[key]) <= 1e-15 * zmax
-    zs = [e.z for e in ladder.entries]
+        assert abs(got[key] - expected[key]) <= 1e-15 * zmax
+    zs = ladder.z.tolist()
     assert zs == sorted(zs)
     eps = np.finfo(float).eps
-    assert all(e.residual <= 4.0 * eps * zmax for e in ladder.entries)
+    assert np.all(ladder.residual <= 4.0 * eps * zmax)
 
 
 @pytest.mark.xfail(strict=True, reason="the beta cap drops window points with "
@@ -274,6 +290,19 @@ def test_perturbed_matches_brute_force_lattice(lams, log_h, c0, m_exp):
 def test_perturbed_full_window_count():
     # 5479 is the brute-force count of the full window; the cap gives 4646
     assert perturbed_ladder([0.5, 0.7], 1e-3, 2.0, 0.5).count == 5479
+
+
+def test_perturbed_ladder_holds_only_its_columns():
+    # 31 k values times 26^3 beta points; the 133 678 entries take 48 bytes
+    # each in the four columns (6.1 MiB), and no object is kept per entry
+    tracemalloc.start()
+    try:
+        ladder = perturbed_ladder([2.0, 2.0, 2.0], 1e-3, 3.0, 0.5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ladder.count == 133678
+    assert held <= 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +364,11 @@ def test_residuals_real_path_match_complex_operator():
     assert ladder.count == 174
     q = complex_rotation_generator(alpha, GRID)
     assert 0.0 < np.abs(q.imag).max() <= 1e-16 * np.abs(q).max()
-    for e in ladder.entries:
-        v = hermite_mode(e.beta[0], GRID).astype(complex)
-        resid = q @ v + (2.0 * math.pi * e.k * h - e.z) * v
+    for (k, (b,)), z in zip(keys(ladder), ladder.z.tolist()):
+        v = hermite_mode(b, GRID).astype(complex)
+        resid = q @ v + (2.0 * math.pi * k * h - z) * v
         want = float(np.sqrt(np.sum(np.abs(resid) ** 2) * GRID.dx))
-        got = residual_certify(e.k, e.beta[0], e.z, alpha, GRID)
+        got = residual_certify(k, b, z, alpha, GRID)
         assert abs(got - want) <= 1e-15
 
 

@@ -50,6 +50,9 @@ def test_grid_validation():
         PhaseGrid(L=10.0, N=255, hbar=0.1)
     with pytest.raises(GridError):
         PhaseGrid(L=-1.0, N=256, hbar=0.1)
+    # L * L / hbar overflows, so x and the Hermite capacity would too
+    with pytest.raises(GridError, match="grid span overflows"):
+        PhaseGrid(L=1e154, N=512, hbar=1e-3)
 
 
 def test_grid_refuses_oversized_n():

@@ -71,10 +71,12 @@ def microlocal_basis(grid: PhaseGrid, width_x: float = 1.0,
     module notes for alpha, beta, q and gamma).  n = floor(2 ln sv_tol /
     ln q) + 3 is the rank plus two spare columns; a grid with fewer than n
     points cannot hold the subspace and is refused with GridError before
-    anything is allocated.
+    anything is allocated, as is a width_x or hbar whose square underflows.
     """
     if width_xi is None:
         width_xi = width_x
+    if not (width_x ** 2 > 0.0 and grid.hbar ** 2 > 0.0):  # alpha and beta divide by them
+        raise GridError(f"width_x = {width_x!r} or hbar = {grid.hbar!r} squares to zero")
     beta = width_xi ** 2 / (4.0 * grid.hbar ** 2)
     alpha = 1.0 / (2.0 * width_x ** 2) + beta
     root = math.sqrt(alpha ** 2 - beta ** 2)

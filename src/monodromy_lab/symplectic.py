@@ -35,8 +35,8 @@ _PADE13 = tuple(math.comb(13, k) / math.perm(26, k) for k in range(14))
 _THETA13 = 5.371920351148152
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
-# imaginary parts below this (relative) count as zero
-CLUSTER_GAP = 1e-6
+# a cluster whose imaginary part is below this (relative) is factored in real arithmetic
+REAL_AXIS_TOL = 1e-6
 # eig splits a k-fold eigenvalue by about JORDAN_SPLIT^(1/k), relative
 JORDAN_SPLIT = 1e-12
 # singular values below this fraction of the largest count as zero
@@ -176,11 +176,6 @@ class SpectralClassification:
     reconstruction_error: float
 
     def __post_init__(self):
-        total = sum(2 * b.x_width for b in self.blocks)
-        if total != self.dim:
-            raise SymplecticError(
-                f"block dimension count {total} does not match dim {self.dim}"
-            )
         for arr in (self.B, self.F, self.basis):
             arr.setflags(write=False)
 
@@ -264,18 +259,21 @@ def _rank(sv: np.ndarray) -> int:
 
 
 def _jordan_staircase(a: np.ndarray, mu, mult: int):
-    """Jordan block sizes of mu, largest first, and the nested nullspaces
-    N_s of (A - mu)^s; None unless the ranks fall by mult in all, no step
-    by more than the one before.  One full SVD of each power gives both its
-    rank, read at RANK_TOL ||A - mu||^s, and N_s, the right singular
-    directions past that rank."""
+    """Jordan block sizes of mu, largest first, the nested nullspaces N_s
+    of (A - mu)^s, and W with W^T (A - mu)^s = 0 at the last power; None
+    unless the ranks fall by mult in all, no step by more than the one
+    before.  One full SVD of each power gives its rank, read at
+    RANK_TOL ||A - mu||^s, N_s, the right singular directions past that
+    rank, and (at the last power) W, the conjugated left ones.  For a
+    symplectic A, A^T = J A^-1 J^T, so (A - 1/mu)^s J^T W = 0: J^T W spans
+    the generalized eigenspace of the partner 1/mu."""
     n = a.shape[0]
     shifted = a - mu * np.eye(n)
     ranks, nulls = [n], []
     power = np.eye(n)
     for s in range(1, mult + 1):
         power = power @ shifted
-        _, sv, vh = np.linalg.svd(power)
+        u, sv, vh = np.linalg.svd(power)
         norm = sv[0] if s == 1 else norm
         ranks.append(int(np.sum(sv > RANK_TOL * norm ** s)))
         nulls.append(vh[ranks[-1]:].conj().T)
@@ -287,20 +285,17 @@ def _jordan_staircase(a: np.ndarray, mu, mult: int):
     counts = at_least - np.append(at_least[1:], 0)  # blocks of size exactly s
     if ranks[-1] != n - mult or counts.min() < 0:
         return None
-    return [s for s in range(len(counts), 0, -1) for _ in range(counts[s - 1])], nulls
+    sizes = [s for s in range(len(counts), 0, -1) for _ in range(counts[s - 1])]
+    return sizes, nulls, u[:, ranks[-1]:].conj()
 
 
 def _jordan_chains(a: np.ndarray, mu, stair):
     """Chain basis columns for the generalized eigenspace of mu, from its
-    _jordan_staircase, largest chain first, so that A acts on each chain as
-    mu exp(N), N the unit-superdiagonal nilpotent: each chain is built with
-    L = log(A / mu), not with A - mu.  Works in mu's own arithmetic: real
-    chains for real mu."""
-    if stair is None:
-        raise UnsupportedSpectrumError(
-            f"Jordan staircase for eigenvalue {mu} is numerically ambiguous"
-        )
-    sizes, nulls = stair
+    confirmed _jordan_staircase, largest chain first, so that A acts on each
+    chain as mu exp(N), N the unit-superdiagonal nilpotent: each chain is
+    built with L = log(A / mu), not with A - mu.  Works in mu's own
+    arithmetic: real chains for real mu."""
+    sizes, nulls, _ = stair
     n = a.shape[0]
     # log(I + (A - mu)/mu) as a finite series: its terms from the largest
     # chain size on vanish on the generalized eigenspace
@@ -372,11 +367,12 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     (|mu| > 1, Im mu != 0), real pairs mu > 1, real pairs mu < -1, and
     unit-modulus elliptic pairs.  Repeated hyperbolic eigenvalues are
     supported, with one or several Jordan chains each; their block sizes
-    are detected by staircase rank tests.  Repeated elliptic eigenvalues
-    are refused.  Elliptic angles are signed by the symplectic orientation
-    of the invariant plane, so a negatively-oriented rotation carries
-    Im(lam) < 0.  The factorization must reconstruct the input to relative
-    error RECONSTRUCTION_TOL.
+    are detected by staircase rank tests, whose left nullspace W also gives
+    the omega-dual space J^T W of the partner 1/mu (see _jordan_staircase).
+    Repeated elliptic eigenvalues are refused.  Elliptic angles are signed
+    by the symplectic orientation of the invariant plane, so a
+    negatively-oriented rotation carries Im(lam) < 0.  The factorization
+    must reconstruct the input to relative error RECONSTRUCTION_TOL.
 
     Parameters
     ----------
@@ -391,8 +387,8 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     ClassificationAmbiguousError
         Eigenvalue in the ambiguous band, or at +-1.
     UnsupportedSpectrumError
-        Repeated elliptic eigenvalue (multiplicity > 1), or a Jordan
-        structure the rank tests cannot resolve.
+        Repeated elliptic eigenvalue (multiplicity > 1), or Jordan chains
+        the rank tests cannot extract.
     SymplecticError
         Adapted basis not symplectic, or reconstruction error past
         RECONSTRUCTION_TOL.
@@ -405,7 +401,7 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
     evals, evecs = np.linalg.eig(a)
 
     def point(mu):  # a real cluster is factored in real arithmetic
-        return mu.real if abs(mu.imag) <= CLUSTER_GAP * max(1.0, abs(mu)) else mu
+        return mu.real if abs(mu.imag) <= REAL_AXIS_TOL * max(1.0, abs(mu)) else mu
 
     stairs = {}
 
@@ -414,7 +410,7 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
         mu = point(mu)
         if (mu, mult) not in stairs and (mu.conjugate(), mult) in stairs:
             stair = stairs[mu.conjugate(), mult]
-            stairs[mu, mult] = stair and (stair[0], [v.conj() for v in stair[1]])
+            stairs[mu, mult] = stair and (stair[0], [v.conj() for v in stair[1]], stair[2].conj())
         if (mu, mult) not in stairs:
             stairs[mu, mult] = _jordan_staircase(a, mu, mult)
         return stairs[mu, mult]
@@ -481,19 +477,11 @@ def classify_spectrum(ds, tol_unit: float = 1e-6) -> SpectralClassification:
         if mult == 1:
             chains = [eig_column(mu)]
             dual_space = eig_column(1.0 / mu)
-        else:
-            chains = _jordan_chains(a, mu, staircase(mu, mult))
-            # the partner cluster's mean, where its staircase was taken; its
-            # last nullspace spans the generalized eigenspace of 1/mu
-            partner, count = min(clusters, key=lambda c: abs(c[0] - 1.0 / mu))
-            dual = staircase(partner, count)
-            if dual is None or count != mult:
-                raise UnsupportedSpectrumError(
-                    f"generalized eigenspace of the partner 1/mu of {mu} is ambiguous"
-                )
-            dual_space = dual[1][-1]
+        else:  # the cluster's own staircase: J^T W spans the eigenspace of 1/mu
+            stair = staircase(mu, mult)
+            chains, dual_space = _jordan_chains(a, mu, stair), j_form.T @ stair[2]
         # omega-dual basis of all chains at once: omega(x_i, f_j) = -c delta_ij,
-        # c = 2 for the realified complex pairs
+        # c = 2 for the realified complex pairs (for a cluster, C^T J J^T W = C^T W)
         gram = np.hstack(chains).T @ j_form @ dual_space
         w = dual_space @ np.linalg.solve(gram, -(2.0 if hc else 1.0) * np.eye(mult))
         splits = np.cumsum([c.shape[1] for c in chains])[:-1]

@@ -376,9 +376,13 @@ def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
     # degenerates to a wrong gap at rank 1
     {"h_values": [0.1], "grid": {"L": 1e308, "N": 512}},
     {"h_values": [0.1], "gap_grid": {"L": 1e200, "N": 512}},
+    # the gap basis width L/4, or hbar_tilde, squares to zero
+    {"h_values": [0.1], "gap_grid": {"L": 1e-306, "N": 512}},
+    {"h_values": [1e-200], "hbar_tilde": 1e-200},
 ], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N",
         "hbar_tilde_above_one", "h_above_hbar_tilde", "weight_above_half",
-        "subnormal_h", "overflowing_grid", "overflowing_gap_grid"])
+        "subnormal_h", "overflowing_grid", "overflowing_gap_grid",
+        "underflowing_gap_grid", "underflowing_hbar_tilde"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
     started = time.perf_counter()

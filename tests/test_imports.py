@@ -3,7 +3,7 @@ every definition is reachable from the CLI, every method of a reached
 class and every dataclass field is read somewhere in the package, every
 default is passed by some call in the package or the benchmark, every
 parameter is read by its function, and no module imports scipy.linalg,
-which no command then loads."""
+which no command then loads, nor scipy.sparse.linalg outside a function."""
 
 import ast
 import json
@@ -355,26 +355,37 @@ def test_every_parameter_is_read():
 def scipy_linalg_imports(source: str) -> list:
     """Line of every import of scipy.linalg or a name in it, at any depth:
     `import scipy.linalg`, `from scipy.linalg import ...` and
-    `from scipy import linalg`."""
+    `from scipy import linalg`; and of scipy.sparse.linalg in the same
+    forms outside a function body, so that its import stays lazy."""
+    tree = ast.parse(source)
+    in_function = {id(n) for f in ast.walk(tree)
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f)}
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+        banned = ["scipy.linalg"] + ["scipy.sparse.linalg"] * (id(node) not in in_function)
+        if any(n == b or n.startswith(b + ".") for n in names for b in banned):
             lines.append(node.lineno)
-    return lines
+    return sorted(lines)
 
 
 def test_scipy_linalg_scanner():
     src = ("import scipy\nimport scipy.linalg\nfrom scipy import optimize\n"
            "from scipy.linalg import expm\nfrom .linalg import x\n"
            "def f():\n    from scipy import linalg as la\n    return la\n"
-           "import scipy.linalgebra\nfrom scipy import linalgebra\n")
-    assert scipy_linalg_imports(src) == [2, 4, 7]
+           "import scipy.linalgebra\nfrom scipy import linalgebra\n"
+           "import scipy.sparse.linalg\nfrom scipy.sparse.linalg import splu\n"
+           "def g():\n    import scipy.sparse.linalg\n"
+           "    from scipy.sparse.linalg import eigsh\n    return eigsh\n"
+           "from scipy.sparse import csr_matrix\nfrom scipy.sparse import linalg\n"
+           "import scipy.sparse.linalgebra\n")
+    assert scipy_linalg_imports(src) == [2, 4, 7, 11, 12, 18]
 
 
 def test_no_module_imports_scipy_linalg():

@@ -306,11 +306,12 @@ def test_classify_repeated_and_jordan_blocks(blocks, expected):
     ([("complex-hyperbolic", 0.5, 0.8, 2)], 2, 2),
 ], ids=["two_real_chains", "complex_chain"])
 def test_classify_jordan_factors_each_power_once(monkeypatch, blocks, powers, thin):
-    # one SVD of each power (A - mu)^s gives both the staircase rank and
-    # the nullspace, for mu and for its partner 1/mu; the other SVDs are
-    # of thin n x r matrices, for mu's chains alone (one projection per
-    # chain, bar a first chain of size 1, and the chain-basis rank check):
-    # the partner needs only its last nullspace
+    # one SVD of each power (A - mu)^s gives the staircase rank, the
+    # nullspace and, at the last power, the left nullspace W whose J^T W
+    # is the omega-dual space; the partner 1/mu's staircase only confirms
+    # its cluster.  The other SVDs are of thin n x r matrices, for mu's
+    # chains alone (one projection per chain, bar a first chain of size 1,
+    # and the chain-basis rank check)
     mat, _ = _block_built_map(blocks, [], seed=37, scale=0.4)
     n = mat.shape[0]
     shapes = []
@@ -379,7 +380,7 @@ def test_classify_block_built_property(blocks, angles, seed):
 # eigenvalues of a size-k chain by about (1e-12)^(1/k), past 1e-6 for
 # k >= 3; and distinct eigenvalues that share a single-linkage component at
 # some JORDAN_SPLIT^(1/k) level, which the rank staircase keeps apart even
-# 1e-7 apart, inside CLUSTER_GAP
+# 1e-7 apart, inside the 1e-6 gap the greedy clustering used
 CLOSE_EIGENVALUE_MAPS = [
     ([("real-positive", 0.7, 0.0, 3)], [], 37, 0.1),
     ([("real-positive", 0.7, 0.0, 3)], [], 5, 0.3),
@@ -449,6 +450,51 @@ def test_classify_jordan_chains_up_to_size_four(blocks, angles, seed, scale):
     assert _kinds(cls) == sorted([(kind, k) for kind, _, _, k in blocks]
                                  + [("elliptic", 1)] * len(angles))
     assert cls.reconstruction_error <= 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LONG_CHAIN_BLOCK, min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.3))
+def test_staircase_left_nullspace_spans_the_partner_eigenspace(blocks, seed, scale):
+    """classify_spectrum reads a cluster's omega-dual space as J^T W, W the
+    left nullspace of its own last staircase power.  The oracle is the
+    construction it replaced: the last nullspace of the partner cluster's
+    staircase, taken at that cluster's mean."""
+    widths = [2 * k if kind == "complex-hyperbolic" else k for kind, _, _, k in blocks]
+    assume(sum(widths) <= 6)
+    mat, _ = _block_built_map(blocks, [], seed, scale=scale)
+    n = mat.shape[0]
+
+    def point(mu):  # as in classify_spectrum
+        return mu.real if abs(mu.imag) <= symplectic.REAL_AXIS_TOL * max(1.0, abs(mu)) else mu
+
+    def staircase(mu, k):
+        return symplectic._jordan_staircase(mat, point(mu), k)
+
+    def condition(mu, k):  # ||P|| / sigma_r(P), P the last staircase power
+        power = np.linalg.matrix_power(mat - point(mu) * np.eye(n), len(staircase(mu, k)[1]))
+        sv = np.linalg.svd(power, compute_uv=False)
+        return sv[0] / sv[n - k - 1]
+
+    clusters = symplectic._cluster_eigenvalues(np.linalg.eigvals(mat), staircase)
+    jordan = [(mu, k) for mu, k in clusters if k > 1 and abs(mu) > 1.0]
+    assume(jordan)
+    norm = np.linalg.norm(mat, 2)
+    for mu, k in jordan:
+        dual = standard_form(n).T @ staircase(mu, k)[2]
+        partner, count = min(clusters, key=lambda c: abs(c[0] - 1.0 / mu))
+        assert count == k
+        old = staircase(partner, count)[1][-1]
+        # both bases are orthonormal: the sines of the principal angles are
+        # the singular values of the part of one off the other's span.  Each
+        # nullspace is only accurate to about eps ||P|| / sigma_r(P).  With a
+        # second Jordan block near the cluster that passes 1e-10 (sines of
+        # 1.8e-10 occur at scale 0.3), and the sines stay below a fifth of it
+        bound = np.finfo(float).eps * (condition(mu, k) + condition(partner, count))
+        sines = np.linalg.svd(old - dual @ (dual.conj().T @ old), compute_uv=False)
+        assert sines.max() <= max(1e-10, bound)
+        power = np.linalg.matrix_power(mat - np.eye(n) / point(mu), k)
+        assert np.linalg.norm(power @ dual, 2) <= 1e-10 * norm ** k
 
 
 GROUP = st.tuples(

@@ -38,7 +38,6 @@ from .quasimode import (
 from .geodesic import (
     PoincareReport,
     WarpedMetric,
-    geodesic_rhs,
     hessian_signature,
     integrate,
     poincare_linearization,

@@ -84,14 +84,9 @@ def _accel(y, z, vx, vy, vz):
             up * uz * ch ** 2 * vx2)
 
 
-def geodesic_rhs(state):
-    """First-order geodesic system for state (x, y, z, vx, vy, vz)."""
-    x, y, z, vx, vy, vz = state
-    return np.array([vx, vy, vz, *_accel(y, z, vx, vy, vz)])
-
-
 def geodesic_jacobian(state):
-    """Closed-form Jacobian of geodesic_rhs."""
+    """Closed-form Jacobian of the first-order geodesic system for state
+    (x, y, z, vx, vy, vz), whose accelerations are _accel."""
     x, y, z, vx, vy, vz = state
     uz = _u(z)
     up = _u_prime(z)

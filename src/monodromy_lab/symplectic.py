@@ -221,7 +221,8 @@ def _cluster_eigenvalues(evals: np.ndarray, staircase):
     For k = n .. 2, a single-linkage component of k unclustered eigenvalues
     at relative gap JORDAN_SPLIT^(1/k) is one cluster if staircase(mean, k)
     confirms a k-fold eigenvalue there; every other eigenvalue is a cluster
-    of one."""
+    of one.  A cluster is a whole component at its level, so a union of them
+    at lower, tighter levels: one Kruskal pass gives every level's components."""
     ev = evals[np.lexsort((evals.imag, evals.real))]
     n = ev.size
     gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
@@ -229,21 +230,25 @@ def _cluster_eigenvalues(evals: np.ndarray, staircase):
     # a k-member component needs k eigenvalues with a neighbour inside its gap
     ks = np.arange(n, 1, -1)
     levels = ks[(nearest <= JORDAN_SPLIT ** (1.0 / ks)[:, None]).sum(axis=1) >= ks]
+    found = {}  # k: the components of exactly k eigenvalues at level k
+    if levels.size:  # Kruskal, adding the gaps of each wider level in turn
+        i, j = np.nonzero(np.triu(gap <= JORDAN_SPLIT ** (1.0 / levels[0]), 1))
+        order = np.argsort(gap[i, j])
+        w, i, j = gap[i, j][order], i[order].tolist(), j[order].tolist()
+        label, done = np.arange(n), 0
+        for k in levels[::-1]:
+            stop = int(np.searchsorted(w, JORDAN_SPLIT ** (1.0 / k), side="right"))
+            for a, b in zip(i[done:stop], j[done:stop]):
+                if label[a] != label[b]:
+                    label[label == label[b]] = label[a]
+            done, sizes = stop, np.bincount(label, minlength=n)
+            found[k] = sorted(np.flatnonzero(label == c).tolist() for c in np.flatnonzero(sizes == k))
     free, clusters = np.ones(n, dtype=bool), []  # clusters: [sum, members]
     for k in levels:
-        link = (gap <= JORDAN_SPLIT ** (1.0 / k)) & free & free[:, None]
-        seen = link.sum(axis=1) < 2  # clustered, or with no free neighbour
-        for i in np.flatnonzero(~seen):
-            if seen[i]:
-                continue
-            comp, front = link[i].copy(), link[i].copy()  # breadth-first
-            while front.any():
-                front = link[front].any(axis=0) & ~comp
-                comp |= front
-            seen |= comp
-            members = list(np.flatnonzero(comp))
+        for members in found[k]:
             total = sum(ev[members[1:]], ev[members[0]])
-            if len(members) == k and staircase(total / k, k) is not None:
+            # a component is clustered whole or not at all
+            if free[members].all() and staircase(total / k, k) is not None:
                 clusters.append([total, members])
                 free[members] = False
     clusters += [[ev[i], [i]] for i in np.flatnonzero(free)]

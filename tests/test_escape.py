@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from monodromy_lab.escape import _BLOCK, PositivityReport, verify_positivity
+from monodromy_lab.escape import _BLOCK, PositivityReport, _sample_blocks, verify_positivity
 from monodromy_lab.symplectic import (
     build_quadratic_hamiltonian,
     classify_spectrum,
@@ -224,3 +224,80 @@ def test_positivity_diagonal_ratio_within_rates(rates, seed):
     ratio = num / (nx / (1.0 + nx) + nxi / (1.0 + nxi))
     assert ratio == pytest.approx(report.min_ratio, abs=1e-12)
 
+
+
+def pre_inplace_positivity(m, samples, radius, rng):
+    """Oracle: the certificate as it was before its block pass went in
+    place, with a new array per step and the halves summed by .sum(axis=1)."""
+    n_h = m.shape[0]
+    dim = 2 * n_h
+    m_both = np.zeros((dim, dim))
+    m_both[:n_h, :n_h] = m_both[n_h:, n_h:] = m.T
+    halves = np.zeros((dim, 2))
+    halves[:n_h, 0] = halves[n_h:, 1] = 1.0
+    min_ratio, witness, kept = math.inf, None, 0
+    for g, rho in _sample_blocks(rng, samples, radius, dim):
+        n = (g * g) @ halves
+        a = (g @ m_both * g) @ halves
+        s = (rho * rho / n.sum(axis=1))[:, None]
+        n, a = n * s, a * s
+        num = (a / (1.0 + n)).sum(axis=1)
+        env = (n / (1.0 + n)).sum(axis=1)
+        assert np.isfinite(num).all() and np.isfinite(env).all() and env.min() >= np.finfo(float).tiny
+        kept += env.size
+        ratios = num / env
+        idx = int(np.argmin(ratios))
+        if witness is None or ratios[idx] < min_ratio:
+            min_ratio = float(ratios[idx])
+            witness = g[idx] * (rho[idx] / np.linalg.norm(g[idx]))
+    return PositivityReport(min_ratio, (tuple(map(float, witness[:n_h])),
+                                        tuple(map(float, witness[n_h:]))), kept, radius)
+
+
+def jordan_chain_generator(lam=0.3, k=3):
+    """The rescaled stretch matrix of exp(diag(N, -N^T)), N = lam I + the
+    unit superdiagonal: one Jordan chain of length k."""
+    n = lam * np.eye(k) + np.eye(k, k=1)
+    big = np.zeros((2 * k, 2 * k))
+    big[:k, :k], big[k:, k:] = n, -n.T
+    return build_quadratic_hamiltonian(classify_spectrum(expm(big)))
+
+
+BITWISE_GENERATORS = {
+    **GENERATORS, "jordan_chain": jordan_chain_generator,
+    # the rate sets of the benchmark's normal-forms positivity runs
+    **{"rates-" + "-".join(map(str, r)): lambda r=r: diag_generator(r)
+       for r in ([1.0, 2.0, 0.5], [0.3, 3.0], [1.0])}}
+
+
+@pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17, 10 ** 5])
+@pytest.mark.parametrize("kind", sorted(BITWISE_GENERATORS))
+def test_inplace_positivity_is_bitwise_the_old_pass(kind, samples):
+    q = BITWISE_GENERATORS[kind]()
+    rng = np.random.default_rng(samples)
+    oracle_rng = copy.deepcopy(rng)
+    got = verify_positivity(q, samples=samples, radius=10.0, rng=rng)
+    want = pre_inplace_positivity(q, samples=samples, radius=10.0, rng=oracle_rng)
+    assert got.to_json() == want.to_json()
+    assert rng.random() == oracle_rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_positivity_coupled_ratio_bounded_by_symmetric_part(dim, seed):
+    """For a non-diagonal M whose symmetric part S is positive definite,
+    every sampled ratio is a weighted mean of two Rayleigh quotients of S,
+    so min_ratio >= lambda_min(S); the witness's ratio, recomputed from its
+    point, is min_ratio."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    sym = basis @ np.diag(rng.uniform(0.5, 3.0, dim)) @ basis.T
+    skew = rng.uniform(-1.0, 1.0, (dim, dim))
+    m = sym + skew - skew.T
+    report = verify_positivity(m, samples=2000, radius=10.0, rng=rng)
+    assert report.min_ratio >= np.linalg.eigvalsh((m + m.T) / 2).min() - 1e-12
+    x, xi = (np.array(v) for v in report.argmin_point)
+    nx, nxi = x @ x, xi @ xi
+    num = (m @ x) @ x / (1.0 + nx) + (m @ xi) @ xi / (1.0 + nxi)
+    ratio = num / (nx / (1.0 + nx) + nxi / (1.0 + nxi))
+    assert ratio == pytest.approx(report.min_ratio, rel=1e-14, abs=1e-14)

@@ -16,13 +16,19 @@ from monodromy_lab.geodesic import (
     StepLimitError,
     WarpedMetric,
     geodesic_jacobian,
-    geodesic_rhs,
     hessian_signature,
     integrate,
     poincare_linearization,
     potential_hessian,
 )
 from monodromy_lab.symplectic import standard_form
+
+
+def geodesic_rhs(state):
+    """First-order geodesic system for state (x, y, z, vx, vy, vz): the array
+    form of geodesic._accel."""
+    x, y, z, vx, vy, vz = state
+    return np.array([vx, vy, vz, *geodesic._accel(y, z, vx, vy, vz)])
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,6 @@ KEEP = {
         "perfbench/workloads.py draws the normal-forms matrices with it",
     ("serialize", "write_matrix"):
         "perfbench/workloads.py writes the normal-forms matrices with it",
-    ("geodesic", "geodesic_rhs"):
-        "array form of _accel; the flow and metric tests go through it",
     ("weyl", "microlocal_cutoff"):
         "perfbench/worker.py's probe times it; the dense oracle of microlocal_basis",
 }

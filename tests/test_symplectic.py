@@ -534,6 +534,88 @@ def test_cluster_eigenvalues_finds_generated_groups(groups, seed):
         assert abs(mean - centre) <= 1e-10
 
 
+def bfs_cluster_eigenvalues(evals, staircase):
+    """Oracle: the clustering with one breadth-first search per level over
+    the unclustered eigenvalues, O(n^3) in all."""
+    ev = evals[np.lexsort((evals.imag, evals.real))]
+    n = ev.size
+    gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
+    nearest = (gap + np.diag(np.full(n, np.inf))).min(axis=1)
+    ks = np.arange(n, 1, -1)
+    levels = ks[(nearest <= symplectic.JORDAN_SPLIT ** (1.0 / ks)[:, None]).sum(axis=1) >= ks]
+    free, clusters = np.ones(n, dtype=bool), []
+    for k in levels:
+        link = (gap <= symplectic.JORDAN_SPLIT ** (1.0 / k)) & free & free[:, None]
+        seen = link.sum(axis=1) < 2
+        for i in np.flatnonzero(~seen):
+            if seen[i]:
+                continue
+            comp, front = link[i].copy(), link[i].copy()
+            while front.any():
+                front = link[front].any(axis=0) & ~comp
+                comp |= front
+            seen |= comp
+            members = list(np.flatnonzero(comp))
+            total = sum(ev[members[1:]], ev[members[0]])
+            if len(members) == k and staircase(total / k, k) is not None:
+                clusters.append([total, members])
+                free[members] = False
+    clusters += [[ev[i], [i]] for i in np.flatnonzero(free)]
+    return [(total / len(members), len(members))
+            for total, members in sorted(clusters, key=lambda c: c[1][0])]
+
+
+PLANTED = st.tuples(
+    st.integers(0, 3),                              # centre, shared by nested groups
+    st.integers(2, 6),                              # size
+    st.one_of(st.just(-np.inf), st.floats(-16.0, -0.5)),  # log10 spacing
+    st.booleans())                                  # on the real axis
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PLANTED, min_size=1, max_size=5), st.integers(0, 12),
+       st.sets(st.integers(2, 12)), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_cluster_eigenvalues_matches_breadth_first_search(groups, background, sizes,
+                                                          veto, seed):
+    """The Kruskal clustering returns the breadth-first search's (mean,
+    count) list bit for bit, and asks the staircase the same questions in
+    the same order, on planted groups nested around shared centres with a
+    staircase that confirms some sizes and vetoes some means."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
+    values = [rng.uniform(-3, 3, background) + 1j * rng.uniform(-3, 3, background)]
+    for c, k, spacing, real in groups:
+        offsets = rng.standard_normal(k) + (0.0 if real else 1j) * rng.standard_normal(k)
+        values.append((centres[c].real if real else centres[c]) + 10.0 ** spacing * offsets)
+    evals = np.concatenate(values)
+    calls = {"kruskal": [], "bfs": []}
+
+    def staircase(side):
+        def confirm(mu, k):
+            calls[side].append((mu, k))
+            return k if k in sizes and int(abs(mu) * 1e3) % veto else None
+        return confirm
+
+    got = symplectic._cluster_eigenvalues(evals, staircase("kruskal"))
+    want = bfs_cluster_eigenvalues(evals, staircase("bfs"))
+    assert got == want
+    assert calls["kruskal"] == calls["bfs"]
+
+
+# (at k = 5 the vectorized power that picks the levels rounds one ulp below
+# the scalar one that links, so the level is not searched)
+@pytest.mark.parametrize("k", [2, 3])
+def test_cluster_eigenvalues_links_at_exactly_the_level_gap(k):
+    # k eigenvalues JORDAN_SPLIT^(1/k) apart in a row, centred on 0 so that
+    # each is an exact multiple: every gap sits on the level's bound, which links
+    step = symplectic.JORDAN_SPLIT ** (1.0 / k)
+    evals = step * (np.arange(k) - (k - 1) / 2)
+    assert np.diff(evals).tolist() == [step] * (k - 1)
+    confirm = lambda mu, m: m  # noqa: E731
+    assert symplectic._cluster_eigenvalues(evals, confirm) == [(evals.sum() / k, k)]
+    assert bfs_cluster_eigenvalues(evals, confirm) == [(evals.sum() / k, k)]
+
+
 # ---------------------------------------------------------------------------
 # quadratic generators
 # ---------------------------------------------------------------------------

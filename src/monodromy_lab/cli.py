@@ -14,8 +14,8 @@ rejection; positivity, the one command that draws random samples, requires a
 non-negative --seed.  An --out that names a file, or lies under one, is
 refused before any work.  Identical config and seed produce byte-identical
 output in every file except manifest.json, which records the wall time.  No
-command loads scipy.linalg: classify takes its few small matrix exponentials
-in numpy.
+command loads scipy.linalg: classify and geodesic take their few small
+matrix exponentials in numpy.
 """
 
 from __future__ import annotations

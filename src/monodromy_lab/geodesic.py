@@ -2,20 +2,18 @@
 diag(w^2, 1, 1), w(y, z) = cosh(y) (2 z^4 - z^2 + 1).
 
 Three closed geodesics run along the x-circle at (y, z) = (0, 0) and
-(0, +-1/2).  The module integrates the flow and the variational (tangent)
-equations with fixed-step RK4 and classifies the transverse monodromy of
-the closed orbits through its Floquet multipliers.  The accelerations never
-read x, so a state whose (y, z, vx, vy, vz) one RK4 step leaves bitwise
-unchanged is a fixed point of the transverse flow: every later step
-repeats the same x increment and the same tangent map I + D.  Each closed
-orbit is such a fixed point, so after its first step the remaining k steps
-are applied at once, the tangent as I + E_k = (I + D)^k: the same discrete
-RK4 propagator, with E_k built by binary powering on the increment D
-itself.  Never adding I keeps the relative precision of the O(h) map,
-which summing k steps into the tangent would round away.  The Hessian
-signature of the effective potential w^-2 - 1 at the orbit is a second
-verdict that needs no integration: one negative direction at the
-semi-hyperbolic orbit z = 0, two at the hyperbolic pair z = +-1/2.
+(0, +-1/2).  The module integrates the flow with fixed-step RK4 and
+classifies the transverse monodromy of the closed orbits through its
+Floquet multipliers.  The accelerations never read x, so a state whose
+(y, z, vx, vy, vz) one RK4 step leaves bitwise unchanged is a fixed point
+of the transverse flow: every later step repeats the same x increment,
+which is then added without retaking the stages.  Each closed orbit is
+such a rest point, where the variational equation X' = J X has the
+constant coefficient J = geodesic_jacobian(state0), so its tangent map
+over time t is exp(t J) in closed form.  The Hessian signature of the
+effective potential w^-2 - 1 at the orbit is a second verdict that needs
+no integration: one negative direction at the semi-hyperbolic orbit
+z = 0, two at the hyperbolic pair z = +-1/2.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import symplectic_defect
+from .symplectic import _expm, symplectic_defect
 
 DOMAIN_BOUND = 10.0
 # work and storage one integrate call may take; larger runs are refused
@@ -127,52 +125,22 @@ class Trajectory:
         return float(np.abs(self.energy - self.energy[0]).max())
 
 
-def _rk4_increment(jacs, tangent, step):
-    """Stage-wise RK4 increment of the variational equations X' = J X for
-    the stage Jacobians (J1, J2, J3, J4) of one step."""
-    j1, j2, j3, j4 = jacs
-    half = 0.5 * step
-    m1 = j1.dot(tangent)
-    m2 = j2.dot(tangent + half * m1)
-    m3 = j3.dot(tangent + half * m2)
-    m4 = j4.dot(tangent + step * m3)
-    return step / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
-
-
-def _increment_power(d, k: int):
-    """E with I + E = (I + D)^k, by binary powering on the increment:
-    E_2m = 2 E_m + E_m E_m and E_(a+b) = E_a + E_b + E_a E_b.  No sum adds
-    I, so E keeps the relative precision of D; (I + D)^k - I would lose
-    every digit of D that rounds away against I."""
-    total = np.zeros_like(d)
-    power = d
-    while k:
-        if k & 1:
-            total = total + power + total.dot(power)
-        k >>= 1
-        if k:
-            power = 2.0 * power + power.dot(power)
-    return total
-
-
 def integrate(state0, t_final: float, step: float = 1e-4,
               stride: int = 1, tangent0=None):
     """Fixed-step fourth-order Runge-Kutta integration of the geodesic
-    flow, optionally carrying a tangent block for the variational
-    equations; the state and the RK4 stages are Python floats, the tangent
-    block is numpy, and each stage-wise step builds its four stage
-    Jacobians.
+    flow; the state and the RK4 stages are Python floats.
 
     A step that leaves (y, z, vx, vy, vz) bitwise unchanged has reached a
     fixed point of the transverse flow: the stages never read x, so every
-    later step would repeat its stage inputs, its x increment and its
-    tangent map I + D, with D the stage-wise increment taken on the
-    identity.  The remaining k steps are then not taken.  The saved x
-    increment is added once per step, rounding as the steps would, and the
-    tangent takes one product T <- T + E_k T, where I + E_k = (I + D)^k
-    comes from binary powering on the increment (_increment_power), which
-    keeps the O(h) map's relative precision instead of rounding k updates
-    into T.  A base orbit is such a fixed point from its first step.
+    later step would repeat its stage inputs and its x increment.  The
+    remaining steps are then not taken; the saved x increment is added
+    once per step, rounding as the steps would.
+
+    A tangent block tangent0 is carried only from a rest point of the
+    transverse flow inside the domain (vy = vz = 0 and zero
+    accelerations), where it is exp(t_final J) tangent0 in closed form,
+    J = geodesic_jacobian(state0); any other start is refused with
+    ValueError before the first step.
 
     Blows past |y| or |z| > 10 truncate the trajectory with a flag, fixed
     point or not.  Runs past MAX_STEPS steps or MAX_ROWS stored rows are
@@ -186,7 +154,15 @@ def integrate(state0, t_final: float, step: float = 1e-4,
         raise StepLimitError(f"{ratio:.6g} RK4 steps at stride {stride} exceed "
                              f"{MAX_STEPS} steps or {MAX_ROWS} stored rows")
     x, y, z, vx, vy, vz = (float(v) for v in np.asarray(state0, dtype=float))
-    tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
+    tangent = None
+    if tangent0 is not None:
+        # the domain first: _accel overflows far outside it
+        if not (abs(y) <= DOMAIN_BOUND and abs(z) <= DOMAIN_BOUND
+                and vy == vz == 0.0 and not any(_accel(y, z, vx, vy, vz))):
+            raise ValueError("a tangent block needs a rest point of the "
+                             "transverse flow inside the domain")
+        jac = geodesic_jacobian((x, y, z, vx, vy, vz))
+        tangent = _expm(t_final * jac) @ np.asarray(tangent0, dtype=float)
     half, sixth = 0.5 * step, step / 6.0
     pack = struct.Struct("5d").pack
     states = np.empty((n_steps // stride + 2, 6))
@@ -207,11 +183,6 @@ def integrate(state0, t_final: float, step: float = 1e-4,
             s4 = (x + step * s3[3], y + step * s3[4], z + step * s3[5],
                   vx + step * ax3, vy + step * ay3, vz + step * az3)
             ax4, ay4, az4 = _accel(*s4[1:])
-            if tangent is not None:
-                jacs = (geodesic_jacobian((x, y, z, vx, vy, vz)),
-                        geodesic_jacobian(s2), geodesic_jacobian(s3),
-                        geodesic_jacobian(s4))
-                tangent = tangent + _rk4_increment(jacs, tangent, step)
             dx = sixth * (vx + 2 * s2[3] + 2 * s3[3] + s4[3])
             x += dx
             y1 = y + sixth * (vy + 2 * s2[4] + 2 * s3[4] + s4[4])
@@ -225,10 +196,6 @@ def integrate(state0, t_final: float, step: float = 1e-4,
                      and vy1 == vy and vz1 == vz
                      and pack(y1, z1, vx1, vy1, vz1) == pack(y, z, vx, vy, vz))
             y, z, vx, vy, vz = y1, z1, vx1, vy1, vz1
-            if fixed and tangent is not None and i + 1 < n_steps:
-                incr = _increment_power(_rk4_increment(jacs, np.eye(6), step),
-                                        n_steps - 1 - i)
-                tangent = tangent + incr.dot(tangent)
         if truncated or (i + 1) % stride == 0 or i == n_steps - 1:
             states[len(ts)] = x, y, z, vx, vy, vz
             ts.append((i + 1) * step)
@@ -284,8 +251,9 @@ def poincare_linearization(z0: float, step: float = 1e-4) -> PoincareReport:
     The section is the hypersurface x = x0 (mod 1) with transverse
     coordinates (y, z, vy, vz).  The orbit starts at unit energy,
     vx0 = 1 / w(0, z0), so the return time is the x-period T = 1 / vx0.
-    The variational equations are integrated along one period and the
-    4 x 4 transverse monodromy extracted; multipliers come in symplectic
+    The orbit is a rest point of the transverse flow, so its monodromy is
+    exp(T J) in closed form (see integrate), whatever the step; the 4 x 4
+    transverse block is extracted and its multipliers come in symplectic
     pairs (mu, 1/mu).  The Hessian signature of the
     effective potential at (0, z0) must count one "-" per pair off the
     unit circle, or ValueError is raised.

@@ -25,8 +25,8 @@ of them; the basis is read off a thin N x n factor of sampled Hermite
 functions, never off the dense N x N cutoff.
 
 The elliptic model enters through its quantized rotation generator
-(alpha/2)(x^2 + xi^2), whose eigenvectors are the Hermite functions; the
-ladder residuals are measured against it.
+(alpha/2)(x^2 + xi^2), whose eigenvectors are the Hermite functions
+(hermite_rows); the ladder residuals are measured against it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import math
 
 import numpy as np
 
-from .quasimode import hermite_rows
 from .weyl import GridError, PhaseGrid, cutoff_range, op_exponential, quantize
 
 
@@ -172,3 +171,19 @@ def rotation_generator(alpha: float, grid: PhaseGrid):
     """Quantized rotation symbol (alpha/2)(x^2 + xi^2) on the h-grid: the
     (read-only) float64 matrix of a real symbol even in xi, real symmetric."""
     return quantize(lambda x, xi: 0.5 * alpha * (x ** 2 + xi ** 2), grid).matrix
+
+
+def hermite_rows(y: np.ndarray):
+    """Yield the normalized Hermite functions phi_0(y), phi_1(y), ..., the
+    eigenbasis of the rotation generator, with phi_k(y) = H_k(y) e^{-y^2/2}
+    / sqrt(2^k k! sqrt(pi)), by the stable three-term recurrence; two rows
+    are held at a time."""
+    phi_prev = np.pi ** -0.25 * np.exp(-y ** 2 / 2.0)
+    yield phi_prev
+    phi = math.sqrt(2.0) * y * phi_prev
+    for k in itertools.count(1):
+        yield phi
+        phi, phi_prev = (
+            math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev,
+            phi,
+        )

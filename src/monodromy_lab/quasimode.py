@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .monodromy import hermite_rows, rotation_generator
 from .weyl import PhaseGrid
 
 # lattice points one ladder enumeration may visit; checked before the
@@ -48,21 +49,6 @@ class GridCapacityError(ValueError):
 # ---------------------------------------------------------------------------
 # Hermite modes
 # ---------------------------------------------------------------------------
-
-def hermite_rows(y: np.ndarray):
-    """Yield the normalized Hermite functions phi_0(y), phi_1(y), ... with
-    phi_k(y) = H_k(y) e^{-y^2/2} / sqrt(2^k k! sqrt(pi)), by the stable
-    three-term recurrence; two rows are held at a time."""
-    phi_prev = np.pi ** -0.25 * np.exp(-y ** 2 / 2.0)
-    yield phi_prev
-    phi = math.sqrt(2.0) * y * phi_prev
-    for k in itertools.count(1):
-        yield phi
-        phi, phi_prev = (
-            math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev,
-            phi,
-        )
-
 
 def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
     """The Hermite function phi_beta(y), row beta of hermite_rows(y)."""
@@ -230,8 +216,6 @@ def residual_certify(k: int, beta: int, z: float, alpha: float,
     detuned z + delta reports |delta| exactly, a useful diagnostic rather
     than an error.
     """
-    from .monodromy import rotation_generator
-
     v = hermite_mode(beta, grid)
     q = rotation_generator(alpha, grid)
     # h D_t acts on e^{i 2 pi k t} as 2 pi k h exactly, for every k, so the

@@ -216,6 +216,14 @@ class SpectralClassification:
         }, indent=2)
 
 
+def _level_gaps(n: int):
+    """Cluster sizes k = n .. 2 and their relative gaps JORDAN_SPLIT^(1/k),
+    each a scalar power: the one table that picks the levels and links at
+    them (numpy's array power rounds one ulp lower at k = 5, 12, 31, ...)."""
+    ks = np.arange(n, 1, -1)
+    return ks, np.array([JORDAN_SPLIT ** (1.0 / k) for k in ks.tolist()])
+
+
 def _cluster_eigenvalues(evals: np.ndarray, staircase):
     """(mean, count) per cluster, in lexsort order, summed in that order.
     For k = n .. 2, a single-linkage component of k unclustered eigenvalues
@@ -228,16 +236,17 @@ def _cluster_eigenvalues(evals: np.ndarray, staircase):
     gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
     nearest = (gap + np.diag(np.full(n, np.inf))).min(axis=1)  # to another eigenvalue
     # a k-member component needs k eigenvalues with a neighbour inside its gap
-    ks = np.arange(n, 1, -1)
-    levels = ks[(nearest <= JORDAN_SPLIT ** (1.0 / ks)[:, None]).sum(axis=1) >= ks]
+    ks, bounds = _level_gaps(n)
+    keep = (nearest <= bounds[:, None]).sum(axis=1) >= ks
+    levels, bounds = ks[keep], bounds[keep]
     found = {}  # k: the components of exactly k eigenvalues at level k
     if levels.size:  # Kruskal, adding the gaps of each wider level in turn
-        i, j = np.nonzero(np.triu(gap <= JORDAN_SPLIT ** (1.0 / levels[0]), 1))
+        i, j = np.nonzero(np.triu(gap <= bounds[0], 1))
         order = np.argsort(gap[i, j])
         w, i, j = gap[i, j][order], i[order].tolist(), j[order].tolist()
         label, done = np.arange(n), 0
-        for k in levels[::-1]:
-            stop = int(np.searchsorted(w, JORDAN_SPLIT ** (1.0 / k), side="right"))
+        for k, bound in zip(levels[::-1], bounds[::-1]):
+            stop = int(np.searchsorted(w, bound, side="right"))
             for a, b in zip(i[done:stop], j[done:stop]):
                 if label[a] != label[b]:
                     label[label == label[b]] = label[a]

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -628,6 +629,26 @@ def test_geodesic_base_orbits(tmp_path):
     assert verdicts == ["semi-hyperbolic", "hyperbolic", "hyperbolic"]
     signatures = [r["hessian_signature"] for r in reports]
     assert signatures == [["-", "+"], ["-", "-"], ["-", "-"]]
+
+
+@pytest.mark.parametrize("step", [3e-4, 0.3])
+def test_geodesic_multipliers_do_not_depend_on_the_step(tmp_path, step):
+    # each base orbit's monodromy is exp(T J) over its period T itself, not
+    # over the round(T / step) steps of the trajectory, which at step 3e-4
+    # or 0.3 cover a time other than T
+    cfg = write_config(tmp_path / "g.json", {"t_final": 0.01, "step": step})
+    out = tmp_path / "out"
+    assert run(["geodesic", "--config", cfg, "--out", out]) == 0
+    for report in json.loads((out / "poincare.json").read_text()):
+        z0 = report["base_z"]
+        period = 2.0 * z0 ** 4 - z0 ** 2 + 1.0
+        rate_z = cmath.sqrt((24.0 * z0 ** 2 - 2.0) / period)
+        got = [complex(re, im) for re, im in report["multipliers"]]
+        for want in (cmath.exp(period), cmath.exp(-period),
+                     cmath.exp(period * rate_z), cmath.exp(-period * rate_z)):
+            best = min(got, key=lambda g: abs(g - want))
+            assert abs(best - want) <= 1e-12 * abs(want)
+            got.remove(best)
 
 
 def test_geodesic_hessian_disagreement_exits_numeric(tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 import cmath
+import contextlib
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +10,6 @@ import scipy.linalg
 from monodromy_lab import geodesic
 from monodromy_lab.geodesic import (
     DOMAIN_BOUND,
-    _increment_power,
     MAX_ROWS,
     MAX_STEPS,
     StepLimitError,
@@ -208,142 +207,91 @@ def _rhs_reference(state):
     ])
 
 
-def numpy_rk4(state0, t_final, step, stride, tangent0=None):
+def numpy_rk4(state0, t_final, step, stride):
     """Oracle: RK4 with the state and every stage held in numpy arrays,
     the same step and storage rules as `integrate`.  Returns (t, states,
-    tangent, truncated)."""
+    truncated)."""
     state = np.asarray(state0, dtype=float).copy()
-    tangent = None if tangent0 is None else np.asarray(tangent0, dtype=float).copy()
     n_steps = int(round(t_final / step))
     ts, rows = [0.0], [state.copy()]
     truncated = False
-
-    def deriv(s, tg):
-        return _rhs_reference(s), None if tg is None else geodesic_jacobian(s) @ tg
-
     for i in range(n_steps):
-        k1, m1 = deriv(state, tangent)
-        k2, m2 = deriv(state + 0.5 * step * k1,
-                       None if tangent is None else tangent + 0.5 * step * m1)
-        k3, m3 = deriv(state + 0.5 * step * k2,
-                       None if tangent is None else tangent + 0.5 * step * m2)
-        k4, m4 = deriv(state + step * k3,
-                       None if tangent is None else tangent + step * m3)
+        k1 = _rhs_reference(state)
+        k2 = _rhs_reference(state + 0.5 * step * k1)
+        k3 = _rhs_reference(state + 0.5 * step * k2)
+        k4 = _rhs_reference(state + step * k3)
         state = state + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if tangent is not None:
-            tangent = tangent + step / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
         truncated = abs(state[1]) > DOMAIN_BOUND or abs(state[2]) > DOMAIN_BOUND
         if truncated or (i + 1) % stride == 0 or i == n_steps - 1:
             ts.append((i + 1) * step)
             rows.append(state.copy())
         if truncated:
             break
-    return np.array(ts), np.array(rows), tangent, truncated
+    return np.array(ts), np.array(rows), truncated
 
 
-def _mp_power(mat, n):
-    """mat**n for an mpmath matrix, by binary powering."""
-    out = mpmath.eye(mat.rows)
-    while n:
-        if n & 1:
-            out = out * mat
-        n >>= 1
-        if n:
-            mat = mat * mat
-    return out
-
-
-def rk4_propagator(jac, step, n_steps):
-    """Oracle: the exact n-step RK4 propagator S^n of X' = J X with J
-    constant, S = I + hJ + (hJ)^2/2 + (hJ)^3/6 + (hJ)^4/24, evaluated at 50
-    digits from the float entries of J and h."""
-    with mpmath.workdps(50):
-        hj = mpmath.matrix(jac.tolist()) * mpmath.mpf(step)
-        hj2 = hj * hj
-        s = mpmath.eye(6) + hj + hj2 / 2 + hj2 * hj / 6 + hj2 * hj2 / 24
-        return np.array(_mp_power(s, n_steps).tolist(), dtype=float)
-
-
-def _assert_same(got, want):
+def _assert_same(got, want, rel=1e-15):
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
 
-# tangent oracle per case: None (no tangent block), "loop" (numpy_rk4) or
-# "propagator" (rk4_propagator: at a fixed point of the transverse flow
-# every step applies the same map, and the numpy loop's own accumulated
-# rounding exceeds the bound); a state at rest outside the domain must
-# truncate after its first step, like the oracle
+# tangent per case: None (no tangent block), "expm" (a rest point of the
+# transverse flow, where the tangent is exp(t_final J) against
+# scipy.linalg.expm) or "refused" (a moving start, or a rest point outside
+# the domain: ValueError before any step); a state at rest outside the
+# domain must truncate after its first step, like the oracle
 @pytest.mark.parametrize("state0, t_final, step, stride, tangent, truncates", [
     ([0.0, 0.01, 0.05, 1.0, 0.0, 0.0], 0.5, 1e-4, 100, None, False),
-    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, "loop", False),
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 10 ** 9, "propagator", False),
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-4, 10 ** 9, "propagator", False),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "propagator",
-     False),
-    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "propagator",
-     False),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10, "propagator",
-     False),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, 1e-3, 10, "refused", False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 10 ** 9, "expm", False),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-4, 10 ** 9, "expm", False),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "expm", False),
+    ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10 ** 9, "expm", False),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, 1e-3, 10, "expm", False),
     ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, 1e-3, 7, None, False),
     ([0.0, 0.3, 0.2, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, None, False),
-    ([0.0, 0.3, 0.2, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "propagator", False),
+    ([0.0, 0.3, 0.2, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "expm", False),
     ([0.0, 2.5, 0.0, 3.0, 4.0, 0.0], 50.0, 1e-3, 100, None, True),
     ([0.0, 11.0, 0.5, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, None, True),
-    ([0.0, 0.5, -12.0, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "loop", True),
+    ([0.0, 0.5, -12.0, 0.0, 0.0, 0.0], 1.0, 1e-3, 10, "refused", True),
 ], ids=["free", "free_tangent", "orbit_0", "orbit_0_step1e-4", "orbit_+half",
         "orbit_-half", "orbit_+half_stride10", "orbit_0_stride7", "rest",
         "rest_tangent", "truncated", "rest_outside", "rest_outside_tangent"])
-def test_integrate_matches_numpy_loop(state0, t_final, step, stride, tangent,
-                                      truncates):
-    tangent0 = None if tangent is None else np.eye(6)
+def test_integrate_matches_numpy_loop(monkeypatch, state0, t_final, step, stride,
+                                      tangent, truncates):
+    ts, states, truncated = numpy_rk4(state0, t_final, step, stride)
+    assert truncated == truncates
+    if tangent == "refused":
+        # refused before the first step: _accel is never called
+        monkeypatch.setattr(geodesic, "_accel", None)
+        with pytest.raises(ValueError, match="rest point"):
+            integrate(np.array(state0), t_final, step=step, stride=stride,
+                      tangent0=np.eye(6))
+        return
     traj, tan = integrate(np.array(state0), t_final, step=step, stride=stride,
-                          tangent0=tangent0)
-    ts, states, tan_ref, truncated = numpy_rk4(state0, t_final, step, stride,
-                                               tangent0)
-    assert traj.truncated == truncated == truncates
+                          tangent0=None if tangent is None else np.eye(6))
+    assert traj.truncated == truncates
     _assert_same(traj.t, ts)
     _assert_same(traj.states, states)
-    if tangent == "loop":
-        _assert_same(tan, tan_ref)
-    elif tangent == "propagator":
-        n_steps = int(round(t_final / step))
+    if tangent == "expm":
         jac = geodesic_jacobian(np.array(state0, dtype=float))
-        _assert_same(tan, rk4_propagator(jac, step, n_steps))
+        _assert_same(tan, scipy.linalg.expm(t_final * jac), rel=1e-13)
     else:
         assert tan is None
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 27500])
-def test_increment_power_matches_mpmath(n):
-    # E with I + E = (I + D)^n, against (I + D)^n - I at 50 digits
-    rng = np.random.default_rng(n)
-    d = rng.standard_normal((6, 6))
-    d *= 1e-4 / np.linalg.norm(d, 2)
-    got = _increment_power(d, n)
-    if n == 0:
-        assert np.array_equal(got, np.zeros((6, 6)))
-        return
-    with mpmath.workdps(50):
-        ident = mpmath.eye(6)
-        power = _mp_power(ident + mpmath.matrix(d.tolist()), n) - ident
-        want = np.array(power.tolist(), dtype=float)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-
-
 @pytest.mark.parametrize("state0, t_final, tangent, calls", [
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 4),
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 4),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 4),
-    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, True, 4 * 1000),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 1),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 1),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 1),
+    ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, True, 0),
     ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, False, 0),
 ], ids=["orbit_0", "orbit_0_twice", "orbit_+half", "free_tangent", "free"])
 def test_integrate_rebuilds_jacobian_only_when_inputs_change(
         monkeypatch, state0, t_final, tangent, calls):
-    # a base orbit is a fixed point of the transverse flow: its first step
-    # is taken stage-wise and the rest are applied by squaring, so the run
-    # builds only the four stage Jacobians of that step, however long it
-    # is; off it every step is taken stage-wise
+    # a base orbit is a rest point of the transverse flow, so its tangent is
+    # exp(t_final J) with J built once, however long the run is; a moving
+    # start with a tangent is refused before J is built
     count = []
 
     def counting_jacobian(state):
@@ -351,17 +299,19 @@ def test_integrate_rebuilds_jacobian_only_when_inputs_change(
         return geodesic_jacobian(state)
 
     monkeypatch.setattr(geodesic, "geodesic_jacobian", counting_jacobian)
-    integrate(np.array(state0), t_final, step=1e-3, stride=10,
-              tangent0=np.eye(6) if tangent else None)
+    moving = tangent and any(state0[4:])
+    with pytest.raises(ValueError) if moving else contextlib.nullcontext():
+        integrate(np.array(state0), t_final, step=1e-3, stride=10,
+                  tangent0=np.eye(6) if tangent else None)
     assert len(count) == calls
 
 
 @pytest.mark.parametrize("state0, t_final, tangent, calls", [
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 4),
-    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 4),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, True, 5),
+    ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, True, 5),
     ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 1.0, False, 4),
     ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 2.0, False, 4),
-    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 4),
+    ([0.0, 0.0, 0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, True, 5),
     ([0.0, 0.0, -0.5, 8.0 / 7.0, 0.0, 0.0], 7.0 / 8.0, False, 4),
     ([0.0, 0.05, 0.45, 1.0, 0.02, -0.01], 1.0, False, 4 * 1000),
 ], ids=["orbit_0_tangent", "orbit_0_twice_tangent", "orbit_0", "orbit_0_twice",
@@ -370,7 +320,8 @@ def test_integrate_stops_stepping_at_a_fixed_point(monkeypatch, state0, t_final,
                                                    tangent, calls):
     # a base orbit leaves (y, z, vx, vy, vz) bitwise unchanged after its
     # first step, so only that step evaluates the four RK4 stages; a moving
-    # state evaluates them every step
+    # state evaluates them every step, and a tangent block adds the one
+    # evaluation that confirms the start is a rest point
     count = []
     accel = geodesic._accel
 
@@ -406,7 +357,7 @@ def test_poincare_matches_analytic_floquet(z0):
     state0 = np.array([0.0, 0.0, z0, 1.0 / period, 0.0, 0.0])
     idx = [1, 2, 4, 5]
     exact = scipy.linalg.expm(period * geodesic_jacobian(state0))[np.ix_(idx, idx)]
-    assert np.abs(report.monodromy - exact).max() <= 1e-10
+    assert np.abs(report.monodromy - exact).max() <= 1e-13
 
 
 def test_poincare_central_orbit_semi_hyperbolic():

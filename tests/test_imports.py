@@ -1,9 +1,10 @@
 """Tooling checks: every name a module imports at module level is used,
-every definition is reachable from the CLI, every method of a reached
-class and every dataclass field is read somewhere in the package, every
-default is passed by some call in the package or the benchmark, every
-parameter is read by its function, and no module imports scipy.linalg,
-which no command then loads, nor scipy.sparse.linalg outside a function."""
+no function imports from a sibling module, every definition is reachable
+from the CLI, every method of a reached class and every dataclass field is
+read somewhere in the package, every default is passed by some call in the
+package or the benchmark, every parameter is read by its function, and no
+module imports scipy.linalg, which no command then loads, nor
+scipy.sparse.linalg outside a function."""
 
 import ast
 import json
@@ -44,6 +45,34 @@ def test_scanner_flags_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# no package import inside a function: a deferred `from .mod import name`
+# hides an import cycle between modules
+# ---------------------------------------------------------------------------
+
+def deferred_package_imports(source: str) -> list:
+    """Line of every `from .<module> import ...` inside a function body;
+    `from . import name` and absolute imports may be deferred."""
+    return sorted({node.lineno for f in ast.walk(ast.parse(source))
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(f)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module})
+
+
+def test_deferred_import_scanner():
+    src = ("from .a import f\nfrom . import b\n"
+           "def g():\n    from .a import h\n    from . import __version__\n"
+           "    import scipy.sparse.linalg\n    from scipy import sparse\n"
+           "    def inner():\n        from ..c import k\n\n"
+           "class C:\n    async def m(self):\n        from .d import e\n")
+    assert deferred_package_imports(src) == [4, 9, 13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_the_package_at_module_level(path):
+    assert deferred_package_imports(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

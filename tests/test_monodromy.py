@@ -9,6 +9,7 @@ from monodromy_lab.monodromy import (
     contraction_sweep,
     escape_weight,
     gap_basis,
+    hermite_rows,
     microlocal_basis,
     restricted_gap,
     restricted_norm,
@@ -16,7 +17,7 @@ from monodromy_lab.monodromy import (
     unconjugated_gap,
     unitarity_defect,
 )
-from monodromy_lab.quasimode import hermite_mode, hermite_rows, hermite_values
+from monodromy_lab.quasimode import hermite_mode, hermite_values
 from monodromy_lab.weyl import (
     GridError,
     PhaseGrid,

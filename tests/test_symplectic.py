@@ -541,11 +541,11 @@ def bfs_cluster_eigenvalues(evals, staircase):
     n = ev.size
     gap = np.abs(ev[:, None] - ev) / np.maximum(1.0, np.maximum(abs(ev)[:, None], abs(ev)))
     nearest = (gap + np.diag(np.full(n, np.inf))).min(axis=1)
-    ks = np.arange(n, 1, -1)
-    levels = ks[(nearest <= symplectic.JORDAN_SPLIT ** (1.0 / ks)[:, None]).sum(axis=1) >= ks]
+    ks, bounds = symplectic._level_gaps(n)
+    keep = (nearest <= bounds[:, None]).sum(axis=1) >= ks
     free, clusters = np.ones(n, dtype=bool), []
-    for k in levels:
-        link = (gap <= symplectic.JORDAN_SPLIT ** (1.0 / k)) & free & free[:, None]
+    for k, bound in zip(ks[keep], bounds[keep]):
+        link = (gap <= bound) & free & free[:, None]
         seen = link.sum(axis=1) < 2
         for i in np.flatnonzero(~seen):
             if seen[i]:
@@ -602,13 +602,14 @@ def test_cluster_eigenvalues_matches_breadth_first_search(groups, background, si
     assert calls["kruskal"] == calls["bfs"]
 
 
-# (at k = 5 the vectorized power that picks the levels rounds one ulp below
-# the scalar one that links, so the level is not searched)
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
 def test_cluster_eigenvalues_links_at_exactly_the_level_gap(k):
     # k eigenvalues JORDAN_SPLIT^(1/k) apart in a row, centred on 0 so that
-    # each is an exact multiple: every gap sits on the level's bound, which links
-    step = symplectic.JORDAN_SPLIT ** (1.0 / k)
+    # each is an exact multiple: every gap sits on the level's bound, which
+    # links.  (At k = 5 numpy's array power rounds one ulp below the scalar
+    # one, so the level filter and the link must read one table.)
+    step = symplectic._level_gaps(k)[1][0]
+    assert step == symplectic.JORDAN_SPLIT ** (1.0 / k)
     evals = step * (np.arange(k) - (k - 1) / 2)
     assert np.diff(evals).tolist() == [step] * (k - 1)
     confirm = lambda mu, m: m  # noqa: E731

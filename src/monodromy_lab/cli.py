@@ -35,6 +35,7 @@ from . import serialize
 from .escape import verify_positivity
 from .monodromy import contraction_sweep
 from .quasimode import (
+    CAPACITY_RULE,
     LadderSizeError,
     exact_model_ladder,
     grid_capacity,
@@ -256,8 +257,9 @@ def cmd_ladder(args) -> int:
                   for h, n in zip(h_values, counts)]
         rows = list(zip(h_values, counts, slopes))
         name, header = "counting.csv", ["h", "count", "slope"]
-        summary = {"alpha": alpha, "m_exponent": m_exp, "c0": c0,
-                   "h_values": h_values, "slopes": slopes}
+        # an empty window has no slope: nan in the table, null in the JSON
+        summary = {"alpha": alpha, "m_exponent": m_exp, "c0": c0, "h_values": h_values,
+                   "slopes": [s if n else None for n, s in zip(counts, slopes)]}
     else:
         h = float(doc.get("h", 1e-3))
         if mode == "exact":
@@ -280,7 +282,7 @@ def cmd_ladder(args) -> int:
             cap = grid_capacity(grid)
             if top > cap:  # refused before any entry is certified
                 raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
-                                  f"{cap} (need h(2 beta + 1) <= L^2/4)")
+                                  f"{cap} ({CAPACITY_RULE})")
             residuals = [residual_certify(k, beta[0], z, alpha, grid)
                          for k, beta, z in zip(ks, betas, zs)]
         name = f"ladder_{mode}.csv"
@@ -296,7 +298,7 @@ def cmd_ladder(args) -> int:
     out = outdir / name
     serialize.write_csv(out, header, rows)
     summary_path = outdir / "ladder_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     outputs = [out, summary_path]
     serialize.write_manifest(outdir, "ladder", doc, outputs, started)
     print(f"ladder[{mode}]: wrote {', '.join(str(o) for o in outputs)}")
@@ -413,6 +415,8 @@ def cmd_positivity(args) -> int:
     else:
         mat = serialize.read_matrix(doc["matrix_file"])
         gen = build_quadratic_hamiltonian(classify_spectrum(mat))
+        if not gen.size:
+            raise ConfigError("the matrix has no hyperbolic modes to certify")
     rng = np.random.default_rng(args.seed)
     report = verify_positivity(gen, samples=samples,
                                radius=float(doc.get("radius", 10.0)), rng=rng)

@@ -48,7 +48,7 @@ class PositivityReport:
             "argmin_point": list(self.argmin_point),
             "samples": self.samples,
             "radius": self.radius,
-        })
+        }, allow_nan=False)
 
 
 def _sample_blocks(rng: np.random.Generator, samples: int, radius: float,

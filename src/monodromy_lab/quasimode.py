@@ -56,9 +56,16 @@ def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
 
 
 def grid_capacity(grid: PhaseGrid) -> int:
-    """Largest resolvable Hermite index at h = grid.hbar: the classical
-    turning point sqrt(h (2 beta + 1)) must stay inside a quarter window."""
-    return int(((grid.L ** 2 / 4.0) / grid.hbar - 1.0) / 2.0)
+    """Largest Hermite index the grid admits at h = grid.hbar: the classical
+    turning point sqrt(h (2 beta + 1)) must stay inside a quarter of the
+    position window 2 L and of the momentum window pi h N / L."""
+    h = grid.hbar
+    reach = min(grid.L / 2.0, math.pi * h * grid.N / (4.0 * grid.L))
+    return int((reach ** 2 / h - 1.0) / 2.0)
+
+
+# the capacity rule, as the refusals state it
+CAPACITY_RULE = "need h(2 beta + 1) <= min(L/2, pi h N/(4L))^2"
 
 
 def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
@@ -74,9 +81,7 @@ def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
     cap = grid_capacity(grid)
     if beta > cap:
         raise GridCapacityError(
-            f"Hermite index {beta} exceeds grid capacity {cap} "
-            f"(need h(2 beta + 1) <= L^2/4)"
-        )
+            f"Hermite index {beta} exceeds grid capacity {cap} ({CAPACITY_RULE})")
     vals = hermite_values(beta, grid.x / math.sqrt(h)) * h ** -0.25
     norm = math.sqrt(float(np.sum(vals ** 2) * grid.dx))
     return vals / norm

@@ -90,7 +90,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -110,7 +110,7 @@ def write_manifest(outdir, command: str, config: dict, outputs,
         "outputs": [str(p) for p in outputs],
     }
     path = Path(outdir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return path
 
 

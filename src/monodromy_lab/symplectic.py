@@ -213,7 +213,7 @@ class SpectralClassification:
             ],
             "rotation_diagonal": [float(v) for v in np.diag(self.F)[: self.dim // 2]],
             "reconstruction_error": self.reconstruction_error,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
 
 def _level_gaps(n: int):

@@ -455,6 +455,25 @@ def test_ladder_counting_slopes(tmp_path):
     assert all(0.75 <= s <= 2.25 for s in summary["slopes"])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_ladder_counting_empty_window_writes_strict_json(tmp_path):
+    # c0 = 1e-6 leaves both windows empty: the slope is nan in the table and
+    # null in the summary, which a parser refusing NaN must read
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "counting", "c0": 1e-6, "h_values": [0.01, 0.001],
+    })
+    out = tmp_path / "out"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "ladder_summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["slopes"] == [None, None]
+    rows = (out / "counting.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:] for row in rows] == [["0", "nan"], ["0", "nan"]]
+
+
 def test_ladder_counting_collision_exits_numeric(tmp_path, capsys):
     # at alpha = 4 pi the values z(k, b) and z(k + 2, b - 1) coincide
     cfg = write_config(tmp_path / "l.json", {"mode": "counting", "alpha": 4.0 * math.pi})
@@ -581,6 +600,23 @@ def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("n, cap", [(64, 0), (128, 4), (256, 19)])
+def test_ladder_residuals_refuse_a_grid_short_in_momentum(tmp_path, capsys, n, cap):
+    # at L = 1, h = 1e-3 the ladder reaches beta = 46; the position window
+    # holds beta <= 124 but the momentum window only cap.  N = 64 and 128
+    # used to certify residuals up to 0.031 and 0.023 at |z| <= 0.016
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "exact", "alpha": 1.0, "h": 1e-3, "c0": 0.5, "residuals": True,
+        "grid": {"L": 1.0, "N": n},
+    })
+    out = tmp_path / "o"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"Hermite index 46 exceeds grid capacity {cap} " in err
+    assert "min(L/2, pi h N/(4L))" in err
+
+
 LADDER_BASE = {
     "exact": {"mode": "exact", "h": 0.01, "c0": 0.1},
     "perturbed": {"mode": "perturbed", "h": 0.001, "c0": 0.1, "lambda0": [0.5, 0.7]},
@@ -699,6 +735,24 @@ def test_geodesic_bad_config_exits_config(tmp_path, doc):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("table, digest", [
+    ("trajectory.csv",
+     "358c9da033ad62eb257a6603598188de2df5474333bd1139f8da7b312ff5cb35"),
+    ("poincare.json",
+     "92fb84c7b8898ae3b22d0887af92b783dc2288c75c4a89587fd6b1d5ae200c64"),
+])
+def test_geodesic_outputs_are_byte_identical(tmp_path, table, digest):
+    # the benchmark's geodesic config: an RK4 stage that changes an operand
+    # or the order of its operations moves trajectory.csv.  poincare.json
+    # goes through numpy's LAPACK as well
+    cfg = write_config(tmp_path / "g.json", {
+        "initial_state": [0.0, 0.01, 0.05, 1.0, 0.0, 0.0], "t_final": 5.0,
+        "step": 1e-4, "stride": 100, "classify_orbits": True,
+    })
+    assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert hashlib.sha256((tmp_path / "o" / table).read_bytes()).hexdigest() == digest
+
+
 def test_geodesic_refused_orbit_step_writes_nothing(tmp_path):
     cfg = write_config(tmp_path / "g.json", {"t_final": 1e-6, "step": 1e-9})
     out = tmp_path / "o"
@@ -808,6 +862,20 @@ def test_unequal_chains_on_one_eigenvalue_classify_and_pass_positivity(tmp_path)
     assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 0
     report = json.loads((out / "positivity.json").read_text())
     assert report["min_ratio"] >= lam * (1.0 - 0.5 * math.cos(math.pi / 4.0)) - 1e-12
+
+
+def test_positivity_refuses_a_map_with_no_hyperbolic_mode(tmp_path, monkeypatch):
+    # a rotation is elliptic: there is nothing to certify, so the input is
+    # refused before any sample is drawn
+    from monodromy_lab import cli
+
+    monkeypatch.setattr(cli, "verify_positivity", None)
+    mfile = tmp_path / "m.json"
+    mfile.write_text('{"dim": 2, "rows": [[0.6, -0.8], [0.8, 0.6]]}')
+    cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile)})
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 3
+    assert not out.exists()
 
 
 def test_positivity_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):

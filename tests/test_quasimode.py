@@ -84,6 +84,14 @@ def test_hermite_eigenrelation_invariant():
         assert resid <= 1e-8
 
 
+def test_grid_capacity_bounds_both_turning_points():
+    # at L = 1, h = 1e-3 the position window admits beta <= 124; below
+    # N = 1024 the momentum window pi h N / L is the tighter one
+    caps = [grid_capacity(PhaseGrid(L=1.0, N=n, hbar=1e-3))
+            for n in (64, 128, 256, 512, 1024)]
+    assert caps == [0, 4, 19, 80, 124]
+
+
 def test_hermite_capacity_refused():
     h = 0.1
     g = PhaseGrid(L=2.0, N=256, hbar=h)

@@ -8,9 +8,19 @@ ladder      eigenvalue ladders (exact, perturbed, or counting sweep)
 geodesic    trajectory plus return-map classification of the warped metric
 positivity  sampled escape-function positivity certificate
 
+Each command validates its input, computes, and returns (config, files,
+note, failure): its output files in order, name -> JSON text or (header,
+rows) for a CSV; extra text for the stdout line; and the message of a
+numeric failure, or None.  `main` runs the rest once for every command: it
+times the run, makes --out only once there is a result, writes the files,
+then manifest.json, prints one "<command>: wrote ..." line, and only then
+reports a numeric failure.  A run refused or failed before its result
+leaves no output directory.
+
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-ambiguous,
-3 config or usage error.  Configs are JSON documents with strict unknown-key
-rejection; positivity, the one command that draws random samples, requires a
+3 config or usage error, a grid that cannot hold the run (GridError)
+included.  Configs are JSON documents with strict unknown-key rejection;
+positivity, the one command that draws random samples, requires a
 non-negative --seed.  An --out that names a file, or lies under one, is
 refused before any work.  Identical config and seed produce byte-identical
 output in every file except manifest.json, which records the wall time.  No
@@ -60,10 +70,6 @@ class ConfigError(ValueError):
     pass
 
 
-class NumericFailure(RuntimeError):
-    pass
-
-
 def _load_config(path, allowed: dict, required=()):
     """Read a JSON config, rejecting unknown keys and checking the type of
     every field; numbers, also inside lists, must be finite and not bool.
@@ -91,14 +97,9 @@ def _load_config(path, allowed: dict, required=()):
             )
         scalar = bool not in types and isinstance(val, (int, float))
         numbers = val if isinstance(val, list) else [val] if scalar else []
-        if not all(map(_is_number, numbers)):
+        if not all(map(serialize.finite_number, numbers)):
             raise ConfigError(f"config key {key!r} must hold finite numbers")
     return doc
-
-
-def _is_number(val) -> bool:
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val))
 
 
 def _grid_from(doc, default_l, default_n, hbar) -> PhaseGrid:
@@ -107,12 +108,9 @@ def _grid_from(doc, default_l, default_n, hbar) -> PhaseGrid:
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     length, n = doc.get("L", default_l), doc.get("N", default_n)
-    if not (_is_number(length) and type(n) is int):
+    if not (serialize.finite_number(length) and type(n) is int):
         raise ConfigError(f"grid needs a number L and an integer N, got {doc}")
-    try:
-        return PhaseGrid(L=float(length), N=n, hbar=hbar)
-    except GridError as exc:
-        raise ConfigError(f"grid: {exc}")
+    return PhaseGrid(L=float(length), N=n, hbar=hbar)
 
 
 def _check_out(path) -> None:
@@ -134,8 +132,7 @@ def _positive(doc, key):
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    started = time.time()
+def cmd_classify(args):
     # the ambiguous band (tol, 10 tol) must stay inside the unit disc
     tol = args.tol_unit
     if not (math.isfinite(tol) and tol > 0.0 and 10.0 * tol < 1.0):
@@ -144,13 +141,7 @@ def cmd_classify(args) -> int:
     config = {"matrix_file": args.matrix_file, "tol_unit": tol}
     mat = serialize.read_matrix(args.matrix_file)
     cls = classify_spectrum(mat, tol_unit=tol)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "classification.json"
-    out.write_text(cls.to_json() + "\n")
-    serialize.write_manifest(outdir, "classify", config, [out], started)
-    print(f"classify: wrote {out}")
-    return EXIT_PASS
+    return config, {"classification.json": cls.to_json()}, "", None
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +158,7 @@ CONTRACT_KEYS = {
 }
 
 
-def cmd_contract(args) -> int:
-    started = time.time()
+def cmd_contract(args):
     doc = _load_config(args.config, CONTRACT_KEYS, required=("h_values",))
     _positive(doc, "lam")
     if "s" in doc and abs(doc["s"]) > 0.5:
@@ -182,26 +172,15 @@ def cmd_contract(args) -> int:
     s = float(doc.get("s", 0.3))
     grid = _grid_from(doc.get("grid"), 16.0, 512, hbar_tilde)
     gap_grid = _grid_from(doc.get("gap_grid"), 48.0, 512, hbar_tilde)
-    try:
-        r, defect, gaps = contraction_sweep(h_values, float(doc.get("lam", 1.0)),
-                                            s, grid, gap_grid)
-    except GridError as exc:  # a grid too small for the microlocal subspace
-        raise ConfigError(f"grid: {exc}")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "contraction.csv"
-    serialize.write_csv(
-        out,
-        ["h", "hbar_tilde", "s", "r", "gap_value", "subspace_rank",
-         "unitarity_defect"],
-        [[h, hbar_tilde, s, r, gap, rank, defect]
-         for h, (gap, rank) in zip(h_values, gaps)],
-    )
-    serialize.write_manifest(outdir, "contract", doc, [out], started)
-    print(f"contract: wrote {out} (r = {r:.6f})")
-    if r >= 1.0 and s != 0.0:
-        raise NumericFailure(f"contraction failed: r = {r:.6f} >= 1")
-    return EXIT_PASS
+    r, defect, gaps = contraction_sweep(h_values, float(doc.get("lam", 1.0)),
+                                        s, grid, gap_grid)
+    table = (["h", "hbar_tilde", "s", "r", "gap_value", "subspace_rank",
+              "unitarity_defect"],
+             [[h, hbar_tilde, s, r, gap, rank, defect]
+              for h, (gap, rank) in zip(h_values, gaps)])
+    failure = (f"contraction failed: r = {r:.6f} >= 1"
+               if r >= 1.0 and s != 0.0 else None)
+    return doc, {"contraction.csv": table}, f"r = {r:.6f}", failure
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +210,7 @@ LADDER_MODE_KEYS = {
 }
 
 
-def cmd_ladder(args) -> int:
-    started = time.time()
+def cmd_ladder(args):
     doc = _load_config(args.config, LADDER_KEYS, required=("mode",))
     mode = doc["mode"]
     if mode not in LADDER_MODE_KEYS:
@@ -278,7 +256,8 @@ def cmd_ladder(args) -> int:
         ks, betas, zs, residuals = (c.tolist() for c in (
             ladder.k, ladder.beta, ladder.z, ladder.residual))
         if doc.get("residuals", False):
-            top = int(ladder.beta[:, 0].max(initial=0))
+            # an empty window certifies nothing, so it passes any grid
+            top = int(ladder.beta[:, 0].max(initial=-1))
             cap = grid_capacity(grid)
             if top > cap:  # refused before any entry is certified
                 raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
@@ -292,17 +271,9 @@ def cmd_ladder(args) -> int:
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
 
-    # create the output directory only once there is a result to write
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / name
-    serialize.write_csv(out, header, rows)
-    summary_path = outdir / "ladder_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-    outputs = [out, summary_path]
-    serialize.write_manifest(outdir, "ladder", doc, outputs, started)
-    print(f"ladder[{mode}]: wrote {', '.join(str(o) for o in outputs)}")
-    return EXIT_PASS
+    files = {name: (header, rows),
+             "ladder_summary.json": json.dumps(summary, indent=2, allow_nan=False)}
+    return doc, files, f"mode = {mode}", None
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +290,7 @@ GEODESIC_KEYS = {
 }
 
 
-def cmd_geodesic(args) -> int:
-    started = time.time()
+def cmd_geodesic(args):
     doc = _load_config(args.config, GEODESIC_KEYS)
     for key in ("t_final", "step", "stride"):
         _positive(doc, key)
@@ -347,35 +317,15 @@ def cmd_geodesic(args) -> int:
         raise ConfigError(f"start has non-finite energy {energy0}")
     t_final = float(doc.get("t_final", 1.0))
     traj, _ = geo.integrate(state0, t_final, step=step, stride=stride)
-    # classify before writing anything: a step the base orbits refuse
-    # leaves no partial output behind
-    classify = doc.get("classify_orbits", True)
-    reports = ([geo.poincare_linearization(z0, step=step) for z0 in (0.0, 0.5, -0.5)]
-               if classify else [])
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "trajectory.csv"
-    serialize.write_csv(
-        out,
+    files = {"trajectory.csv": (
         ["t", "x", "y", "z", "vx", "vy", "vz", "energy"],
-        [[t] + list(row) + [e]
-         for t, row, e in zip(traj.t, traj.states, traj.energy)],
-    )
-    outputs = [out]
-    if classify:
-        rep_path = outdir / "poincare.json"
-        rep_path.write_text(
-            "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
-        )
-        outputs.append(rep_path)
-
-    serialize.write_manifest(outdir, "geodesic", doc, outputs, started)
-    print(f"geodesic: wrote {', '.join(str(o) for o in outputs)} "
-          f"(energy drift {traj.energy_drift:.3e})")
-    if traj.truncated:
-        raise NumericFailure("trajectory left the domain (|y| or |z| > 10)")
-    return EXIT_PASS
+        [[t] + list(row) + [e] for t, row, e in zip(traj.t, traj.states, traj.energy)],
+    )}
+    if doc.get("classify_orbits", True):
+        reports = [geo.poincare_linearization(z0, step=step) for z0 in (0.0, 0.5, -0.5)]
+        files["poincare.json"] = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]"
+    failure = "trajectory left the domain (|y| or |z| > 10)" if traj.truncated else None
+    return doc, files, f"energy drift {traj.energy_drift:.3e}", failure
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +342,7 @@ POSITIVITY_KEYS = {
 MAX_SAMPLES = 10 ** 8
 
 
-def cmd_positivity(args) -> int:
-    started = time.time()
+def cmd_positivity(args):
     doc = _load_config(args.config, POSITIVITY_KEYS)
     if args.seed is None:
         raise ConfigError("positivity sampling requires --seed")
@@ -420,18 +369,10 @@ def cmd_positivity(args) -> int:
     rng = np.random.default_rng(args.seed)
     report = verify_positivity(gen, samples=samples,
                                radius=float(doc.get("radius", 10.0)), rng=rng)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "positivity.json"
-    out.write_text(report.to_json() + "\n")
-    serialize.write_manifest(outdir, "positivity", doc, [out], started)
-    print(f"positivity: wrote {out} (min_ratio = {report.min_ratio:.6g})")
-    if report.min_ratio <= 0.0:
-        raise NumericFailure(
-            f"positivity failed: min_ratio = {report.min_ratio:.6g} at "
-            f"{report.argmin_point}"
-        )
-    return EXIT_PASS
+    failure = (f"positivity failed: min_ratio = {report.min_ratio:.6g} at "
+               f"{report.argmin_point}" if report.min_ratio <= 0.0 else None)
+    return (doc, {"positivity.json": report.to_json()},
+            f"min_ratio = {report.min_ratio:.6g}", failure)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +418,34 @@ def main(argv=None) -> int:
         if exc.code in (0, None):
             raise
         return EXIT_CONFIG
+    started = time.time()
     try:
         _check_out(args.out)
-        return args.func(args)
-    except (ConfigError, geo.StepLimitError, LadderSizeError,
+        config, files, note, failure = args.func(args)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        outputs = []
+        for name, body in files.items():
+            path = outdir / name
+            if isinstance(body, str):  # JSON text
+                path.write_text(body + "\n")
+            else:  # (header, rows)
+                serialize.write_csv(path, *body)
+            outputs.append(path)
+        serialize.write_manifest(outdir, args.command, config, outputs, started)
+        print(f"{args.command}: wrote {', '.join(map(str, outputs))}"
+              + (f" ({note})" if note else ""))
+        if failure is not None:
+            print(f"numeric failure: {failure}", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_PASS
+    except (ConfigError, GridError, geo.StepLimitError, LadderSizeError,
             serialize.MatrixFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ClassificationAmbiguousError as exc:
         print(f"classification ambiguous: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (SymplecticError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -58,10 +58,11 @@ def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
 def grid_capacity(grid: PhaseGrid) -> int:
     """Largest Hermite index the grid admits at h = grid.hbar: the classical
     turning point sqrt(h (2 beta + 1)) must stay inside a quarter of the
-    position window 2 L and of the momentum window pi h N / L."""
+    position window 2 L and of the momentum window pi h N / L; -1 when not
+    even beta = 0 fits."""
     h = grid.hbar
     reach = min(grid.L / 2.0, math.pi * h * grid.N / (4.0 * grid.L))
-    return int((reach ** 2 / h - 1.0) / 2.0)
+    return math.floor((reach ** 2 / h - 1.0) / 2.0)
 
 
 # the capacity rule, as the refusals state it

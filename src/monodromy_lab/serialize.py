@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
+import sys
 import time
 from pathlib import Path
 
@@ -28,6 +28,12 @@ def matrix_to_json_text(mat: np.ndarray) -> str:
         "[" + ", ".join(fmt(v) for v in row) + "]" for row in mat
     )
     return '{\n  "dim": %d,\n  "rows": [\n    %s\n  ]\n}\n' % (mat.shape[0], rows)
+
+
+def finite_number(val) -> bool:
+    """A JSON number that is a finite double: not a bool, NaN or infinity,
+    nor an integer too large to convert to a float."""
+    return type(val) in (int, float) and abs(val) <= sys.float_info.max
 
 
 class MatrixFileError(ValueError):
@@ -54,7 +60,7 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise MatrixFileError("matrix rows must form a square array")
     if len(rows) != dim:
         raise MatrixFileError(f"dim field {dim} does not match rows {len(rows)}")
-    if not all(type(v) in (int, float) and math.isfinite(v) for r in rows for v in r):
+    if not all(finite_number(v) for r in rows for v in r):
         raise MatrixFileError("matrix entries must be finite numbers")
     return np.array(rows, dtype=float)
 

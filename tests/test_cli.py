@@ -65,6 +65,8 @@ MALFORMED_MATRICES = {
     "odd_dim": '{"dim": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
     "zero_dim": '{"dim": 0, "rows": []}',
     "negative_dim": '{"dim": -2, "rows": [[1, 0], [0, 1]]}',
+    # an integer past the double range used to stop float conversion (exit 1)
+    "int_past_double_entry": '{"dim": 2, "rows": [[1%s, 0], [0, 1]]}' % ("0" * 400),
 }
 
 
@@ -139,6 +141,42 @@ def test_out_naming_a_file_exits_config_before_work(tmp_path, capsys, command, b
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: --out") and captured.err.count("\n") == 1
+
+
+PROTOCOL_RUNS = {
+    "classify": None,
+    **VALID_CONFIGS,
+    "positivity": {"rates": [1.0], "samples": 1000},  # not ten million
+    "ladder_exact": {"mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
+                     "grid": {"L": 1.5, "N": 64}},
+    "ladder_perturbed": {"mode": "perturbed", "h": 0.001, "c0": 0.1,
+                         "lambda0": [0.5, 0.7]},
+    "geodesic_poincare": {"t_final": 0.01, "step": 1e-3},
+}
+
+
+@pytest.mark.parametrize("run_id", PROTOCOL_RUNS)
+def test_manifest_lists_every_output_and_stdout_is_one_line(tmp_path, capsys, run_id):
+    command, doc = run_id.split("_")[0], PROTOCOL_RUNS[run_id]
+    out = tmp_path / "out"
+    if command == "classify":
+        mfile = tmp_path / "m.json"
+        write_matrix(mfile, np.diag([math.e, 1.0 / math.e]))
+        argv = ["classify", mfile, "--out", out]
+    else:
+        argv = [command, "--config", write_config(tmp_path / "c.json", doc), "--out", out]
+        if command == "positivity":
+            argv += ["--seed", 1]
+    assert run(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(manifest["outputs"]) == written and len(written) == len(set(written))
+    stdout = capsys.readouterr().out
+    assert stdout.count("\n") == 1
+    assert stdout.startswith(f"{command}: wrote {', '.join(manifest['outputs'])}")
+    if command == "ladder":
+        assert stdout.endswith(f" (mode = {doc['mode']})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +418,12 @@ def test_manifest_reads_package_version_once(tmp_path, monkeypatch):
     # the gap basis width L/4, or hbar_tilde, squares to zero
     {"h_values": [0.1], "gap_grid": {"L": 1e-306, "N": 512}},
     {"h_values": [1e-200], "hbar_tilde": 1e-200},
+    # an integer past the double range used to stop float conversion (exit 1)
+    {"h_values": [0.01], "lam": 10 ** 400},
 ], ids=["odd_N", "non_numeric_h", "fractional_N", "nan_h", "bool_lam", "oversized_N",
         "hbar_tilde_above_one", "h_above_hbar_tilde", "weight_above_half",
         "subnormal_h", "overflowing_grid", "overflowing_gap_grid",
-        "underflowing_gap_grid", "underflowing_hbar_tilde"])
+        "underflowing_gap_grid", "underflowing_hbar_tilde", "int_past_double_lam"])
 def test_contract_bad_config_exits_config(tmp_path, doc):
     cfg = write_config(tmp_path / "c.json", doc)
     started = time.perf_counter()
@@ -576,12 +616,14 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     # the grid span overflows the Hermite capacity L^2 / 4h
     {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e154, "N": 512}},
     {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e200, "N": 512}},
+    # an integer past the double range used to stop float conversion (exit 1)
+    {"mode": "exact", "h": 1e-3, "c0": 10 ** 400},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
         "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0",
         "infinite_k_window_exact", "infinite_k_window_perturbed",
         "infinite_k_window_counting", "overflowing_grid_capacity",
-        "overflowing_grid_square"])
+        "overflowing_grid_square", "int_past_double_c0"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -615,6 +657,44 @@ def test_ladder_residuals_refuse_a_grid_short_in_momentum(tmp_path, capsys, n, c
     err = capsys.readouterr().err
     assert f"Hermite index 46 exceeds grid capacity {cap} " in err
     assert "min(L/2, pi h N/(4L))" in err
+
+
+def test_ladder_residuals_refuse_a_grid_short_of_the_lowest_mode(tmp_path, capsys):
+    # both windows of this grid are narrower than the beta = 0 turning point
+    # sqrt(h): the capacity is -1, not 0.  Rounded up to 0 it certified
+    # residual 5.6e-3 for z = 5e-4
+    doc = {"mode": "exact", "h": 1e-3, "c0": 0.02, "residuals": True,
+           "grid": {"L": 0.01, "N": 64}}
+    out = tmp_path / "o"
+    assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
+                "--out", out]) == 3
+    assert not out.exists()
+    assert "Hermite index 0 exceeds grid capacity -1 " in capsys.readouterr().err
+    # an empty window certifies nothing, so the same grid passes it
+    doc["c0"] = 1e-6
+    assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
+                "--out", out]) == 0
+    assert (out / "ladder_exact.csv").read_text() == "k,beta_1,z,residual\n"
+
+
+def test_grid_error_exits_config(tmp_path, capsys, monkeypatch):
+    # a grid that cannot hold the run is a config error wherever it shows,
+    # here inside the residual quantization, and nothing is written
+    from monodromy_lab import cli
+    from monodromy_lab.weyl import GridError
+
+    def refuse(*args):
+        raise GridError("symbol evaluated to a non-finite value on the grid")
+
+    monkeypatch.setattr(cli, "residual_certify", refuse)
+    cfg = write_config(tmp_path / "l.json", {
+        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
+        "grid": {"L": 1.5, "N": 64}})
+    out = tmp_path / "o"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == ("config error: symbol evaluated to a "
+                                      "non-finite value on the grid\n")
 
 
 LADDER_BASE = {
@@ -698,13 +778,22 @@ def test_geodesic_hessian_disagreement_exits_numeric(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_geodesic_blowup_exit(tmp_path):
+def test_geodesic_blowup_exit(tmp_path, capsys):
     cfg = write_config(tmp_path / "g.json", {
         "initial_state": [0.0, 2.5, 0.0, 3.0, 4.0, 0.0],
         "t_final": 50.0, "step": 1e-3, "stride": 100,
         "classify_orbits": False,
     })
-    assert run(["geodesic", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    out = tmp_path / "o"
+    assert run(["geodesic", "--config", cfg, "--out", out]) == 1
+    # the truncated trajectory and the manifest are written before the
+    # failure is reported
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "trajectory.csv")]
+    assert len((out / "trajectory.csv").read_text().splitlines()) > 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("geodesic: wrote ") and captured.out.count("\n") == 1
+    assert captured.err == "numeric failure: trajectory left the domain (|y| or |z| > 10)\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -888,10 +977,15 @@ def test_positivity_failure_prints_plain_floats(tmp_path, capsys, monkeypatch):
     mfile = tmp_path / "m.json"
     write_matrix(mfile, jordan_map(0.2))
     cfg = write_config(tmp_path / "p.json", {"matrix_file": str(mfile), "samples": 2000})
-    assert run(["positivity", "--config", cfg, "--out", tmp_path / "out", "--seed", 1]) == 1
+    out = tmp_path / "out"
+    assert run(["positivity", "--config", cfg, "--out", out, "--seed", 1]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: positivity failed: min_ratio = -0.")
     assert "np.float64" not in err
+    # the failing report and the manifest are written before the failure
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "positivity.json")]
+    assert json.loads((out / "positivity.json").read_text())["min_ratio"] < 0.0
 
 
 def test_positivity_overflow_exits_numeric(tmp_path):

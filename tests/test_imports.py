@@ -2,9 +2,10 @@
 no function imports from a sibling module, every definition is reachable
 from the CLI, every method of a reached class and every dataclass field is
 read somewhere in the package, every default is passed by some call in the
-package or the benchmark, every parameter is read by its function, and no
-module imports scipy.linalg, which no command then loads, nor
-scipy.sparse.linalg outside a function."""
+package or the benchmark, every parameter is read by its function, only
+cli.main makes the output directory and writes the manifest, and no module
+imports scipy.linalg, which no command then loads, nor scipy.sparse.linalg
+outside a function."""
 
 import ast
 import json
@@ -372,6 +373,51 @@ def test_unread_parameter_scanner():
 def test_every_parameter_is_read():
     assert sorted(unread_parameters({p.stem: p.read_text() for p in MODULES})) == [], \
         "parameters their function never reads; delete them"
+
+
+# ---------------------------------------------------------------------------
+# one run lifecycle: commands return their outputs, and only cli.main makes
+# the output directory and writes the manifest
+# ---------------------------------------------------------------------------
+
+LIFECYCLE_CALLS = ("mkdir", "write_manifest")
+
+
+def call_sites(sources: dict, names) -> dict:
+    """name -> {(module, innermost enclosing def, or "<module>")} of every
+    call of that name, bare (f(...)) or as an attribute (obj.f(...))."""
+    sites = {name: set() for name in names}
+    for mod, source in sources.items():
+        def visit(node, owner, mod=mod):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in sites:
+                    sites[name].add((mod, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_call_site_scanner():
+    sources = {
+        "cli": "def main(out):\n    out.mkdir()\n    serialize.write_manifest(out)\n",
+        "a": "import os\nos.mkdir('x')\n"
+             "def f(p):\n    def g():\n        write_manifest(p)\n    return g\n"
+             "class C:\n    def m(self, p):\n        return p.mkdir(parents=True)\n",
+    }
+    assert call_sites(sources, LIFECYCLE_CALLS) == {
+        "mkdir": {("cli", "main"), ("a", "<module>"), ("a", "m")},
+        "write_manifest": {("cli", "main"), ("a", "g")},
+    }
+
+
+def test_only_cli_main_makes_the_output_directory_and_writes_the_manifest():
+    sites = call_sites({p.stem: p.read_text() for p in MODULES}, LIFECYCLE_CALLS)
+    assert sites == {name: {("cli", "main")} for name in LIFECYCLE_CALLS}
 
 
 # ---------------------------------------------------------------------------

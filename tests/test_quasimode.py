@@ -92,6 +92,15 @@ def test_grid_capacity_bounds_both_turning_points():
     assert caps == [0, 4, 19, 80, 124]
 
 
+def test_grid_capacity_is_negative_when_no_mode_fits():
+    # both windows are narrower than the beta = 0 turning point sqrt(h), so
+    # (reach^2 / h - 1) / 2 = -0.4875 rounds down to -1 and beta = 0 is refused
+    g = PhaseGrid(L=0.01, N=64, hbar=1e-3)
+    assert grid_capacity(g) == -1
+    with pytest.raises(GridCapacityError, match="capacity -1 "):
+        hermite_mode(0, g)
+
+
 def test_hermite_capacity_refused():
     h = 0.1
     g = PhaseGrid(L=2.0, N=256, hbar=h)

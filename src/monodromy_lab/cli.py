@@ -18,14 +18,14 @@ reports a numeric failure.  A run refused or failed before its result
 leaves no output directory.
 
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-ambiguous,
-3 config or usage error, a grid that cannot hold the run (GridError)
-included.  Configs are JSON documents with strict unknown-key rejection;
-positivity, the one command that draws random samples, requires a
-non-negative --seed.  An --out that names a file, or lies under one, is
-refused before any work.  Identical config and seed produce byte-identical
-output in every file except manifest.json, which records the wall time.  No
-command loads scipy.linalg: classify and geodesic take their few small
-matrix exponentials in numpy.
+3 config or usage error, a grid that cannot hold the run included: a
+GridError, or a ladder with a certified residual past RESIDUAL_TOL.  Configs
+are JSON documents with strict unknown-key rejection; positivity, the one
+command that draws random samples, requires a non-negative --seed.  An --out
+that names a file, or lies under one, is refused before any work.  Identical
+config and seed produce byte-identical output in every file except
+manifest.json, which records the wall time.  No command loads scipy.linalg:
+classify and geodesic take their few small matrix exponentials in numpy.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ from . import serialize
 from .escape import verify_positivity
 from .monodromy import contraction_sweep
 from .quasimode import (
-    CAPACITY_RULE,
+    RESIDUAL_TOL,
     LadderSizeError,
     exact_model_ladder,
-    grid_capacity,
     perturbed_ladder,
     residual_certify,
 )
@@ -256,14 +255,14 @@ def cmd_ladder(args):
         ks, betas, zs, residuals = (c.tolist() for c in (
             ladder.k, ladder.beta, ladder.z, ladder.residual))
         if doc.get("residuals", False):
-            # an empty window certifies nothing, so it passes any grid
-            top = int(ladder.beta[:, 0].max(initial=-1))
-            cap = grid_capacity(grid)
-            if top > cap:  # refused before any entry is certified
-                raise ConfigError(f"grid: Hermite index {top} exceeds grid capacity "
-                                  f"{cap} ({CAPACITY_RULE})")
             residuals = [residual_certify(k, beta[0], z, alpha, grid)
                          for k, beta, z in zip(ks, betas, zs)]
+            worst = np.array(residuals + [0.0])  # an empty window passes any grid
+            i = int(np.argmax(worst))  # the largest residual, or the first nan
+            if not worst[i] <= RESIDUAL_TOL:
+                raise ConfigError(f"grid: certified residual {worst[i]:.3g} at (k, beta)"
+                                  f" = ({ks[i]}, {betas[i][0]}) exceeds RESIDUAL_TOL"
+                                  f" = {RESIDUAL_TOL:g}")
         name = f"ladder_{mode}.csv"
         header = (["k"] + [f"beta_{j + 1}" for j in range(ladder.beta.shape[1])]
                   + ["z", "residual"])

@@ -15,7 +15,8 @@ Known defect: the perturbed beta lattice is capped from the window at k = 0
 alone, so for k < 0 it drops window points past the cap (ROADMAP item 1
 moves the benchmark pin with the fix).  Ladder entries are certified by the
 residual of their quasimode on the transverse grid, whose hbar is h: the
-time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.
+time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.  Certify,
+then refuse: the grid holds the ladder when every residual is <= RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monodromy import hermite_rows, rotation_generator
-from .weyl import PhaseGrid
+from .weyl import GridError, PhaseGrid
 
 # lattice points one ladder enumeration may visit; checked before the
 # enumeration starts
@@ -42,49 +43,23 @@ class LadderSizeError(LadderError):
     """The (k, beta) lattice points exceed MAX_LATTICE_POINTS."""
 
 
-class GridCapacityError(ValueError):
-    """Hermite index not resolvable on the grid."""
-
-
 # ---------------------------------------------------------------------------
 # Hermite modes
 # ---------------------------------------------------------------------------
 
-def hermite_values(beta: int, y: np.ndarray) -> np.ndarray:
-    """The Hermite function phi_beta(y), row beta of hermite_rows(y)."""
-    return next(itertools.islice(hermite_rows(y), beta, None))
-
-
-def grid_capacity(grid: PhaseGrid) -> int:
-    """Largest Hermite index the grid admits at h = grid.hbar: the classical
-    turning point sqrt(h (2 beta + 1)) must stay inside a quarter of the
-    position window 2 L and of the momentum window pi h N / L; -1 when not
-    even beta = 0 fits."""
-    h = grid.hbar
-    reach = min(grid.L / 2.0, math.pi * h * grid.N / (4.0 * grid.L))
-    return math.floor((reach ** 2 / h - 1.0) / 2.0)
-
-
-# the capacity rule, as the refusals state it
-CAPACITY_RULE = "need h(2 beta + 1) <= min(L/2, pi h N/(4L))^2"
-
-
 def hermite_mode(beta: int, grid: PhaseGrid) -> np.ndarray:
     """Sampled Hermite mode h^(-1/4) H_beta(x / sqrt(h)) e^(-x^2 / 2h) at
     h = grid.hbar as a real float64 vector, renormalized to unit L2 norm on
-    the grid.
-
-    Refused when beta exceeds the grid capacity.
-    """
+    the grid.  Any beta is sampled, since its certified residual judges the
+    grid; a mode the grid samples as zero is refused with GridError."""
     if beta < 0:
         raise ValueError("Hermite indices must be nonnegative")
     h = grid.hbar
-    cap = grid_capacity(grid)
-    if beta > cap:
-        raise GridCapacityError(
-            f"Hermite index {beta} exceeds grid capacity {cap} ({CAPACITY_RULE})")
-    vals = hermite_values(beta, grid.x / math.sqrt(h)) * h ** -0.25
+    vals = next(itertools.islice(hermite_rows(grid.x / math.sqrt(h)), beta, None))
+    vals = vals * h ** -0.25
     norm = math.sqrt(float(np.sum(vals ** 2) * grid.dx))
+    if not norm > 0:
+        raise GridError(f"the grid samples Hermite mode {beta} as zero")
     return vals / norm
 
 
@@ -211,6 +186,10 @@ def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeL
 # ---------------------------------------------------------------------------
 # Residual certification on the transverse grid
 # ---------------------------------------------------------------------------
+
+# the largest residual a certified ladder entry may have, on any grid
+RESIDUAL_TOL = 1e-8
+
 
 def residual_certify(k: int, beta: int, z: float, alpha: float,
                      grid: PhaseGrid) -> float:

@@ -604,7 +604,7 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "counting", "c0": 0.1, "h_values": [0.0]},
     {"mode": "counting", "c0": 0.1, "h_values": [1e-2, -0.1]},
     {"mode": "counting", "c0": 0.1, "h_values": []},
-    # the window reaches beta = 8, past the capacity 0 of this grid at h
+    # the window reaches beta = 8, whose certified residual on this grid is 5.1
     {"mode": "exact", "h": 0.1, "c0": 1.0, "residuals": True,
      "grid": {"L": 1.0, "N": 64}},
     # the beta window of a subnormal rate is infinite
@@ -613,17 +613,21 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     {"mode": "exact", "h": 1e-3, "c0": 1e308},
     {"mode": "perturbed", "h": 1e-3, "c0": 1e308, "lambda0": [0.5]},
     {"mode": "counting", "c0": 1e308, "h_values": [1e-3]},
-    # the grid span overflows the Hermite capacity L^2 / 4h
+    # the grid span L^2 / h overflows, and with it x / sqrt(h)
     {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e154, "N": 512}},
     {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e200, "N": 512}},
     # an integer past the double range used to stop float conversion (exit 1)
     {"mode": "exact", "h": 1e-3, "c0": 10 ** 400},
+    # x / sqrt(h) steps by 50: the odd beta = 1 mode samples as zero, and its
+    # zero norm would give a nan residual
+    {"mode": "exact", "h": 1e-4, "c0": 0.02, "residuals": True,
+     "grid": {"L": 16.0, "N": 64}},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
-        "counting_no_h", "residual_beta_past_grid_capacity", "subnormal_lambda0",
+        "counting_no_h", "residual_beta_past_grid_resolution", "subnormal_lambda0",
         "infinite_k_window_exact", "infinite_k_window_perturbed",
-        "infinite_k_window_counting", "overflowing_grid_capacity",
-        "overflowing_grid_square", "int_past_double_c0"])
+        "infinite_k_window_counting", "overflowing_grid_span",
+        "overflowing_grid_square", "int_past_double_c0", "mode_sampled_as_zero"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -642,34 +646,47 @@ def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("n, cap", [(64, 0), (128, 4), (256, 19)])
-def test_ladder_residuals_refuse_a_grid_short_in_momentum(tmp_path, capsys, n, cap):
-    # at L = 1, h = 1e-3 the ladder reaches beta = 46; the position window
-    # holds beta <= 124 but the momentum window only cap.  N = 64 and 128
-    # used to certify residuals up to 0.031 and 0.023 at |z| <= 0.016
+@pytest.mark.parametrize("grid, alpha, c0, worst", [
+    # at L = 1, h = 1e-3 the c0 = 0.5 ladder reaches beta = 46: N = 64 and
+    # 128 cannot resolve it, N = 256 certifies all 174 entries to <= 6.7e-12
+    ({"L": 1.0, "N": 64}, 1.0, 0.5, "0.0312 at (k, beta) = (-5, 46)"),
+    ({"L": 1.0, "N": 128}, 1.0, 0.5, "0.0227 at (k, beta) = (-5, 45)"),
+    ({"L": 1.0, "N": 256}, 1.0, 0.5, None),
+    # grids that hold the window's turning points yet not its modes to 1e-8
+    ({"L": 1.0, "N": 64}, 1.0, 0.02, "3.36e-06 at (k, beta) = (0, 0)"),
+    ({"L": 0.2, "N": 512}, 0.5, 0.08, "1.34e-07 at (k, beta) = (0, 3)"),
+], ids=["n64", "n128", "n256_certified", "n64_lowest_modes", "narrow_window"])
+def test_ladder_residuals_certify_then_refuse(tmp_path, capsys, grid, alpha, c0,
+                                              worst):
+    # a residual ladder is refused, with nothing written, exactly when its
+    # worst certified residual exceeds RESIDUAL_TOL = 1e-8
     cfg = write_config(tmp_path / "l.json", {
-        "mode": "exact", "alpha": 1.0, "h": 1e-3, "c0": 0.5, "residuals": True,
-        "grid": {"L": 1.0, "N": n},
+        "mode": "exact", "alpha": alpha, "h": 1e-3, "c0": c0, "residuals": True,
+        "grid": grid,
     })
     out = tmp_path / "o"
+    if worst is None:
+        assert run(["ladder", "--config", cfg, "--out", out]) == 0
+        rows = (out / "ladder_exact.csv").read_text().splitlines()[1:]
+        assert len(rows) == 174
+        assert all(float(row.split(",")[-1]) <= 1e-8 for row in rows)
+        return
     assert run(["ladder", "--config", cfg, "--out", out]) == 3
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert f"Hermite index 46 exceeds grid capacity {cap} " in err
-    assert "min(L/2, pi h N/(4L))" in err
+    assert capsys.readouterr().err == (f"config error: grid: certified residual {worst} "
+                                      "exceeds RESIDUAL_TOL = 1e-08\n")
 
 
 def test_ladder_residuals_refuse_a_grid_short_of_the_lowest_mode(tmp_path, capsys):
     # both windows of this grid are narrower than the beta = 0 turning point
-    # sqrt(h): the capacity is -1, not 0.  Rounded up to 0 it certified
-    # residual 5.6e-3 for z = 5e-4
+    # sqrt(h), and the beta = 0 entry certifies to 5.6e-3
     doc = {"mode": "exact", "h": 1e-3, "c0": 0.02, "residuals": True,
            "grid": {"L": 0.01, "N": 64}}
     out = tmp_path / "o"
     assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
                 "--out", out]) == 3
     assert not out.exists()
-    assert "Hermite index 0 exceeds grid capacity -1 " in capsys.readouterr().err
+    assert "certified residual 0.00558 at (k, beta) = (0, 0) " in capsys.readouterr().err
     # an empty window certifies nothing, so the same grid passes it
     doc["c0"] = 1e-6
     assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),

@@ -17,7 +17,7 @@ from monodromy_lab.monodromy import (
     unconjugated_gap,
     unitarity_defect,
 )
-from monodromy_lab.quasimode import hermite_mode, hermite_values
+from monodromy_lab.quasimode import hermite_mode
 from monodromy_lab.weyl import (
     GridError,
     PhaseGrid,
@@ -74,6 +74,17 @@ def test_escape_weight_is_real_symmetric_quantization():
 def test_hyperbolic_monodromy_zero_rate_is_identity():
     m = build_hyperbolic_monodromy(0.0, GRID)
     assert np.abs(m - np.eye(GRID.N)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam, length, n", [(0.5, 16.0, 512), (1.0, 48.0, 512),
+                                            (2.0, 16.0, 1024)])
+def test_hyperbolic_monodromy_vacuum_amplitude(lam, length, n):
+    # the metaplectic squeeze exp(-i lam (x xi)^w / hbar) keeps
+    # <phi_0|M|phi_0> = (cosh lam)^(-1/2) on the Gaussian ground state
+    grid = PhaseGrid(L=length, N=n, hbar=HT)
+    v = hermite_mode(0, grid)
+    amp = v @ build_hyperbolic_monodromy(lam, grid) @ v * grid.dx
+    assert abs(amp - math.cosh(lam) ** -0.5) <= 1e-12
 
 
 def test_hyperbolic_variance_growth():
@@ -287,8 +298,6 @@ def test_hermite_rows_match_two_row_recurrence_bitwise():
     for beta, row in zip(range(81), hermite_rows(y)):
         expected = two_row_hermite(beta, y)
         assert np.array_equal(row.view(np.int64), expected.view(np.int64)), beta
-        assert np.array_equal(hermite_values(beta, y).view(np.int64),
-                              expected.view(np.int64)), beta
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monodromy_lab.quasimode import (
-    GridCapacityError,
     LadderError,
     LadderSizeError,
     QuasimodeLadder,
     exact_model_ladder,
-    grid_capacity,
     hermite_mode,
     k_window,
     perturbed_ladder,
     residual_certify,
 )
-from monodromy_lab.weyl import PhaseGrid, quantize
+from monodromy_lab.weyl import GridError, PhaseGrid, quantize
 
 GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
 
@@ -84,29 +82,13 @@ def test_hermite_eigenrelation_invariant():
         assert resid <= 1e-8
 
 
-def test_grid_capacity_bounds_both_turning_points():
-    # at L = 1, h = 1e-3 the position window admits beta <= 124; below
-    # N = 1024 the momentum window pi h N / L is the tighter one
-    caps = [grid_capacity(PhaseGrid(L=1.0, N=n, hbar=1e-3))
-            for n in (64, 128, 256, 512, 1024)]
-    assert caps == [0, 4, 19, 80, 124]
-
-
-def test_grid_capacity_is_negative_when_no_mode_fits():
-    # both windows are narrower than the beta = 0 turning point sqrt(h), so
-    # (reach^2 / h - 1) / 2 = -0.4875 rounds down to -1 and beta = 0 is refused
-    g = PhaseGrid(L=0.01, N=64, hbar=1e-3)
-    assert grid_capacity(g) == -1
-    with pytest.raises(GridCapacityError, match="capacity -1 "):
-        hermite_mode(0, g)
-
-
-def test_hermite_capacity_refused():
-    h = 0.1
-    g = PhaseGrid(L=2.0, N=256, hbar=h)
-    cap = grid_capacity(g)
-    with pytest.raises(GridCapacityError, match="capacity"):
-        hermite_mode(cap + 1, g)
+def test_hermite_mode_refuses_a_mode_sampled_as_zero():
+    # x / sqrt(h) steps by 50: the odd mode is 0 at x = 0 and underflows at
+    # every other sample, so it has no norm to divide by
+    g = PhaseGrid(L=16.0, N=64, hbar=1e-4)
+    assert grid_norm(g, hermite_mode(0, g)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(GridError, match="samples Hermite mode 1 as zero"):
+        hermite_mode(1, g)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +333,12 @@ def test_residual_needs_no_time_grid():
 
 
 def test_residual_capacity_refused():
+    # the beta = 50 turning point sqrt(101 h) = 0.32 lies past L: the mode
+    # is sampled all the same, and its residual, past RESIDUAL_TOL = 1e-8,
+    # is what refuses the grid
     alpha, h = 1.0, 1e-3
     small = PhaseGrid(L=0.1, N=128, hbar=h)
-    with pytest.raises(GridCapacityError):
-        residual_certify(0, 50, 0.5 * alpha * 101 * h, alpha, small)
+    assert residual_certify(0, 50, 0.5 * alpha * 101 * h, alpha, small) > 1e-8
 
 
 def complex_rotation_generator(alpha, grid):

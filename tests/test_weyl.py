@@ -50,7 +50,7 @@ def test_grid_validation():
         PhaseGrid(L=10.0, N=255, hbar=0.1)
     with pytest.raises(GridError):
         PhaseGrid(L=-1.0, N=256, hbar=0.1)
-    # L * L / hbar overflows, so x and the Hermite capacity would too
+    # L * L / hbar overflows, so x and hermite_mode's x / sqrt(hbar) would too
     with pytest.raises(GridError, match="grid span overflows"):
         PhaseGrid(L=1e154, N=512, hbar=1e-3)
 

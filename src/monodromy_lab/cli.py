@@ -19,7 +19,8 @@ leaves no output directory.
 
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-ambiguous,
 3 config or usage error, a grid that cannot hold the run included: a
-GridError, or a ladder with a certified residual past RESIDUAL_TOL.  Configs
+GridError, or a ladder with a certified residual past RESIDUAL_TOL, on the
+grid given or else on the one quasimode.ladder_grid sizes from it.  Configs
 are JSON documents with strict unknown-key rejection; positivity, the one
 command that draws random samples, requires a non-negative --seed.  An --out
 that names a file, or lies under one, is refused before any work.  Identical
@@ -48,6 +49,7 @@ from .quasimode import (
     RESIDUAL_TOL,
     LadderSizeError,
     exact_model_ladder,
+    ladder_grid,
     perturbed_ladder,
     residual_certify,
 )
@@ -240,8 +242,8 @@ def cmd_ladder(args):
     else:
         h = float(doc.get("h", 1e-3))
         if mode == "exact":
-            # a malformed grid is refused whether or not residuals read it
-            grid = _grid_from(doc.get("grid"), 1.0, 512, h)
+            # a given grid is checked even if no residual reads it, and wins
+            grid = _grid_from(doc["grid"], 1.0, 512, h) if "grid" in doc else None
             ladder = exact_model_ladder(alpha, h, m_exp, c0)
         else:
             lam0 = [float(v) for v in doc.get("lambda0", [alpha / 2.0])]
@@ -254,7 +256,11 @@ def cmd_ladder(args):
         # Python scalars, so write_csv formats them as it formats any number
         ks, betas, zs, residuals = (c.tolist() for c in (
             ladder.k, ladder.beta, ladder.z, ladder.residual))
+        summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
+                   "alpha": alpha}
         if doc.get("residuals", False):
+            grid = grid or ladder_grid(ladder)  # refused past MAX_GRID_N
+            summary["grid"] = {"L": grid.L, "N": grid.N}
             residuals = [residual_certify(k, beta[0], z, alpha, grid)
                          for k, beta, z in zip(ks, betas, zs)]
             worst = np.array(residuals + [0.0])  # an empty window passes any grid
@@ -267,8 +273,6 @@ def cmd_ladder(args):
         header = (["k"] + [f"beta_{j + 1}" for j in range(ladder.beta.shape[1])]
                   + ["z", "residual"])
         rows = [[k, *beta, z, r] for k, beta, z, r in zip(ks, betas, zs, residuals)]
-        summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
-                   "alpha": alpha}
 
     files = {name: (header, rows),
              "ladder_summary.json": json.dumps(summary, indent=2, allow_nan=False)}

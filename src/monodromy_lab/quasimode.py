@@ -15,8 +15,9 @@ Known defect: the perturbed beta lattice is capped from the window at k = 0
 alone, so for k < 0 it drops window points past the cap (ROADMAP item 1
 moves the benchmark pin with the fix).  Ladder entries are certified by the
 residual of their quasimode on the transverse grid, whose hbar is h: the
-time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.  Certify,
-then refuse: the grid holds the ladder when every residual is <= RESIDUAL_TOL.
+time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.  Without a grid,
+`ladder_grid` covers the top mode's disc at its Weyl count.  Certify, then
+refuse: the grid holds the ladder when every residual is <= RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -189,6 +190,7 @@ def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeL
 
 # the largest residual a certified ladder entry may have, on any grid
 RESIDUAL_TOL = 1e-8
+GRID_MARGIN = 8  # ground-state widths sqrt(h) ladder_grid adds past the top mode
 
 
 def residual_certify(k: int, beta: int, z: float, alpha: float,
@@ -208,3 +210,12 @@ def residual_certify(k: int, beta: int, z: float, alpha: float,
     t_phase = 2.0 * math.pi * k * grid.hbar
     resid_vec = (q @ v) + (t_phase - z) * v
     return float(np.sqrt(np.sum(resid_vec ** 2) * grid.dx))
+
+
+def ladder_grid(ladder: QuasimodeLadder) -> PhaseGrid:
+    """L = R = sqrt(h (2 beta + 1)) + GRID_MARGIN sqrt(h) at the top beta, N the
+    least power of two >= 2 R^2 / (pi h); pi h N / (2 L) then covers R too."""
+    h, top = ladder.h, int(ladder.beta.max(initial=0))
+    radius = math.sqrt(h * (2 * top + 1)) + GRID_MARGIN * math.sqrt(h)
+    count = math.ceil(2.0 * radius * radius / (math.pi * h))
+    return PhaseGrid(L=radius, N=1 << (count - 1).bit_length(), hbar=h)

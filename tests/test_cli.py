@@ -594,6 +594,10 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     assert not (tmp_path / "o" / "ladder_perturbed.csv").exists()
 
 
+DERIVED_PAST_MAX_N = {"mode": "exact", "alpha": 0.01, "h": 1e-3, "c0": 0.5,
+                      "residuals": True}
+
+
 @pytest.mark.parametrize("doc", [
     {"mode": "perturbed", "h": 1e-2, "lambda0": [0.0]},
     {"mode": "sideways"},
@@ -622,12 +626,15 @@ def test_ladder_perturbed_rejects_nonpositive_lambda0(tmp_path, lambda0):
     # zero norm would give a nan residual
     {"mode": "exact", "h": 1e-4, "c0": 0.02, "residuals": True,
      "grid": {"L": 16.0, "N": 64}},
+    # the top beta = 4722 sizes a grid of N = 8192 > MAX_GRID_N
+    DERIVED_PAST_MAX_N,
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
         "counting_no_h", "residual_beta_past_grid_resolution", "subnormal_lambda0",
         "infinite_k_window_exact", "infinite_k_window_perturbed",
         "infinite_k_window_counting", "overflowing_grid_span",
-        "overflowing_grid_square", "int_past_double_c0", "mode_sampled_as_zero"])
+        "overflowing_grid_square", "int_past_double_c0", "mode_sampled_as_zero",
+        "derived_grid_past_max_n"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
@@ -646,30 +653,39 @@ def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
     assert not (tmp_path / "o").exists()
 
 
+# the grid the benchmark ladder (top beta = 46) sizes for itself:
+# L = sqrt(93 h) + 8 sqrt(h), N = 256 for its Weyl count 198.2
+BENCH_LADDER_GRID = {"L": 0.5579412264530085, "N": 256}
+
+
 @pytest.mark.parametrize("grid, alpha, c0, worst", [
     # at L = 1, h = 1e-3 the c0 = 0.5 ladder reaches beta = 46: N = 64 and
     # 128 cannot resolve it, N = 256 certifies all 174 entries to <= 6.7e-12
     ({"L": 1.0, "N": 64}, 1.0, 0.5, "0.0312 at (k, beta) = (-5, 46)"),
     ({"L": 1.0, "N": 128}, 1.0, 0.5, "0.0227 at (k, beta) = (-5, 45)"),
     ({"L": 1.0, "N": 256}, 1.0, 0.5, None),
+    # no grid given: the ladder's own grid certifies all 174 to <= 6.2e-16
+    (None, 1.0, 0.5, None),
     # grids that hold the window's turning points yet not its modes to 1e-8
     ({"L": 1.0, "N": 64}, 1.0, 0.02, "3.36e-06 at (k, beta) = (0, 0)"),
     ({"L": 0.2, "N": 512}, 0.5, 0.08, "1.34e-07 at (k, beta) = (0, 3)"),
-], ids=["n64", "n128", "n256_certified", "n64_lowest_modes", "narrow_window"])
+], ids=["n64", "n128", "n256_certified", "derived_grid_certified",
+        "n64_lowest_modes", "narrow_window"])
 def test_ladder_residuals_certify_then_refuse(tmp_path, capsys, grid, alpha, c0,
                                               worst):
     # a residual ladder is refused, with nothing written, exactly when its
     # worst certified residual exceeds RESIDUAL_TOL = 1e-8
-    cfg = write_config(tmp_path / "l.json", {
-        "mode": "exact", "alpha": alpha, "h": 1e-3, "c0": c0, "residuals": True,
-        "grid": grid,
-    })
+    doc = {"mode": "exact", "alpha": alpha, "h": 1e-3, "c0": c0, "residuals": True}
+    cfg = write_config(tmp_path / "l.json", {**doc, "grid": grid} if grid else doc)
     out = tmp_path / "o"
     if worst is None:
         assert run(["ladder", "--config", cfg, "--out", out]) == 0
         rows = (out / "ladder_exact.csv").read_text().splitlines()[1:]
         assert len(rows) == 174
         assert all(float(row.split(",")[-1]) <= 1e-8 for row in rows)
+        summary = json.loads((out / "ladder_summary.json").read_text())
+        assert summary["count"] == 174
+        assert summary["grid"] == (grid or BENCH_LADDER_GRID)
         return
     assert run(["ladder", "--config", cfg, "--out", out]) == 3
     assert not out.exists()
@@ -692,6 +708,50 @@ def test_ladder_residuals_refuse_a_grid_short_of_the_lowest_mode(tmp_path, capsy
     assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
                 "--out", out]) == 0
     assert (out / "ladder_exact.csv").read_text() == "k,beta_1,z,residual\n"
+
+
+@pytest.mark.parametrize("doc, count, top, grid_n", [
+    # both were refused on the fixed (L, N) = (1, 512), which samples their
+    # modes too coarsely: 1.45e-5 at (k, beta) = (-3, 28), 1.26e-4 at (-2, 17)
+    ({"mode": "exact", "h": 1e-4, "c0": 0.1, "residuals": True}, 70, 28, 256),
+    ({"mode": "exact", "h": 1e-5, "c0": 0.02, "residuals": True}, 32, 18, 128),
+], ids=["h1e-4", "h1e-5"])
+def test_ladder_residuals_on_the_grid_the_ladder_sizes(tmp_path, doc, count, top,
+                                                       grid_n):
+    cfg = write_config(tmp_path / "l.json", doc)
+    out = tmp_path / "o"
+    started = time.perf_counter()
+    assert run(["ladder", "--config", cfg, "--out", out]) == 0
+    assert time.perf_counter() - started < 1.0
+    rows = [row.split(",") for row in
+            (out / "ladder_exact.csv").read_text().splitlines()[1:]]
+    assert len(rows) == count
+    assert max(int(row[1]) for row in rows) == top
+    assert all(float(row[-1]) <= 1e-8 for row in rows)
+    h = doc["h"]
+    summary = json.loads((out / "ladder_summary.json").read_text())
+    assert summary["grid"] == {"L": math.sqrt(h * (2 * top + 1)) + 8.0 * math.sqrt(h),
+                               "N": grid_n}
+    # without residuals no grid is read, and the summary names none
+    doc = {**doc, "residuals": False}
+    assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
+                "--out", tmp_path / "plain"]) == 0
+    assert "grid" not in json.loads((tmp_path / "plain" / "ladder_summary.json").read_text())
+
+
+def test_ladder_grid_past_max_n_is_refused_before_any_residual(tmp_path, capsys,
+                                                               monkeypatch):
+    from monodromy_lab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "residual_certify", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path / "l.json", DERIVED_PAST_MAX_N)
+    out = tmp_path / "o"
+    assert run(["ladder", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert calls == []
+    assert capsys.readouterr().err == ("config error: N = 8192 exceeds "
+                                      "MAX_GRID_N = 4096\n")
 
 
 def test_grid_error_exits_config(tmp_path, capsys, monkeypatch):

@@ -46,10 +46,11 @@ def test_hyperbolic_monodromy_unitary():
 
 
 def test_hyperbolic_monodromy_is_hbar_free():
-    # the momentum grid scales with hbar, so (X Xi)^w / hbar is the same
-    # matrix at every hbar: M = exp(-i lam (X Xi)^w / hbar) does not move
-    ms = [build_hyperbolic_monodromy(1.0, PhaseGrid(L=16.0, N=256, hbar=hbar))
-          for hbar in (0.2, 0.05, 1.0)]
+    # x_k xi_p = pi hbar (2k/N - 1)(p - N/2): L and hbar both cancel from
+    # (X Xi)^w / hbar, so M = exp(-i lam (X Xi)^w / hbar) depends on N and
+    # lam alone, and the same matrix comes back on every L and hbar
+    ms = [build_hyperbolic_monodromy(1.0, PhaseGrid(L=length, N=256, hbar=hbar))
+          for length in (16.0, 48.0) for hbar in (0.2, 0.05, 1.0)]
     for m in ms[1:]:
         assert np.abs(m - ms[0]).max() <= 1e-12
 

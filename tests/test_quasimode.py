@@ -14,10 +14,11 @@ from monodromy_lab.quasimode import (
     exact_model_ladder,
     hermite_mode,
     k_window,
+    ladder_grid,
     perturbed_ladder,
     residual_certify,
 )
-from monodromy_lab.weyl import GridError, PhaseGrid, quantize
+from monodromy_lab.weyl import MAX_GRID_N, GridError, PhaseGrid, quantize
 
 GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
 
@@ -384,3 +385,44 @@ def test_residual_certify_allocates_no_complex_operator():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the grid a ladder sizes for itself
+# ---------------------------------------------------------------------------
+
+def test_ladder_grid_of_the_benchmark_ladder():
+    # the top mode beta = 46 reaches sqrt(93 h) = 0.305; eight widths
+    # sqrt(h) past it, R = 0.558, whose Weyl count 2 R^2 / (pi h) = 198.2
+    # rounds up to N = 256
+    grid = ladder_grid(exact_model_ladder(1.0, 1e-3, 2.0, 0.5))
+    assert grid == PhaseGrid(L=math.sqrt(93e-3) + 8.0 * math.sqrt(1e-3), N=256,
+                             hbar=1e-3)
+
+
+def test_ladder_grid_of_an_empty_ladder_holds_the_ground_state():
+    ladder = exact_model_ladder(1.0, 1e-3, 2.0, 1e-6)
+    assert ladder.count == 0
+    # R = 9 sqrt(h), Weyl count 162 / pi = 51.6
+    assert ladder_grid(ladder) == PhaseGrid(L=9.0 * math.sqrt(1e-3), N=64, hbar=1e-3)
+
+
+@given(log_h=st.floats(-8.0, 0.0), top=st.integers(0, 4000))
+@settings(max_examples=200, deadline=None)
+def test_ladder_grid_covers_the_top_mode_disc(log_h, top):
+    h = 10.0 ** log_h
+    ladder = QuasimodeLadder(2.0, 1.0, h, np.zeros(1, int), np.array([[top]]),
+                             np.zeros(1), np.zeros(1))
+    radius = math.sqrt(h * (2 * top + 1)) + 8.0 * math.sqrt(h)
+    weyl_count = 2.0 * radius ** 2 / (math.pi * h)
+    if weyl_count > MAX_GRID_N:
+        with pytest.raises(GridError, match="MAX_GRID_N"):
+            ladder_grid(ladder)
+        return
+    grid = ladder_grid(ladder)
+    assert grid.hbar == h and grid.L == radius
+    # the least power of two at or past the Weyl count, so the momentum
+    # window pi h N / (2 L) reaches R as the position window does
+    assert grid.N & (grid.N - 1) == 0
+    assert grid.N / 2 < weyl_count * (1 + 1e-12) and weyl_count <= grid.N * (1 + 1e-12)
+    assert np.abs(grid.xi).max() >= radius * (1 - 1e-12)

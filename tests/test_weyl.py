@@ -425,7 +425,9 @@ def test_quantize_mixed_parity_does_not_depend_on_block_rows(monkeypatch):
         assert np.array_equal(mat.view(np.float64), ref.view(np.float64))
 
 
-# the grids of the ladder residuals and of the contraction's escape weight
+# the fixed grid ladder residuals took before each ladder sized its own
+# (quasimode.ladder_grid; the benchmark ladder's is L = 0.558, N = 256), and
+# the grid of the contraction's escape weight
 LADDER_GRID = PhaseGrid(L=1.0, N=512, hbar=1e-3)
 CONTRACT_GRID = PhaseGrid(L=16.0, N=512, hbar=0.2)
 

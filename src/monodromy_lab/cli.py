@@ -19,14 +19,14 @@ leaves no output directory.
 
 Exit codes: 0 pass, 1 numeric-assertion failure, 2 classification-ambiguous,
 3 config or usage error, a grid that cannot hold the run included: a
-GridError, or a ladder with a certified residual past RESIDUAL_TOL, on the
-grid given or else on the one quasimode.ladder_grid sizes from it.  Configs
-are JSON documents with strict unknown-key rejection; positivity, the one
-command that draws random samples, requires a non-negative --seed.  An --out
-that names a file, or lies under one, is refused before any work.  Identical
-config and seed produce byte-identical output in every file except
-manifest.json, which records the wall time.  No command loads scipy.linalg:
-classify and geodesic take their few small matrix exponentials in numpy.
+GridError, or a ladder with a certified residual past RESIDUAL_TOL on the
+grid quasimode.ladder_grid sizes from it.  Configs are JSON documents with
+strict unknown-key rejection; positivity, the one command that draws random
+samples, requires a non-negative --seed.  An --out that names a file, or
+lies under one, is refused before any work.  Identical config and seed
+produce byte-identical output in every file except manifest.json, which
+records the wall time.  No command loads scipy.linalg: classify and geodesic
+take their few small matrix exponentials in numpy.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ from . import serialize
 from .escape import verify_positivity
 from .monodromy import contraction_sweep
 from .quasimode import (
-    RESIDUAL_TOL,
     LadderSizeError,
+    certify_ladder,
     exact_model_ladder,
-    ladder_grid,
     perturbed_ladder,
-    residual_certify,
 )
 from .symplectic import (
     ClassificationAmbiguousError,
@@ -196,7 +194,6 @@ LADDER_KEYS = {
     "m_exponent": (int, float),
     "c0": (int, float),
     "residuals": (bool,),
-    "grid": (dict,),
     "order": (int,),
     "lambda0": (list,),
 }
@@ -205,7 +202,7 @@ LADDER_KEYS = {
 # not read: perturbed's order, which the closed-form root has no use for;
 # existing configs, the benchmark's among them, still pass it (checked >= 0)
 LADDER_MODE_KEYS = {
-    "exact": {"h", "residuals", "grid"},
+    "exact": {"h", "residuals"},
     "perturbed": {"h", "lambda0", "order"},
     "counting": {"h_values"},
 }
@@ -242,8 +239,6 @@ def cmd_ladder(args):
     else:
         h = float(doc.get("h", 1e-3))
         if mode == "exact":
-            # a given grid is checked even if no residual reads it, and wins
-            grid = _grid_from(doc["grid"], 1.0, 512, h) if "grid" in doc else None
             ladder = exact_model_ladder(alpha, h, m_exp, c0)
         else:
             lam0 = [float(v) for v in doc.get("lambda0", [alpha / 2.0])]
@@ -253,26 +248,17 @@ def cmd_ladder(args):
             if doc.get("order", 0) < 0:
                 raise ConfigError(f"order must be >= 0, got {doc['order']}")
             ladder = perturbed_ladder(lam0, h, m_exp, c0)
-        # Python scalars, so write_csv formats them as it formats any number
-        ks, betas, zs, residuals = (c.tolist() for c in (
-            ladder.k, ladder.beta, ladder.z, ladder.residual))
         summary = {"h": h, "m_exponent": m_exp, "c0": c0, "count": ladder.count,
                    "alpha": alpha}
         if doc.get("residuals", False):
-            grid = grid or ladder_grid(ladder)  # refused past MAX_GRID_N
+            grid, ladder = certify_ladder(ladder, alpha)
             summary["grid"] = {"L": grid.L, "N": grid.N}
-            residuals = [residual_certify(k, beta[0], z, alpha, grid)
-                         for k, beta, z in zip(ks, betas, zs)]
-            worst = np.array(residuals + [0.0])  # an empty window passes any grid
-            i = int(np.argmax(worst))  # the largest residual, or the first nan
-            if not worst[i] <= RESIDUAL_TOL:
-                raise ConfigError(f"grid: certified residual {worst[i]:.3g} at (k, beta)"
-                                  f" = ({ks[i]}, {betas[i][0]}) exceeds RESIDUAL_TOL"
-                                  f" = {RESIDUAL_TOL:g}")
         name = f"ladder_{mode}.csv"
         header = (["k"] + [f"beta_{j + 1}" for j in range(ladder.beta.shape[1])]
                   + ["z", "residual"])
-        rows = [[k, *beta, z, r] for k, beta, z, r in zip(ks, betas, zs, residuals)]
+        # Python scalars, so write_csv formats them as it formats any number
+        columns = (c.tolist() for c in (ladder.k, ladder.beta, ladder.z, ladder.residual))
+        rows = [[k, *beta, z, r] for k, beta, z, r in zip(*columns)]
 
     files = {name: (header, rows),
              "ladder_summary.json": json.dumps(summary, indent=2, allow_nan=False)}

@@ -1,30 +1,27 @@
 """Hermite quasimodes and eigenvalue ladders for the elliptic model.
 
 The exact ladder enumerates z = (alpha/2)(2 beta + 1) h + 2 pi k h inside
-the window |z| <= c0 h^(1/m).  The perturbed ladder takes the section-map
-quantization condition
-
-    2 z - zeta_beta = 2 pi k h,    zeta_beta = h sum_j lambda_j (2 beta_j + 1),
-
-at constant rates lambda_j, whose root is the closed form
-z = (zeta_beta + 2 pi k h) / 2.  Note the normalization: at the model rate
-lambda = alpha/2 the direct ladder is exactly twice the root, 2 z_root =
-z_direct, entry by entry.  A ladder is numpy columns sorted by z, built one
-k at a time from arrays; the counting sweep reads the exact ladder's count.
-Known defect: the perturbed beta lattice is capped from the window at k = 0
-alone, so for k < 0 it drops window points past the cap (ROADMAP item 1
-moves the benchmark pin with the fix).  Ladder entries are certified by the
-residual of their quasimode on the transverse grid, whose hbar is h: the
-time factor e^{i 2 pi k t} is an exact eigenfunction of h D_t.  Without a grid,
-`ladder_grid` covers the top mode's disc at its Weyl count.  Certify, then
-refuse: the grid holds the ladder when every residual is <= RESIDUAL_TOL.
+the window |z| <= c0 h^(1/m).  The perturbed ladder takes the closed-form
+root z = (zeta + 2 pi k h) / 2 of the section-map quantization condition
+2 z - zeta = 2 pi k h, zeta = h sum_j lambda_j (2 beta_j + 1), at constant
+rates lambda_j; at the model rate lambda = alpha/2 the exact ladder is twice
+the root, entry by entry.  Both are one lattice z = (zeta + c 2 pi k h) / 2,
+which `_enumerate` builds (c = 2 at rate alpha, c = 1 at rates lambda) as
+numpy columns sorted by z, one beta box per k; the counting sweep reads the
+exact ladder's count.  Known defect: `perturbed_ladder` passes it a cap,
+every beta_j at its k = 0 bound, so for k < 0 it drops window points past
+the cap (ROADMAP item 11).  Ladder entries are certified by the residual of
+their quasimode on the transverse grid, whose hbar is h: the time factor
+e^{i 2 pi k t} is an exact eigenfunction of h D_t.  `certify_ladder` sizes
+that grid with `ladder_grid`, the top mode's disc at its Weyl count, and
+refuses the ladder unless every residual is <= RESIDUAL_TOL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,87 +98,82 @@ def k_window(h: float, m_exponent: float, c0: float) -> int:
 
 
 def _check_lattice(size) -> None:
-    if size > MAX_LATTICE_POINTS:
+    if not size <= MAX_LATTICE_POINTS:  # a nan size is refused too
         raise LadderSizeError(f"ladder work of {size:.3g} lattice points "
                               f"exceeds MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
 
 
-def _by_z(chunks: list, modes: int) -> list:
-    """Per-k chunks (k, beta, z, residual) joined in k order, sorted stably by z."""
-    empty = (np.empty(0, int), np.empty((0, modes), int), np.empty(0), np.empty(0))
-    columns = [np.concatenate(c) for c in zip(empty, *chunks)]
+def _enumerate(rates, c: int, h: float, m_exponent: float, c0: float,
+               cap: float = math.inf) -> list:
+    """Columns (k, beta, z, residual), sorted stably by z, of the lattice points
+    z = (zeta + c 2 pi k h) / 2, zeta = h sum_j rates[j] (2 beta_j + 1), with k
+    in the k window and |z| <= zmax (1 + 1e-15); residual |2 z - zeta - c 2 pi k h|.
+    Each k's box holds beta_j <= (2 zmax - c 2 pi k h) / (2 h rates[j]) - 1/2, one
+    spare for rounding, and `cap`; past MAX_LATTICE_POINTS visits, LadderSizeError."""
+    zmax = c0 * h ** (1.0 / m_exponent)
+    kmax = k_window(h, m_exponent, c0)
+
+    def boxes(ks):  # the bases c 2 pi k h, and each k's points per mode
+        bases = c * (2.0 * math.pi * ks * h)
+        with np.errstate(all="ignore"):  # a subnormal rate gives inf, or nan
+            tops = np.floor((2.0 * zmax - bases[:, None]) / (2.0 * h * np.array(rates)) - 0.5)
+        return bases, np.maximum(np.minimum(tops + 1.0, cap) + 1.0, 0.0)
+
+    # before any per-k array: their length, and k = -kmax's box, the widest
+    _check_lattice(max(float(np.prod(boxes(np.array([-kmax]))[1])), 2 * kmax + 1))
+    ks = np.arange(-kmax, kmax + 1)
+    bases, sizes = boxes(ks)
+    _check_lattice(float(np.prod(sizes, axis=1).sum()))
+    chunks = []
+    for k, base, box in zip(ks.tolist(), bases.tolist(), sizes.astype(int).tolist()):
+        # rows beta_j in itertools.product order; zeta adds the modes in turn
+        # from 0.0, so every z rounds as a scalar sum would
+        beta = np.indices(box).reshape(len(rates), -1)
+        acc = 0.0
+        for rate, b in zip(rates, beta):
+            acc = acc + rate * (2 * b + 1)
+        zeta = h * acc
+        z = 0.5 * (zeta + base)
+        keep = np.abs(z) <= zmax * (1.0 + 1e-15)
+        z = z[keep]
+        chunks.append((np.full(z.size, k), beta[:, keep].T, z,
+                       np.abs(2.0 * z - zeta[keep] - base)))
+    columns = [np.concatenate(c) for c in zip(*chunks)]
     order = np.argsort(columns[2], kind="stable")
     return [c[order] for c in columns]
 
 
 def exact_model_ladder(alpha, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
-    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h inside the
-    window |z| <= c0 h^(1/m), one arange of beta per k; residuals are zero
-    at continuum level.  Empty windows give an empty (valid) ladder; a window
-    past MAX_LATTICE_POINTS is refused with LadderSizeError, and values that
-    collide at 1e-12 resolution with LadderError."""
+    """All (k, beta) with z = (alpha/2)(2 beta + 1) h + 2 pi k h in the window
+    |z| <= c0 h^(1/m): the lattice at rate alpha and c = 2, whose z equals that
+    sum bit for bit (doubling is exact), with zero residuals at continuum level.
+    An empty window gives an empty (valid) ladder; values that collide at 1e-12
+    of the window are refused with LadderError, past MAX_LATTICE_POINTS with
+    LadderSizeError."""
     alpha = float(alpha)
     if h <= 0 or alpha <= 0:
         raise ValueError("alpha and h must be positive")
-    zmax = c0 * h ** (1.0 / m_exponent)
-    kmax = k_window(h, m_exponent, c0)
-    # each k admits at most 2 zmax / (alpha h) + 1 values of b
-    _check_lattice((2 * kmax + 1) * (2.0 * zmax / (alpha * h) + 1.0))
-    chunks = []
-    for k in range(-kmax, kmax + 1):
-        base = 2.0 * math.pi * k * h
-        # (alpha/2)(2b+1)h in [-zmax - base, zmax - base], b >= 0
-        hi = (zmax - base) / (alpha * h)
-        if hi < 0.5:
-            continue
-        lo = (-zmax - base) / (alpha * h)
-        b = np.arange(max(0, int(math.ceil(lo - 0.5))), int(math.floor(hi - 0.5 + 1e-15)) + 1)
-        z = 0.5 * alpha * (2 * b + 1) * h + base
-        keep = np.abs(z) <= zmax * (1.0 + 1e-15)
-        z = z[keep]
-        chunks.append((np.full(z.size, k), b[keep, None], z, np.zeros(z.size)))
-    k, beta, z, residual = _by_z(chunks, 1)
-    collide = np.diff(z) < 1e-12 * np.maximum(1.0, np.abs(z[:-1]))
+    k, beta, z, _ = _enumerate([alpha], 2, h, m_exponent, c0)
+    collide = np.diff(z) < 1e-12 * c0 * h ** (1.0 / m_exponent)
     if collide.any():
         a, b = map(float, z[np.argmax(collide):][:2])
         raise LadderError(f"ladder values {a!r} and {b!r} collide at 1e-12 resolution")
-    return QuasimodeLadder(m_exponent, c0, h, k, beta, z, residual)
+    return QuasimodeLadder(m_exponent, c0, h, k, beta, z, np.zeros(z.size))
 
 
 def perturbed_ladder(lam0, h: float, m_exponent: float, c0: float) -> QuasimodeLadder:
     """Closed-form roots z = (zeta + 2 pi k h) / 2 of the section-map
     quantization condition at constant rates lam0, one per transverse mode,
-    with zeta = h sum_j lam0[j] (2 beta_j + 1).
+    with zeta = h sum_j lam0[j] (2 beta_j + 1) and the residual
+    |2 z - zeta - 2 pi k h|: the lattice at rates lam0 and c = 1.
 
-    Each beta_j runs up to floor((2 zmax / (h min lam0) - 1) / 2) + 1 for
-    every k; a lattice past MAX_LATTICE_POINTS is refused with
-    LadderSizeError before it is built.  The beta lattice and its zeta are
-    built once, as arrays; each k keeps the points with |z| <= c0 h^(1/m),
-    with the residual |2 z - zeta - 2 pi k h|.
+    Known defect: every beta_j is capped at its k = 0 bound
+    floor((2 zmax / (h min lam0) - 1) / 2) + 1, for every k.
     """
     zmax = c0 * h ** (1.0 / m_exponent)
-    kmax = k_window(h, m_exponent, c0)
     lam_h = h * min(lam0)
-    b_span = max(0.0, (2.0 * zmax / lam_h - 1.0) / 2.0) if lam_h > 0 else math.inf
-    _check_lattice(b_span)  # as a float first: a subnormal rate makes it inf
-    b_cap = int(b_span) + 1
-    _check_lattice((2 * kmax + 1) * (b_cap + 1) ** len(lam0))
-    # rows beta_j in itertools.product order; zeta adds the modes in turn from
-    # 0.0, so every z rounds as a scalar sum would
-    lattice = np.indices((b_cap + 1,) * len(lam0)).reshape(len(lam0), -1)
-    acc = 0.0
-    for lam, b in zip(lam0, lattice):
-        acc = acc + lam * (2 * b + 1)
-    zeta = h * acc
-    chunks = []
-    for k in range(-kmax, kmax + 1):
-        base = 2.0 * math.pi * k * h
-        z = 0.5 * (zeta + base)
-        keep = np.abs(z) <= zmax
-        z = z[keep]
-        chunks.append((np.full(z.size, k), lattice[:, keep].T, z,
-                       np.abs(2.0 * z - zeta[keep] - base)))
-    return QuasimodeLadder(m_exponent, c0, h, *_by_z(chunks, len(lam0)))
+    cap = np.floor(max(0.0, (2.0 * zmax / lam_h - 1.0) / 2.0)) + 1 if lam_h > 0 else math.inf
+    return QuasimodeLadder(m_exponent, c0, h, *_enumerate(lam0, 1, h, m_exponent, c0, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +211,20 @@ def ladder_grid(ladder: QuasimodeLadder) -> PhaseGrid:
     radius = math.sqrt(h * (2 * top + 1)) + GRID_MARGIN * math.sqrt(h)
     count = math.ceil(2.0 * radius * radius / (math.pi * h))
     return PhaseGrid(L=radius, N=1 << (count - 1).bit_length(), hbar=h)
+
+
+def certify_ladder(ladder: QuasimodeLadder,
+                   alpha: float) -> tuple[PhaseGrid, QuasimodeLadder]:
+    """`ladder_grid(ladder)` and the ladder with every residual certified on
+    it at the model rate alpha.  Certify, then refuse: GridError names the
+    worst residual, or the first nan, when it is not <= RESIDUAL_TOL."""
+    grid = ladder_grid(ladder)  # refused past MAX_GRID_N before any residual
+    ks, betas = ladder.k.tolist(), ladder.beta[:, 0].tolist()
+    residual = np.array([residual_certify(k, beta, z, alpha, grid)
+                         for k, beta, z in zip(ks, betas, ladder.z.tolist())])
+    worst = np.append(residual, 0.0)  # an empty window passes any grid
+    i = int(np.argmax(worst))  # the largest residual, or the first nan
+    if not worst[i] <= RESIDUAL_TOL:
+        raise GridError(f"grid: certified residual {worst[i]:.3g} at (k, beta) = "
+                        f"({ks[i]}, {betas[i]}) exceeds RESIDUAL_TOL = {RESIDUAL_TOL:g}")
+    return grid, replace(ladder, residual=residual)

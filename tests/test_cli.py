@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from monodromy_lab import quasimode
 from monodromy_lab.cli import main
 from monodromy_lab.serialize import (
     MatrixFileError,
@@ -15,6 +16,7 @@ from monodromy_lab.serialize import (
     read_matrix,
     write_matrix,
 )
+from monodromy_lab.weyl import GridError, PhaseGrid
 
 
 def run(args):
@@ -147,8 +149,7 @@ PROTOCOL_RUNS = {
     "classify": None,
     **VALID_CONFIGS,
     "positivity": {"rates": [1.0], "samples": 1000},  # not ten million
-    "ladder_exact": {"mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
-                     "grid": {"L": 1.5, "N": 64}},
+    "ladder_exact": {"mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True},
     "ladder_perturbed": {"mode": "perturbed", "h": 0.001, "c0": 0.1,
                          "lambda0": [0.5, 0.7]},
     "geodesic_poincare": {"t_final": 0.01, "step": 1e-3},
@@ -456,7 +457,7 @@ def test_contract_refuses_grid_smaller_than_subspace(tmp_path, doc, capsys):
 def test_ladder_exact_with_residuals(tmp_path):
     cfg = write_config(tmp_path / "l.json", {
         "mode": "exact", "alpha": 1.0, "h": 0.01, "m_exponent": 2,
-        "c0": 0.5, "residuals": True, "grid": {"L": 1.5, "N": 256},
+        "c0": 0.5, "residuals": True,
     })
     out = tmp_path / "out"
     assert run(["ladder", "--config", cfg, "--out", out]) == 0
@@ -522,6 +523,20 @@ def test_ladder_counting_collision_exits_numeric(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == "error: ladder values 0.0 and 0.0 collide at 1e-12 resolution\n"
+
+
+def test_ladder_counting_small_h_has_no_false_collisions(tmp_path):
+    # the (k, beta) set depends on c0 h^(1/m - 1) alone, so h = 1e-9 at
+    # c0 = 0.02 counts what h = 1e-5 at c0 = 2 does; its closest values lie
+    # 6e-14 apart, 6e-5 h: below 1e-12 in absolute terms, yet distinct
+    counts = []
+    for c0, h in ((0.02, 1e-9), (2.0, 1e-5)):
+        cfg = write_config(tmp_path / "l.json", {"mode": "counting", "c0": c0,
+                                                 "h_values": [h]})
+        out = tmp_path / f"o{h}"
+        assert run(["ladder", "--config", cfg, "--out", out]) == 0
+        counts.append((out / "counting.csv").read_text().splitlines()[1].split(",")[1])
+    assert counts == ["254878", "254878"]
 
 
 def test_ladder_bad_mode(tmp_path):
@@ -608,47 +623,29 @@ DERIVED_PAST_MAX_N = {"mode": "exact", "alpha": 0.01, "h": 1e-3, "c0": 0.5,
     {"mode": "counting", "c0": 0.1, "h_values": [0.0]},
     {"mode": "counting", "c0": 0.1, "h_values": [1e-2, -0.1]},
     {"mode": "counting", "c0": 0.1, "h_values": []},
-    # the window reaches beta = 8, whose certified residual on this grid is 5.1
-    {"mode": "exact", "h": 0.1, "c0": 1.0, "residuals": True,
-     "grid": {"L": 1.0, "N": 64}},
     # the beta window of a subnormal rate is infinite
     {"mode": "perturbed", "h": 1e-3, "lambda0": [1e-320]},
     # the k window c0 h^(1/m - 1) / pi overflows to inf in every mode
     {"mode": "exact", "h": 1e-3, "c0": 1e308},
     {"mode": "perturbed", "h": 1e-3, "c0": 1e308, "lambda0": [0.5]},
     {"mode": "counting", "c0": 1e308, "h_values": [1e-3]},
-    # the grid span L^2 / h overflows, and with it x / sqrt(h)
-    {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e154, "N": 512}},
-    {"mode": "exact", "h": 1e-3, "residuals": True, "grid": {"L": 1e200, "N": 512}},
     # an integer past the double range used to stop float conversion (exit 1)
     {"mode": "exact", "h": 1e-3, "c0": 10 ** 400},
-    # x / sqrt(h) steps by 50: the odd beta = 1 mode samples as zero, and its
-    # zero norm would give a nan residual
-    {"mode": "exact", "h": 1e-4, "c0": 0.02, "residuals": True,
-     "grid": {"L": 16.0, "N": 64}},
     # the top beta = 4722 sizes a grid of N = 8192 > MAX_GRID_N
     DERIVED_PAST_MAX_N,
+    # the residual grid is the one the ladder sizes; no ladder key names one
+    {"mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
+     "grid": {"L": 1.5, "N": 64}},
+    # alpha h underflows to zero, so the beta box is infinite
+    {"mode": "exact", "alpha": 1e-200, "h": 1e-200, "c0": 1e-200},
 ], ids=["zero_lambda0", "unknown_mode", "oversized_lattice", "negative_order",
         "counting_h_one", "counting_h_zero", "counting_h_negative",
-        "counting_no_h", "residual_beta_past_grid_resolution", "subnormal_lambda0",
+        "counting_no_h", "subnormal_lambda0",
         "infinite_k_window_exact", "infinite_k_window_perturbed",
-        "infinite_k_window_counting", "overflowing_grid_span",
-        "overflowing_grid_square", "int_past_double_c0", "mode_sampled_as_zero",
-        "derived_grid_past_max_n"])
+        "infinite_k_window_counting", "int_past_double_c0",
+        "derived_grid_past_max_n", "grid_key", "underflowing_alpha_h"])
 def test_ladder_refusal_leaves_no_output_directory(tmp_path, doc):
     cfg = write_config(tmp_path / "l.json", doc)
-    assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("residuals", [False, True])
-def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
-    # the grid is checked before the ladder is built, also when no
-    # residual reads it
-    cfg = write_config(tmp_path / "l.json", {
-        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": residuals,
-        "grid": {"L": 1.0, "N": 63},
-    })
     assert run(["ladder", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o").exists()
 
@@ -658,25 +655,33 @@ def test_ladder_exact_refuses_malformed_grid(tmp_path, residuals):
 BENCH_LADDER_GRID = {"L": 0.5579412264530085, "N": 256}
 
 
-@pytest.mark.parametrize("grid, alpha, c0, worst", [
-    # at L = 1, h = 1e-3 the c0 = 0.5 ladder reaches beta = 46: N = 64 and
-    # 128 cannot resolve it, N = 256 certifies all 174 entries to <= 6.7e-12
-    ({"L": 1.0, "N": 64}, 1.0, 0.5, "0.0312 at (k, beta) = (-5, 46)"),
-    ({"L": 1.0, "N": 128}, 1.0, 0.5, "0.0227 at (k, beta) = (-5, 45)"),
-    ({"L": 1.0, "N": 256}, 1.0, 0.5, None),
-    # no grid given: the ladder's own grid certifies all 174 to <= 6.2e-16
-    (None, 1.0, 0.5, None),
+@pytest.mark.parametrize("margin, grid, alpha, c0, worst", [
+    # the c0 = 0.5 ladder reaches beta = 46: its own grid certifies all 174
+    # entries to <= 6.2e-16, while 2 and 0 widths sqrt(h) past the top mode,
+    # (L, N) = (0.368, 128) and (0.305, 64), cannot resolve it
+    (8, None, 1.0, 0.5, None),
+    (2, None, 1.0, 0.5, "7.34e-07 at (k, beta) = (-5, 46)"),
+    (0, None, 1.0, 0.5, "0.00368 at (k, beta) = (-5, 45)"),
+    # grids put in place of the one the ladder sizes: at L = 1, N = 64 and
+    # 128 cannot resolve beta = 46, N = 256 certifies all 174 to <= 6.7e-12
+    (8, {"L": 1.0, "N": 64}, 1.0, 0.5, "0.0312 at (k, beta) = (-5, 46)"),
+    (8, {"L": 1.0, "N": 128}, 1.0, 0.5, "0.0227 at (k, beta) = (-5, 45)"),
+    (8, {"L": 1.0, "N": 256}, 1.0, 0.5, None),
     # grids that hold the window's turning points yet not its modes to 1e-8
-    ({"L": 1.0, "N": 64}, 1.0, 0.02, "3.36e-06 at (k, beta) = (0, 0)"),
-    ({"L": 0.2, "N": 512}, 0.5, 0.08, "1.34e-07 at (k, beta) = (0, 3)"),
-], ids=["n64", "n128", "n256_certified", "derived_grid_certified",
-        "n64_lowest_modes", "narrow_window"])
-def test_ladder_residuals_certify_then_refuse(tmp_path, capsys, grid, alpha, c0,
-                                              worst):
+    (8, {"L": 1.0, "N": 64}, 1.0, 0.02, "3.36e-06 at (k, beta) = (0, 0)"),
+    (8, {"L": 0.2, "N": 512}, 0.5, 0.08, "1.34e-07 at (k, beta) = (0, 3)"),
+], ids=["derived_grid_certified", "margin2", "margin0", "n64", "n128",
+        "n256_certified", "n64_lowest_modes", "narrow_window"])
+def test_ladder_residuals_certify_then_refuse(tmp_path, capsys, monkeypatch, margin,
+                                              grid, alpha, c0, worst):
     # a residual ladder is refused, with nothing written, exactly when its
     # worst certified residual exceeds RESIDUAL_TOL = 1e-8
+    monkeypatch.setattr(quasimode, "GRID_MARGIN", margin)
+    if grid:
+        monkeypatch.setattr(quasimode, "ladder_grid",
+                            lambda ladder: PhaseGrid(hbar=ladder.h, **grid))
     doc = {"mode": "exact", "alpha": alpha, "h": 1e-3, "c0": c0, "residuals": True}
-    cfg = write_config(tmp_path / "l.json", {**doc, "grid": grid} if grid else doc)
+    cfg = write_config(tmp_path / "l.json", doc)
     out = tmp_path / "o"
     if worst is None:
         assert run(["ladder", "--config", cfg, "--out", out]) == 0
@@ -693,11 +698,14 @@ def test_ladder_residuals_certify_then_refuse(tmp_path, capsys, grid, alpha, c0,
                                       "exceeds RESIDUAL_TOL = 1e-08\n")
 
 
-def test_ladder_residuals_refuse_a_grid_short_of_the_lowest_mode(tmp_path, capsys):
-    # both windows of this grid are narrower than the beta = 0 turning point
-    # sqrt(h), and the beta = 0 entry certifies to 5.6e-3
-    doc = {"mode": "exact", "h": 1e-3, "c0": 0.02, "residuals": True,
-           "grid": {"L": 0.01, "N": 64}}
+def test_ladder_residuals_refuse_a_grid_short_of_the_lowest_mode(tmp_path, capsys,
+                                                                 monkeypatch):
+    # both windows of this grid, put in place of the one the ladder sizes,
+    # are narrower than the beta = 0 turning point sqrt(h), and the beta = 0
+    # entry certifies to 5.6e-3
+    monkeypatch.setattr(quasimode, "ladder_grid",
+                        lambda ladder: PhaseGrid(L=0.01, N=64, hbar=ladder.h))
+    doc = {"mode": "exact", "h": 1e-3, "c0": 0.02, "residuals": True}
     out = tmp_path / "o"
     assert run(["ladder", "--config", write_config(tmp_path / "l.json", doc),
                 "--out", out]) == 3
@@ -741,10 +749,8 @@ def test_ladder_residuals_on_the_grid_the_ladder_sizes(tmp_path, doc, count, top
 
 def test_ladder_grid_past_max_n_is_refused_before_any_residual(tmp_path, capsys,
                                                                monkeypatch):
-    from monodromy_lab import cli
-
     calls = []
-    monkeypatch.setattr(cli, "residual_certify", lambda *args: calls.append(args))
+    monkeypatch.setattr(quasimode, "residual_certify", lambda *args: calls.append(args))
     cfg = write_config(tmp_path / "l.json", DERIVED_PAST_MAX_N)
     out = tmp_path / "o"
     assert run(["ladder", "--config", cfg, "--out", out]) == 3
@@ -757,16 +763,12 @@ def test_ladder_grid_past_max_n_is_refused_before_any_residual(tmp_path, capsys,
 def test_grid_error_exits_config(tmp_path, capsys, monkeypatch):
     # a grid that cannot hold the run is a config error wherever it shows,
     # here inside the residual quantization, and nothing is written
-    from monodromy_lab import cli
-    from monodromy_lab.weyl import GridError
-
     def refuse(*args):
         raise GridError("symbol evaluated to a non-finite value on the grid")
 
-    monkeypatch.setattr(cli, "residual_certify", refuse)
+    monkeypatch.setattr(quasimode, "residual_certify", refuse)
     cfg = write_config(tmp_path / "l.json", {
-        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
-        "grid": {"L": 1.5, "N": 64}})
+        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True})
     out = tmp_path / "o"
     assert run(["ladder", "--config", cfg, "--out", out]) == 3
     assert not out.exists()
@@ -782,9 +784,8 @@ LADDER_BASE = {
 UNREAD_LADDER_KEYS = [
     ("exact", "lambda0", [0.5]), ("exact", "order", 1),
     ("exact", "h_values", [1e-2]),
-    ("perturbed", "residuals", True), ("perturbed", "grid", {"L": 1.0, "N": 64}),
-    ("perturbed", "h_values", [1e-2]),
-    ("counting", "residuals", True), ("counting", "grid", {"L": 1.0, "N": 64}),
+    ("perturbed", "residuals", True), ("perturbed", "h_values", [1e-2]),
+    ("counting", "residuals", True),
     ("counting", "lambda0", [0.5]), ("counting", "order", 1),
     ("counting", "h", 1e-3),
 ]

@@ -491,8 +491,7 @@ cold = [
         "h_values": [0.01], "grid": {"L": 16.0, "N": 128},
         "gap_grid": {"L": 24.0, "N": 128}})],
     ["ladder", "--config", config("ladder", {
-        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True,
-        "grid": {"L": 1.5, "N": 64}})],
+        "mode": "exact", "h": 0.01, "c0": 0.1, "residuals": True})],
     ["geodesic", "--config", config("geodesic", {
         "t_final": 0.01, "step": 1e-3, "classify_orbits": True})],
     ["positivity", "--config", config("positivity", {

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from monodromy_lab import quasimode
 from monodromy_lab.quasimode import (
     LadderError,
     LadderSizeError,
@@ -102,23 +103,24 @@ def test_hermite_mode_refuses_a_mode_sampled_as_zero():
 ORACLE_LATTICE_POINTS = 2 * 10 ** 5
 
 
-def brute_force_count(alpha, h, m_exp, c0):
+def brute_force_values(alpha, h, m_exp, c0):
+    """Every z of the exact ladder's window, by brute force, sorted."""
     zmax = c0 * h ** (1.0 / m_exp)
     kmax = k_window(h, m_exp, c0)
-    count = 0
+    values = []
     b_cap = int(3.0 * zmax / (alpha * h)) + 2
     for k in range(-kmax, kmax + 1):
         for b in range(0, b_cap):
             z = 0.5 * alpha * (2 * b + 1) * h + 2 * math.pi * k * h
             if abs(z) <= zmax * (1.0 + 1e-15):
-                count += 1
-    return count
+                values.append(z)
+    return sorted(values)
 
 
 def test_exact_ladder_against_enumeration_oracle():
     for h in (1e-2, 1e-3):
         ladder = exact_model_ladder(1.0, h, 2.0, 1.0)
-        assert ladder.count == brute_force_count(1.0, h, 2.0, 1.0)
+        assert ladder.count == len(brute_force_values(1.0, h, 2.0, 1.0))
         zmax = 1.0 * h ** 0.5
         assert np.all(np.abs(ladder.z) <= zmax * (1 + 1e-12))
         assert np.all(ladder.residual == 0.0)
@@ -154,29 +156,33 @@ def test_exact_ladder_distinct_rational_alpha():
 
 
 @settings(max_examples=60, deadline=None)
-@given(alpha=st.floats(0.3, 3.0), log_h=st.floats(-4.0, -1.0),
-       c0=st.floats(0.1, 1.0), m_exp=st.sampled_from([1.5, 2.0, 3.0]))
-def test_exact_ladder_count_matches_brute_force(alpha, log_h, c0, m_exp):
+@given(alpha=st.floats(0.3, 3.0), log_h=st.floats(-11.0, -1.0),
+       log_c0=st.floats(-3.0, 0.0), m_exp=st.sampled_from([1.5, 2.0, 3.0]))
+def test_exact_ladder_count_matches_brute_force(alpha, log_h, log_c0, m_exp):
     # the count the counting sweep reads, against the enumeration oracle
-    h = 10.0 ** log_h
+    h, c0 = 10.0 ** log_h, 10.0 ** log_c0
     zmax = c0 * h ** (1.0 / m_exp)
     lattice = (2 * k_window(h, m_exp, c0) + 1) * (3.0 * zmax / (alpha * h) + 2)
     assume(lattice <= ORACLE_LATTICE_POINTS)
+    values = brute_force_values(alpha, h, m_exp, c0)
     try:
         ladder = exact_model_ladder(alpha, h, m_exp, c0)
-    except LadderError as exc:  # a resonant alpha
+    except LadderError as exc:  # a resonant alpha: two values within 1e-12 zmax
         assert "collide" in str(exc)
+        assert min(np.diff(values)) < 1e-12 * zmax
         return
-    assert ladder.count == brute_force_count(alpha, h, m_exp, c0)
+    assert ladder.count == len(values)
     assert ladder.k.shape == ladder.z.shape == ladder.residual.shape == (ladder.count,)
     assert ladder.beta.shape == (ladder.count, 1)
 
 
 def test_exact_ladder_count_refuses_collisions():
     # alpha = 4 pi puts z(k, b) = 2 pi h (2 b + 1 + k) on a lattice that
-    # (k, b) and (k + 2, b - 1) share; the counting sweep reads this count
-    with pytest.raises(LadderError, match="collide at 1e-12 resolution"):
-        exact_model_ladder(4.0 * math.pi, 1e-3, 2.0, 1.0).count
+    # (k, b) and (k + 2, b - 1) share; the counting sweep reads this count.
+    # The tolerance scales with the window: the same (k, b) set at h = 1e-9
+    for h, c0 in ((1e-3, 1.0), (1e-9, 1e-3)):
+        with pytest.raises(LadderError, match="collide at 1e-12 resolution"):
+            exact_model_ladder(4.0 * math.pi, h, 2.0, c0).count
 
 
 def test_ladder_refuses_entries_outside_the_window():
@@ -223,6 +229,16 @@ def test_oversized_lattices_refused():
         exact_model_ladder(1.0, 1e-3, 2.0, 1e9)
     with pytest.raises(LadderSizeError):
         perturbed_ladder([0.5, 0.7], 1e-3, 2.0, 1e9)
+    # |k| <= 4.9e6 passes the k window, but the widest beta box (k = -kmax,
+    # 4.6e7 points) is refused before any per-k array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(LadderSizeError, match="4.65e[+]07 lattice points"):
+            exact_model_ladder(1.0, 1e-3, 2.0, 4.9e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
     # the benchmark windows, ~3.2e4 (exact, h = 1e-5) and ~1.2e4 (two
     # modes, h = 1e-3) lattice points, stay admitted
     assert exact_model_ladder(1.0, 1e-5, 2.0, 0.5).count > 0
@@ -237,11 +253,13 @@ def capped_lattice(lams, h, m_exp, c0):
     return zmax, k_window(h, m_exp, c0), cap
 
 
-def brute_force_perturbed(lams, h, m_exp, c0):
-    """{(k, (b_1, .., b_n)): z} over the capped beta lattice, by nested
-    loops that leave a mode once z has passed the window for good (every
-    rate is positive, so z grows with each b_j)."""
-    zmax, kmax, cap = capped_lattice(lams, h, m_exp, c0)
+def brute_force_perturbed(lams, h, m_exp, c0, cap=None):
+    """{(k, (b_1, .., b_n)): z} over the beta lattice capped at `cap`, by
+    default perturbed_ladder's, by nested loops that leave a mode once z has
+    passed the window for good (every rate is positive, so z grows with
+    each b_j)."""
+    zmax, kmax, ladder_cap = capped_lattice(lams, h, m_exp, c0)
+    cap = ladder_cap if cap is None else cap
     points = {}
 
     def walk(k, beta, low):
@@ -290,6 +308,20 @@ def test_perturbed_matches_brute_force_lattice(lams, log_h, c0, m_exp):
 def test_perturbed_full_window_count():
     # 5479 is the brute-force count of the full window; the cap gives 4646
     assert perturbed_ladder([0.5, 0.7], 1e-3, 2.0, 0.5).count == 5479
+
+
+def test_the_cap_is_the_perturbed_defect_alone():
+    # the shared enumeration without perturbed_ladder's cap gives the full
+    # window of the benchmark's perturbed config
+    lams, h, m_exp, c0 = [0.5, 0.7], 1e-3, 2.0, 0.5
+    zmax, kmax, _ = capped_lattice(lams, h, m_exp, c0)
+    full_cap = math.ceil((zmax + math.pi * kmax * h) / (h * min(lams)))
+    expected = brute_force_perturbed(lams, h, m_exp, c0, full_cap)
+    ladder = QuasimodeLadder(m_exp, c0, h, *quasimode._enumerate(lams, 1, h, m_exp, c0))
+    got = dict(zip(keys(ladder), ladder.z.tolist()))
+    assert len(got) == len(expected) == 5479
+    assert got.keys() == expected.keys()
+    assert all(abs(got[key] - expected[key]) <= 1e-15 * zmax for key in got)
 
 
 def test_perturbed_ladder_holds_only_its_columns():
